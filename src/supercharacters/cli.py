@@ -3,18 +3,14 @@
 Subcommands: count, enumerate, verify, dual, classify, oracle, lattice.
 Theories travel as JSON Lines, one record per line, ordered by (number of
 classes, canonical key).  Exit codes: 0 success, 2 verification failure,
-3 count mismatch, 4 bad input, 5 search budget exhausted.  The environment
-variable SUPERCHAR_THREADS (default 1) caps worker threads for per-theory
-verification.
+3 count mismatch, 4 bad input, 5 search budget exhausted.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .bruteforce import BudgetExhaustedError, brute_force_enumerate
 from .constructions import (
@@ -56,17 +52,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
-
-
-def _threads() -> int:
-    raw = os.environ.get("SUPERCHAR_THREADS", "1")
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ValueError(f"SUPERCHAR_THREADS must be an integer, got {raw!r}")
-    if val < 1:
-        raise ValueError(f"SUPERCHAR_THREADS must be at least 1, got {val}")
-    return val
 
 
 def _group_from_args(args) -> GroupSpec:
@@ -135,14 +120,9 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     records = _read_records(args.file)
-    threads = _threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda r: verify(r.theory), records))
-    else:
-        results = [verify(r.theory) for r in records]
     failures = 0
-    for i, v in enumerate(results):
+    for i, rec in enumerate(records):
+        v = verify(rec.theory)
         if v is None:
             print(f"theory {i}: ok")
         else:

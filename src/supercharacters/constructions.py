@@ -5,6 +5,8 @@ wedges over a proper nontrivial subgroup."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 from .groups import AutMap, GroupSpec, Subgroup, SubgroupEmbedding, aut_generating_subset
 from .theories import (
@@ -12,9 +14,9 @@ from .theories import (
     Theory,
     canonical_key,
     invariant_subgroups,
+    require_valid,
     restriction,
     theory_from_classes,
-    verify,
 )
 
 
@@ -39,10 +41,11 @@ def _orbit_partition(n: int, perms) -> Partition:
     return Partition.from_blocks(groups.values(), n)
 
 
-def from_automorphisms(g: GroupSpec, gens) -> Theory:
+def from_automorphisms(g: GroupSpec, gens, check: bool = True) -> Theory:
     """Classes are the orbits of the generated subgroup of Aut(G) on elements,
     character blocks its orbits on characters; no generators means the
-    discrete orbits, i.e. the minimal theory."""
+    discrete orbits, i.e. the minimal theory.  With check=False the caller
+    takes over verification."""
     gens = list(gens)
     for a in gens:
         if a.group != g:
@@ -50,10 +53,7 @@ def from_automorphisms(g: GroupSpec, gens) -> Theory:
     classes = _orbit_partition(g.order, [a.perm for a in gens])
     charparts = _orbit_partition(g.order, [a.char_perm for a in gens])
     t = Theory(g, classes, charparts)
-    bad = verify(t)
-    if bad is not None:
-        raise RuntimeError(f"orbit theory fails verification: {bad.message}")
-    return t
+    return require_valid(t, "orbit theory") if check else t
 
 
 def _restrict_char(g: GroupSpec, emb: SubgroupEmbedding, c: int) -> int:
@@ -75,21 +75,26 @@ def _restrict_char(g: GroupSpec, emb: SubgroupEmbedding, c: int) -> int:
     return sub.index_of(tuple(exps))
 
 
+@lru_cache(maxsize=None)
 def _char_product_map(
     g: GroupSpec, e1: SubgroupEmbedding, e2: SubgroupEmbedding
-) -> dict[tuple[int, int], int]:
-    """For a complementary pair, Irr(G) = Irr(H1) x Irr(H2) by restriction."""
+) -> MappingProxyType:
+    """For a complementary pair, Irr(G) = Irr(H1) x Irr(H2) by restriction;
+    built once per pair, read-only because every caller shares it."""
     out = {}
     for c in range(g.order):
         out[(_restrict_char(g, e1, c), _restrict_char(g, e2, c))] = c
     if len(out) != g.order:
         raise ValueError("restriction map is not a bijection; pair is not complementary")
-    return out
+    return MappingProxyType(out)
 
 
-def direct_product(t1: Theory, t2: Theory, h1: Subgroup, h2: Subgroup) -> Theory:
+def direct_product(
+    t1: Theory, t2: Theory, h1: Subgroup, h2: Subgroup, check: bool = True
+) -> Theory:
     """The theory on h1.group whose classes are all products K*L of a class of
-    t1 by a class of t2, across the complementary pair (h1, h2)."""
+    t1 by a class of t2, across the complementary pair (h1, h2).  With
+    check=False the caller takes over verification."""
     g = h1.group
     if h2.group != g:
         raise ValueError("subgroups live in different groups")
@@ -114,10 +119,7 @@ def direct_product(t1: Theory, t2: Theory, h1: Subgroup, h2: Subgroup) -> Theory
     ]
     charparts = Partition.from_blocks(cblocks, g.order)
     t = Theory(g, classes, charparts)
-    bad = verify(t)
-    if bad is not None:
-        raise RuntimeError(f"direct product fails verification: {bad.message}")
-    return t
+    return require_valid(t, "direct product") if check else t
 
 
 @dataclass(frozen=True)
@@ -130,10 +132,11 @@ class WedgeSpec:
     outer: Theory
 
 
-def wedge(ws: WedgeSpec) -> Theory:
+def wedge(ws: WedgeSpec, check: bool = True) -> Theory:
     """Classes inside the subgroup come from the inner theory; outside it they
     are preimages of the nonidentity classes of the outer quotient theory.
-    The character side is derived from the classes."""
+    The character side is derived from the classes, which fails unless they
+    are convolution-closed; check=True then also verifies the result."""
     g = ws.n.group
     if not 1 < ws.n.order < g.order:
         raise ValueError("wedge needs a proper nontrivial subgroup")
@@ -144,17 +147,13 @@ def wedge(ws: WedgeSpec) -> Theory:
     blocks = [
         tuple(emb.to_parent[i] for i in b) for b in ws.inner.classes.blocks
     ]
-    proj = q.projection
+    fibers = q.fibers
     for b in ws.outer.classes.blocks:
         if b == (0,):
             continue
-        want = set(b)
-        blocks.append(tuple(i for i in range(g.order) if proj[i] in want))
+        blocks.append(tuple(i for j in b for i in fibers[j]))
     t = theory_from_classes(g, Partition.from_blocks(blocks, g.order))
-    bad = verify(t)
-    if bad is not None:
-        raise RuntimeError(f"wedge fails verification: {bad.message}")
-    return t
+    return require_valid(t, "wedge") if check else t
 
 
 def character_side_wedge(ws: WedgeSpec) -> Partition:

@@ -17,6 +17,7 @@ and every theory is produced by tagged constructions plus the maximal one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .bruteforce import brute_force_count
 from .constructions import WedgeSpec, direct_product, from_automorphisms, wedge
@@ -28,6 +29,7 @@ from .theories import (
     canonical_key,
     maximal_theory,
     minimal_theory,
+    require_valid,
     sort_key,
 )
 
@@ -126,21 +128,39 @@ def predicted_counts(p: int) -> CountReport:
                        f["overlap"], f["wedge"], f["maximal"], f)
 
 
+# What a construction's candidates are called when they fail verification.
+_BUILT_BY = {
+    "aut": "orbit theory",
+    "direct": "direct product",
+    "wedge": "wedge",
+    "minimal": "minimal theory",
+    "maximal": "maximal theory",
+}
+
+
 class _Collector:
-    """Deduplicates theories by canonical key, merging tags and witnesses."""
+    """Deduplicates theories by canonical key, merging tags and witnesses.
+
+    This is the one verification gate of the enumerator, which calls the
+    constructions with check=False: a candidate is verified when its key is
+    new, or when its character partition differs from the one recorded for
+    its key.  The classes of a theory determine its character partition, so
+    such a second partition fails verification and raises."""
 
     def __init__(self):
         self.by_key: dict[str, TheoryRecord] = {}
 
-    def add(self, t: Theory, tag: str | None, prov: dict | None) -> None:
+    def add(self, t: Theory, tag: str | None, prov: dict) -> None:
         key = canonical_key(t)
         rec = self.by_key.get(key)
+        if rec is None or rec.theory.charparts != t.charparts:
+            require_valid(t, _BUILT_BY[prov["construction"]])
         if rec is None:
             rec = TheoryRecord(t)
             self.by_key[key] = rec
         if tag:
             rec.tags.add(tag)
-        if prov is not None and prov not in rec.provenance:
+        if prov not in rec.provenance:
             rec.provenance.append(prov)
 
     def finish(self) -> list[TheoryRecord]:
@@ -156,23 +176,30 @@ class _Collector:
 def _add_aut_theories(col: _Collector, g: GroupSpec) -> None:
     for subgroup in g.subgroups_of_aut():
         gens = aut_generating_subset(subgroup)
-        t = from_automorphisms(g, gens)
+        t = from_automorphisms(g, gens, check=False)
         col.add(t, "automorphic", {
             "construction": "aut",
             "generators": [[list(img) for img in a.gen_images] for a in gens],
         })
 
 
+@lru_cache(maxsize=None)
+def _sub_theories(g: GroupSpec) -> tuple[tuple[Theory, str], ...]:
+    """Every theory of a subgroup or quotient with its canonical key, in
+    all_theories order; enumerated once per group and never mutated."""
+    return tuple((r.theory, canonical_key(r.theory)) for r in all_theories(g))
+
+
 def _add_direct_theories(col: _Collector, g: GroupSpec) -> None:
     for h1, h2 in g.complementary_pairs():
         e1, e2 = g.subgroup_embedding(h1), g.subgroup_embedding(h2)
-        for r1 in all_theories(e1.group):
-            for r2 in all_theories(e2.group):
-                t = direct_product(r1.theory, r2.theory, h1, h2)
+        for t1, key1 in _sub_theories(e1.group):
+            for t2, key2 in _sub_theories(e2.group):
+                t = direct_product(t1, t2, h1, h2, check=False)
                 col.add(t, "direct", {
                     "construction": "direct",
                     "pair": [h1.generator_exps(), h2.generator_exps()],
-                    "factors": [canonical_key(r1.theory), canonical_key(r2.theory)],
+                    "factors": [key1, key2],
                 })
 
 
@@ -182,15 +209,14 @@ def _add_wedge_theories(col: _Collector, g: GroupSpec) -> None:
             continue
         emb = g.subgroup_embedding(n)
         quot = g.quotient(n)
-        for ri in all_theories(emb.group):
-            for ro in all_theories(quot.group):
-                ws = WedgeSpec(n, ri.theory, ro.theory)
-                t = wedge(ws)
+        for ti, key_i in _sub_theories(emb.group):
+            for to, key_o in _sub_theories(quot.group):
+                t = wedge(WedgeSpec(n, ti, to), check=False)
                 col.add(t, "wedge", {
                     "construction": "wedge",
                     "N": n.generator_exps(),
-                    "inner": canonical_key(ri.theory),
-                    "outer": canonical_key(ro.theory),
+                    "inner": key_i,
+                    "outer": key_o,
                 })
 
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .cyclotomic import CycInt
-from .groups import GroupSpec, Subgroup
+from .groups import DEFAULT_MAX_P, GroupSpec, Subgroup
 
 
 @dataclass(frozen=True)
@@ -113,26 +112,8 @@ def sort_key(t: Theory) -> tuple[int, str]:
     return (len(t.classes), canonical_key(t))
 
 
-def _sigma(g: GroupSpec, chi_indices, g_idx: int):
-    """sigma_X(g) = sum over chi in X of chi(g), exactly."""
-    elements = g.elements
-    ge = elements[g_idx]
-    if g.p is None:
-        total = 0
-        for c in chi_indices:
-            sign, _ = g.pairing_parts(elements[c], ge)
-            total += sign
-        return total
-    counts = [0] * g.p
-    for c in chi_indices:
-        sign, t = g.pairing_parts(elements[c], ge)
-        counts[t] += sign
-    return CycInt.from_power_counts(g.p, counts)
-
-
 def verify(t: Theory) -> Violation | None:
     """Check the defining conditions; None when valid, else the first failure."""
-    g = t.group
     if (0,) not in t.classes.blocks:
         return Violation(1, (0,), "identity is not a singleton class")
     if (0,) not in t.charparts.blocks:
@@ -143,17 +124,27 @@ def verify(t: Theory) -> Violation | None:
             (len(t.classes), len(t.charparts)),
             f"{len(t.classes)} classes vs {len(t.charparts)} character blocks",
         )
+    g = t.group
     for xi, x in enumerate(t.charparts.blocks):
+        keys = g.sigma_keys(x, range(g.order))
         for k in t.classes.blocks:
-            ref = _sigma(g, x, k[0])
+            ref = keys[k[0]]
             for h in k[1:]:
-                if _sigma(g, x, h) != ref:
+                if keys[h] != ref:
                     return Violation(
                         3,
                         (xi, k[0], h),
                         f"sigma of character block {xi} differs at elements {k[0]} and {h}",
                     )
     return None
+
+
+def require_valid(t: Theory, what: str) -> Theory:
+    """t itself when it verifies; otherwise RuntimeError naming `what`."""
+    bad = verify(t)
+    if bad is not None:
+        raise RuntimeError(f"{what} fails verification: {bad.message}")
+    return t
 
 
 def verify_algebra(g: GroupSpec, classes: Partition) -> Violation | None:
@@ -191,22 +182,10 @@ def induced_character_partition(g: GroupSpec, classes: Partition) -> Partition:
     partition completing it to a theory, with the same number of blocks.
     """
     n = g.order
-    elements = g.elements
+    columns = [g.sigma_keys(b, range(n)) for b in classes.blocks]
     sigs: dict[tuple, list[int]] = {}
-    for c in range(n):
-        chi = elements[c]
-        sig = []
-        for b in classes.blocks:
-            if g.p is None:
-                val = sum(g.pairing_parts(chi, elements[x])[0] for x in b)
-            else:
-                counts = [0] * g.p
-                for x in b:
-                    sign, t = g.pairing_parts(chi, elements[x])
-                    counts[t] += sign
-                val = CycInt.from_power_counts(g.p, counts)
-            sig.append(val)
-        sigs.setdefault(tuple(sig), []).append(c)
+    for c, sig in enumerate(zip(*columns)):
+        sigs.setdefault(sig, []).append(c)
     part = Partition.from_blocks(sigs.values(), n)
     if len(part) != len(classes):
         raise RuntimeError(
@@ -227,15 +206,16 @@ def supercharacter_table(t: Theory):
     g = t.group
     rows = []
     for xi, x in enumerate(t.charparts.blocks):
+        keys = g.sigma_keys(x, range(g.order))
         row = []
         for k in t.classes.blocks:
-            ref = _sigma(g, x, k[0])
+            ref = keys[k[0]]
             for h in k[1:]:
-                if _sigma(g, x, h) != ref:
+                if keys[h] != ref:
                     raise ValueError(
                         f"sigma not constant: character block {xi}, elements {k[0]}, {h}"
                     )
-            row.append(ref)
+            row.append(g.sigma_value(ref))
         rows.append(row)
     return rows
 
@@ -270,10 +250,7 @@ def dual(t: Theory) -> Theory:
     G with its character group; valid for every valid theory."""
     d = Theory(t.group, Partition(t.charparts.size, t.charparts.blocks),
                Partition(t.classes.size, t.classes.blocks))
-    bad = verify(d)
-    if bad is not None:
-        raise RuntimeError(f"transported partition fails verification: {bad.message}")
-    return d
+    return require_valid(d, "transported partition")
 
 
 def refines(t1: Theory, t2: Theory) -> bool:
@@ -297,9 +274,20 @@ def group_to_json(g: GroupSpec) -> dict:
 
 
 def group_from_json(d) -> GroupSpec:
-    if not isinstance(d, dict) or "family" not in d:
+    if not isinstance(d, dict) or not isinstance(d.get("family"), str):
         raise ValueError("group must be an object with a family")
-    return GroupSpec.from_family(d["family"], d.get("p"))
+    p = d.get("p")
+    if p is not None:
+        if not _is_int(p):
+            raise ValueError(f"p must be an integer, got {p!r}")
+        if p > DEFAULT_MAX_P:
+            raise ValueError(f"p={p} exceeds the bound {DEFAULT_MAX_P}")
+    return GroupSpec.from_family(d["family"], p)
+
+
+def _is_int(x) -> bool:
+    """A JSON integer; bool is an int subclass but true/false are not numbers."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _partition_to_lists(g: GroupSpec, part: Partition) -> list:
@@ -317,7 +305,7 @@ def _partition_from_lists(g: GroupSpec, data, what: str) -> Partition:
         for exps in b:
             if not isinstance(exps, list) or len(exps) != len(g.factors):
                 raise ValueError(f"bad exponent vector {exps!r} in {what}")
-            if any(not isinstance(e, int) or not 0 <= e < f for e, f in zip(exps, g.factors)):
+            if any(not _is_int(e) or not 0 <= e < f for e, f in zip(exps, g.factors)):
                 raise ValueError(f"exponents out of range in {what}: {exps!r}")
             block.append(g.index_of(exps))
         blocks.append(block)

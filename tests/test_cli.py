@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, exit codes, JSONL piping, determinism."""
 
+import hashlib
 import io
 import json
 
@@ -84,16 +85,13 @@ def test_verify_flags_invalid_theory(tmp_path, capsys):
     assert "violation condition=1" in out
 
 
-def test_verify_thread_env(tmp_path, capsys, monkeypatch):
+def test_verify_cpc2_records(tmp_path, capsys):
     path = tmp_path / "recs.jsonl"
     cli.main(["enumerate", "--group", "cpc2", "--p", "3", "--out", str(path)])
     capsys.readouterr()
-    monkeypatch.setenv("SUPERCHAR_THREADS", "3")
     code, out, _ = run(capsys, ["verify", str(path)])
-    assert code == 0 and out.count("ok") == 7
-    monkeypatch.setenv("SUPERCHAR_THREADS", "zero")
-    code, _, err = run(capsys, ["verify", str(path)])
-    assert code == 4 and "SUPERCHAR_THREADS" in err
+    assert code == 0
+    assert out.strip().splitlines() == [f"theory {i}: ok" for i in range(7)]
 
 
 def test_dual_round_trip(tmp_path, capsys):
@@ -201,3 +199,63 @@ def test_usage_errors_exit_4(capsys):
 def test_count_mismatch_exit_code_is_reserved():
     assert cli.EXIT_COUNT == 3
     assert cli.EXIT_BUDGET == 5
+
+
+_TRIVIAL_BLOCKS = '"superclasses":[[[0,0,0]]],"character_classes":[[[0,0,0]]]'
+
+
+@pytest.mark.parametrize("line,reason", [
+    ('{"group":{"family":"CpC2C2","p":"13"},' + _TRIVIAL_BLOCKS + "}",
+     "p must be an integer"),
+    ('{"group":{"family":"CpC2C2","p":true},' + _TRIVIAL_BLOCKS + "}",
+     "p must be an integer"),
+    # a valid Klein theory apart from its boolean exponents
+    ('{"group":{"family":"Klein"},"superclasses":[[[false,false]],'
+     '[[true,false],[false,true],[true,true]]],'
+     '"character_classes":[[[0,0]],[[1,0],[0,1],[1,1]]]}',
+     "exponents"),
+    ('{"group":{"family":"Cp","p":10007},"superclasses":[[[0]]],'
+     '"character_classes":[[[0]]]}',
+     "exceeds the bound 199"),
+    ('{"group":{"family":"Cp","p":15},"superclasses":[[[0]]],'
+     '"character_classes":[[[0]]]}',
+     "prime"),
+], ids=["string-p", "bool-p", "bool-exponent", "huge-p", "nonprime-p"])
+def test_hostile_records_exit_4(tmp_path, capsys, line, reason):
+    path = tmp_path / "hostile.jsonl"
+    path.write_text(line + "\n")
+    code, out, err = run(capsys, ["verify", str(path)])
+    assert code == 4 and out == ""
+    assert err.startswith("error: line 1: ") and err.count("\n") == 1
+    assert reason in err
+
+
+# sha256 of `enumerate` stdout, recorded from the code before the shared
+# sigma kernel, the single verify gate and the sub-enumeration memo
+ENUMERATE_SHA256 = {
+    ("cp", 3): "c46fb03a3b6c4cca2ffc03b542ebf8653eefc820acbecdd6c256b3cd46c9211d",
+    ("cp", 5): "e01228a42a294c5a13751eea1966768a563e5d66b557253339bdc275e9aeafb6",
+    ("cp", 7): "e776416223dad695e11e1b997e12777a00254a2db48da64dca98c5035ee6c054",
+    ("cp", 11): "6d72f5be29d32fd42985372c4620a3436e2ee36267f82ba7991b46190f275206",
+    ("cp", 13): "c192f34c171b6c77a1a0dcea32bfbc97751dc5228013d00b1af2e5c79c2651c0",
+    ("cpc2", 3): "7da734be61ed030449e200fb7a49ba3326a8cf130c49af7fe22a44c461e6a1a9",
+    ("cpc2", 5): "e3be8f0f2b8c87f86a950ebf4fca52d76c04ecab5146f7422cb975e9e71ca2f1",
+    ("cpc2", 7): "cc31606fec539dacec1ce9a0a545d2a98c0719367782c9648b5f74e97814aef8",
+    ("cpc2", 11): "fa5512caa818b192acb8a2f0efbf60b91ea0aa48089db83a7da56194cd2dac2a",
+    ("cpc2", 13): "c5d4ab3f7bd38b0c74769452eaebbea50974bf101e63c0d0f75303718663cf7f",
+    ("cpc2c2", 3): "c766d782eb8156dc4eba8966271274afc3327d97fdc180e482960779a1a4d5f0",
+    ("cpc2c2", 5): "3ee13324b612e5f3b8403c23a2ab95e8421aca06f6e269c1a212961049af1b92",
+    ("cpc2c2", 7): "55e2c2de91f6a435adcf873d289b755ad000070509776e44591cc5b6ec383b58",
+    ("cpc2c2", 11): "42bb5c2a0895aa4392557f18c07f77676ad6c760968a1e0d893a385a0479e263",
+    ("cpc2c2", 13): "a2eef60355fa9a6558afb676343e3be22d3e279a36ce47ff21fd9fac5237e075",
+    ("klein", None): "845a4acf3c44fd9995399939f15c5e036a1f33e150f9a7daa477ae0d881a0ef9",
+    ("c2cubed", None): "a6414583ad950d79cb4bdd8b2ac4ea47e0e1d8a8471e201351464ee5fcb3c5b1",
+}
+
+
+@pytest.mark.parametrize("group,p", sorted(ENUMERATE_SHA256, key=str))
+def test_enumerate_output_is_pinned(capsys, group, p):
+    argv = ["enumerate", "--group", group] + ([] if p is None else ["--p", str(p)])
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[(group, p)]

@@ -5,6 +5,8 @@ import pytest
 from supercharacters import (
     CountMismatchError,
     GroupSpec,
+    Partition,
+    Theory,
     all_scts_c2_cubed,
     all_scts_cp,
     all_scts_cp_c2,
@@ -15,8 +17,11 @@ from supercharacters import (
     factor_pm1,
     invariant_subgroups,
     predicted_counts,
+    theory_from_classes,
     verify,
 )
+from supercharacters import enumeration, theories
+from supercharacters.enumeration import _Collector, all_scts_cp_c2_c2
 from supercharacters.theories import sort_key
 
 # per-prime (total, automorphic, direct, overlap, wedge), worked out by hand
@@ -243,3 +248,47 @@ def test_prime_bounds():
     with pytest.raises(ValueError):
         all_scts_cp_c2(4)
     assert CountMismatchError is not None
+
+
+def test_each_distinct_theory_is_verified_once(monkeypatch):
+    calls = []
+    real_verify = theories.verify
+
+    def counted(t):
+        calls.append(t)
+        return real_verify(t)
+
+    monkeypatch.setattr(theories, "verify", counted)
+    enumeration._sub_theories.cache_clear()
+    records, _ = all_scts_cp_c2_c2(5)
+    assert len(calls) == len(set(calls))
+    # every record of every enumerated group, and nothing else; C_2 and the
+    # trivial group have fixed records
+    sub_groups = (GroupSpec.cp_c2(5), GroupSpec.cp(5), GroupSpec.klein())
+    assert len(calls) == len(records) + sum(len(all_theories(h)) for h in sub_groups)
+
+
+def test_collector_rejects_a_wrong_character_partition():
+    g = GroupSpec.cp(5)
+    good = theory_from_classes(g, Partition.from_blocks([(0,), (1, 4), (2, 3)], 5))
+    wrong = Theory(g, good.classes, Partition.from_blocks([(0,), (1, 2), (3, 4)], 5))
+    with pytest.raises(RuntimeError, match="wedge fails verification"):
+        _Collector().add(wrong, "wedge", {"construction": "wedge"})
+    col = _Collector()
+    col.add(good, "automorphic", {"construction": "aut"})
+    with pytest.raises(RuntimeError, match="direct product fails verification"):
+        col.add(wrong, "direct", {"construction": "direct"})
+    col.add(good, "wedge", {"construction": "wedge"})
+    rec, = col.finish()
+    assert rec.theory == good and rec.tags == {"automorphic", "wedge"}
+
+
+def test_all_theories_returns_fresh_records():
+    g = GroupSpec.cp_c2(5)
+    first = all_theories(g)
+    first[0].tags.add("mutated")
+    first[0].provenance.append({"construction": "mutated"})
+    second = all_theories(g)
+    assert "mutated" not in second[0].tags
+    assert {"construction": "mutated"} not in second[0].provenance
+    assert [r.theory for r in first] == [r.theory for r in second]

@@ -382,3 +382,64 @@ def test_annihilator_reverses_inclusion():
         for t in subs:
             if set(s.members) <= set(t.members):
                 assert set(g.annihilator(t)) <= set(g.annihilator(s))
+
+
+@pytest.mark.parametrize("g", [
+    GroupSpec.cp(3), GroupSpec.cp(199), GroupSpec.cp_c2(13), GroupSpec.cp_c2_c2(5),
+    GroupSpec.cp_c2_c2(7), GroupSpec.klein(), GroupSpec.c2_cubed(),
+], ids=str)
+def test_sigma_keys_are_exact(g):
+    """The kernel's keys match character sums taken from pairing_parts."""
+    rng = random.Random(g.order)
+    n = g.order
+    for size in (1, 2, 3, n // 2, n - 1, n):
+        chars = rng.sample(range(n), size)
+        values = []
+        for x in range(n):
+            counts = [0] * (g.p or 1)
+            for c in chars:
+                sign, t = g.pairing_parts(g.elements[c], g.elements[x])
+                counts[t] += sign
+            values.append(counts[0] if g.p is None
+                          else CycInt.from_power_counts(g.p, counts))
+        keys = g.sigma_keys(chars, range(n))
+        assert [g.sigma_value(k) for k in keys] == values
+        # sigma_value is a function, so equal counts make it a bijection
+        assert len(set(keys)) == len(set(values))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 199])
+def test_sigma_key_equality_is_value_equality(p):
+    """Random signed multisets of powers of zeta_p, summed by the kernel of
+    C_p x C_2 at the element (1, 1): character (t, 0) gives +zeta^t there
+    and (t, 1) gives -zeta^t.  Keys are equal exactly when the values are."""
+    g = GroupSpec.cp_c2(p)
+    at = g.index_of((1, 1))
+    rng = random.Random(p)
+
+    def char(code):  # code t is +zeta^t, code t + p is -zeta^t
+        return g.index_of((code % p, code // p))
+
+    def value(codes):
+        counts = [0] * p
+        for code in codes:
+            counts[code % p] += 1 if code < p else -1
+        return CycInt.from_power_counts(p, counts)
+
+    every_power = list(range(p))  # sums to 0
+    multisets = [[], every_power, [t + p for t in every_power]]
+    for _ in range(40):
+        size = rng.choice([1, 2, 3, p // 2, p, 2 * p])
+        codes = [rng.randrange(2 * p) for _ in range(size)]
+        multisets.append(codes)
+        multisets.append(codes + every_power)  # the same value, shifted
+        multisets.append(codes + [t + p for t in every_power] * 2)
+        # most powers share one nonzero count
+        multisets.append(codes[:2] + every_power * rng.choice([1, 3]))
+    keys = [g.sigma_keys([char(c) for c in codes], (at,))[0] for codes in multisets]
+    values = [value(codes) for codes in multisets]
+    assert [g.sigma_value(k) for k in keys] == values
+    for i in range(len(multisets)):
+        for j in range(i):
+            assert (keys[i] == keys[j]) == (values[i] == values[j])
+    assert len(set(keys)) < len({tuple(sorted(m)) for m in multisets})
