@@ -191,15 +191,28 @@ def character_side_wedge(ws: WedgeSpec) -> Partition:
     return Partition.from_blocks(blocks, g.order)
 
 
-def automorphism_witness(t: Theory) -> tuple[AutMap, ...] | None:
-    """Generators of a subgroup of Aut(G) whose orbit theory equals t, or None."""
-    g = t.group
-    key = canonical_key(t)
+@lru_cache(maxsize=None)
+def _witness_index(g: GroupSpec) -> MappingProxyType:
+    """canonical key -> generators of the first subgroup of Aut(G), in
+    subgroups_of_aut() order, whose orbit theory has that key; built once per
+    group on first use.  Like the enumerator's gate, an orbit theory is
+    verified when its key is new or its character partition differs from
+    the one recorded for the key (which then raises)."""
+    first: dict[str, tuple[Theory, tuple[AutMap, ...]]] = {}
     for subgroup in g.subgroups_of_aut():
         gens = aut_generating_subset(subgroup)
-        if canonical_key(from_automorphisms(g, gens)) == key:
-            return gens
-    return None
+        t = from_automorphisms(g, gens, check=False)
+        key = canonical_key(t)
+        seen = first.setdefault(key, (t, gens))[0]
+        if seen is t or seen.charparts != t.charparts:
+            require_valid(t, "orbit theory")
+    return MappingProxyType({key: gens for key, (_, gens) in first.items()})
+
+
+def automorphism_witness(t: Theory) -> tuple[AutMap, ...] | None:
+    """Generators of a subgroup of Aut(G) whose orbit theory equals t, or None;
+    the first such subgroup in subgroups_of_aut() order."""
+    return _witness_index(t.group).get(canonical_key(t))
 
 
 def direct_decompositions(t: Theory) -> list[tuple[Subgroup, Subgroup]]:

@@ -290,23 +290,27 @@ class GroupSpec:
         for i in members:
             if i not in generated:
                 gens.append(i)
-                generated = self._close(generated | {i})
+                generated = self._close(gens)
         return Subgroup(self, members, tuple(gens))
 
-    def _close(self, seed: set[int]) -> set[int]:
-        out = set(seed) | {0}
-        queue = list(out)
+    def _close(self, gens) -> set[int]:
+        """The subgroup generated by the given element indices, as the products
+        of generators reached from the identity: O(|H| * len(gens)).  In a
+        finite group every inverse is such a product."""
+        gens = tuple(gens)
+        out = {0}
+        queue = [0]
         while queue:
             i = queue.pop()
-            for j in list(out):
-                for k in (self.mul_idx(i, j), self.inverse_table[i]):
-                    if k not in out:
-                        out.add(k)
-                        queue.append(k)
+            for s in gens:
+                k = self.mul_idx(i, s)
+                if k not in out:
+                    out.add(k)
+                    queue.append(k)
         return out
 
     def generated_subgroup(self, generator_indices) -> "Subgroup":
-        return self.subgroup(self._close(set(generator_indices)))
+        return self.subgroup(self._close(generator_indices))
 
     @cached_property
     def two_part_vectors(self) -> tuple[tuple[int, ...], ...]:
@@ -371,10 +375,11 @@ class GroupSpec:
     def subgroups_of_aut(self) -> tuple[tuple["AutMap", ...], ...]:
         """All subgroups of Aut(G), each a multiplication-closed set of maps.
 
-        For groups with a p part (and for the Klein group) the automorphism
-        group is the direct product of a cyclic group and a copy of GL(d, 2),
-        and the subgroups come from the Goursat parameterization; for (C_2)^3
-        the full GL(3, 2) is enumerated by exhaustive closure, which is slow.
+        The automorphism group is the direct product of the cyclic unit
+        group of the p part (trivial without one) and GL(d, 2), and the
+        subgroups come from the Goursat parameterization over the subgroup
+        lattice of GL(d, 2), built once per d by cyclic extension
+        (_subgroup_lattice).  Sorted by order, then by generator images.
         """
         return _cached_aut_subgroups(self)
 
@@ -673,21 +678,17 @@ class AutMap:
 
 
 def close_aut_set(gens) -> tuple[AutMap, ...]:
-    """Multiplicative closure of a set of automorphisms (breadth-first)."""
+    """Multiplicative closure of a set of automorphisms, sorted by generator
+    images."""
     if not gens:
         raise ValueError("need at least one map to infer the group")
     g = gens[0].group
-    ident = AutMap.identity(g)
-    have = {ident.perm: ident}
-    queue = [ident]
-    while queue:
-        x = queue.pop()
-        for a in gens:
-            z = a.compose(x)
-            if z.perm not in have:
-                have[z.perm] = z
-                queue.append(z)
-    return tuple(sorted(have.values(), key=lambda m: m.gen_images))
+    if any(a.group != g for a in gens):
+        raise ValueError("maps act on different groups")
+    units = [g._index[u] for u in AutMap.identity(g).gen_images]
+    closure = _close_perms([a.perm for a in gens], g.order)
+    maps = [AutMap(g, tuple(g.elements[perm[u]] for u in units)) for perm in closure]
+    return tuple(sorted(maps, key=lambda m: m.gen_images))
 
 
 def _close_perms(gens, n: int) -> frozenset[tuple[int, ...]]:
@@ -705,25 +706,73 @@ def _close_perms(gens, n: int) -> frozenset[tuple[int, ...]]:
     return frozenset(have)
 
 
-def _generic_subgroups(perms: list[tuple[int, ...]]) -> list[frozenset[tuple[int, ...]]]:
-    """All subgroups of a permutation-represented group by exhaustive closure."""
-    n = len(perms[0])
-    ident = tuple(range(n))
+def _perm_table(perms) -> list[list[int]]:
+    """Product table of a group of index permutations: entry [i][j] is the
+    index in perms of perms[i] after perms[j]."""
+    index = {a: i for i, a in enumerate(perms)}
+    return [[index[tuple([a[k] for k in b])] for b in perms] for a in perms]
 
-    def close(gens):
-        return _close_perms(gens, n)
 
-    known = {frozenset({ident}): ()}
-    frontier = [(frozenset({ident}), ())]
-    while frontier:
-        h, gens = frontier.pop()
-        for a in sorted(perms):
-            if a not in h:
-                s = close(list(gens) + [a])
-                if s not in known:
-                    known[s] = tuple(gens) + (a,)
-                    frontier.append((s, known[s]))
-    return sorted(known, key=lambda s: (len(s), sorted(s)))
+def _subgroup_lattice(table) -> dict[int, tuple[int, ...]]:
+    """Every subgroup of the group with product table `table`, keyed by the
+    bitmask of its member indices, valued by the sorted members.
+
+    Cyclic extension: starting from the trivial subgroup, join each subgroup
+    found with each cyclic subgroup it does not contain.  Every subgroup is
+    generated by its cyclic subgroups, so every one is reached.  A join
+    K = <H, x> adds right cosets H y until each coset representative times
+    each generator stays inside (Dimino's method), O(|K| + [K:H] * gens)
+    table lookups; once K holds more than half the group it is the group."""
+    n = len(table)
+    e = next(i for i in range(n) if table[i][i] == i)
+    cyclic: dict[int, int] = {}  # member mask -> least generator
+    for x in range(n):
+        mask, y = 1 << e, x
+        while y != e:
+            mask |= 1 << y
+            y = table[y][x]
+        cyclic.setdefault(mask, x)
+    found = {1 << e: ((e,), ())}  # mask -> (members, generators)
+    queue = [1 << e]
+    for h in queue:
+        members, gens = found[h]
+        for c, x in cyclic.items():
+            if not c & ~h:
+                continue
+            k_gens = gens + (x,)
+            k, reps = h, [e]
+            for r in reps:
+                for s in k_gens:
+                    y = table[r][s]
+                    if not k >> y & 1:
+                        reps.append(y)
+                        for z in members:
+                            k |= 1 << table[z][y]
+                if 2 * len(members) * len(reps) > n:
+                    k = (1 << n) - 1
+                    break
+            if k not in found:
+                found[k] = (tuple(i for i in range(n) if k >> i & 1), k_gens)
+                queue.append(k)
+    return {k: members for k, (members, _) in found.items()}
+
+
+@lru_cache(maxsize=None)
+def _gl2_lattice(d: int) -> tuple:
+    """GL(d, 2), indexed as in _gl2_matrices: the int product table of the
+    matrix products, and every subgroup as a (member mask, sorted members)
+    pair, smallest first."""
+    vecs = list(itertools.product((0, 1), repeat=d))
+    vindex = {v: i for i, v in enumerate(vecs)}
+    # column action v -> m v turns the matrix product into composition
+    perms = [
+        tuple(vindex[tuple(sum(a * b for a, b in zip(row, v)) % 2 for row in m)]
+              for v in vecs)
+        for m in _gl2_matrices(d)
+    ]
+    table = _perm_table(perms)
+    lattice = sorted(_subgroup_lattice(table).items(), key=lambda kv: (len(kv[1]), kv[1]))
+    return table, tuple(lattice)
 
 
 def _primitive_root(p: int) -> int:
@@ -753,11 +802,6 @@ def _cached_aut_group(g: GroupSpec) -> tuple[AutMap, ...]:
 
 @lru_cache(maxsize=None)
 def _cached_aut_subgroups(g: GroupSpec) -> tuple[tuple[AutMap, ...], ...]:
-    if g.p is None and g.dim2 == 3:
-        auts = g.aut_group()
-        by_perm = {a.perm: a for a in auts}
-        subs = _generic_subgroups([a.perm for a in auts])
-        return _sort_aut_subgroups([frozenset(by_perm[q] for q in s) for s in subs])
     return _sort_aut_subgroups(_goursat_subgroups(g))
 
 
@@ -786,6 +830,8 @@ def _goursat_subgroups(g: GroupSpec) -> list[frozenset[AutMap]]:
     p = g.p
     m = (p - 1) if p else 1
     r = _primitive_root(p) if p else None
+    mats = _gl2_matrices(g.dim2)
+    table, lattice = _gl2_lattice(g.dim2)
     # each automorphism lies in many subgroups; build it once
     aut = lru_cache(maxsize=None)(g.aut_from_parts)
 
@@ -801,37 +847,23 @@ def _goursat_subgroups(g: GroupSpec) -> list[frozenset[AutMap]]:
             x = x * gen % p
         return units
 
-    # matrix side: subgroups of GL(d, 2) with all (N2, cyclic-quotient) data
-    mats = _gl2_matrices(g.dim2)
-    mat_subs = [
-        tuple(sorted(s))
-        for s in _generic_mat_subgroups(mats)
-    ]
-
-    def mat_mul(a, b):
-        d = len(a)
-        return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(d)) % 2 for j in range(d))
-            for i in range(d)
-        )
-
     out = []
     for h in _divisors(m):
         units = cyclic_subgroup(h)
         for q in _divisors(h):
             # unique index-q subgroup of the cyclic part; label = log mod q
-            for h2 in mat_subs:
-                for n2, gen_cosets in _cyclic_quotients(h2, q, mat_mul, g.dim2):
+            for h2 in lattice:
+                for n2, gen_cosets in _cyclic_quotients(table, lattice, h2, q):
                     for gamma in gen_cosets:
                         # label each y in H2 by its power of the generator coset
                         label2 = {}
-                        coset = set(n2)
+                        coset = n2
                         for k in range(q):
                             for y in coset:
                                 label2[y] = k
-                            coset = {mat_mul(gamma, y) for y in coset}
+                            coset = [table[gamma][y] for y in coset]
                         members = frozenset(
-                            aut(u, y)
+                            aut(u, mats[y])
                             for u, log in units.items()
                             for y, lab in label2.items()
                             if log % q == lab
@@ -844,94 +876,35 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _generic_mat_subgroups(mats) -> list[frozenset]:
-    d = len(mats[0]) if mats and mats[0] else 0
-    if d == 0:
-        return [frozenset({()})]
-
-    def mul(a, b):
-        return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(d)) % 2 for j in range(d))
-            for i in range(d)
-        )
-
-    ident = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-
-    def close(gens):
-        have = {ident}
-        queue = [ident]
-        while queue:
-            x = queue.pop()
-            for a in gens:
-                z = mul(a, x)
-                if z not in have:
-                    have.add(z)
-                    queue.append(z)
-        return frozenset(have)
-
-    known = {frozenset({ident}): ()}
-    frontier = [(frozenset({ident}), ())]
-    while frontier:
-        h, gens = frontier.pop()
-        for a in mats:
-            if a not in h:
-                s = close(list(gens) + [a])
-                if s not in known:
-                    known[s] = tuple(gens) + (a,)
-                    frontier.append((s, known[s]))
-    return sorted(known, key=lambda s: (len(s), sorted(s)))
-
-
-def _cyclic_quotients(h2, q, mat_mul, d):
-    """(N2, generator cosets) pairs with N2 normal in H2 and H2/N2 cyclic of
-    order q; generator cosets are returned as representative matrices."""
+def _cyclic_quotients(table, lattice, h2, q):
+    """(N2, generator cosets) pairs with N2 a lattice member normal in H2 and
+    H2/N2 cyclic of order q.  Distinct generator cosets x N2 give distinct
+    isomorphisms onto the cyclic side; each is named by its least member x.
+    Subgroups are (member mask, sorted members) pairs."""
+    h2mask, h2 = h2
     if len(h2) % q != 0:
         return
     target = len(h2) // q
-    h2set = set(h2)
-    for n2 in _generic_mat_subgroups(list(h2)):
-        if len(n2) != target or not n2 <= h2set:
+    for n2mask, n2 in lattice:
+        if len(n2) != target or n2mask & ~h2mask:
             continue
-        if any(mat_mul(mat_mul(x, y), _mat_inv(x, mat_mul, d)) not in n2
-               for x in h2 for y in n2):
-            continue
-        # cosets of n2 in h2
-        seen, cosets = set(), []
+        # h2 ascends, so the first member met of each coset is its least
+        gens, seen, normal = [], 0, True
         for x in h2:
-            cs = frozenset(mat_mul(x, y) for y in n2)
-            if cs not in seen:
-                seen.add(cs)
-                cosets.append(cs)
-        # generator cosets: representatives whose coset has order exactly q
-        n2set = set(n2)
-        gens = []
-        for cs in cosets:
-            x = min(cs)
+            if seen >> x & 1:
+                continue
+            coset = sum(1 << table[x][y] for y in n2)
+            # x N2 = N2 x for one x per coset makes N2 normal in H2
+            if coset != sum(1 << table[y][x] for y in n2):
+                normal = False
+                break
+            seen |= coset
             # order of the coset = smallest k with x^k in n2
             k, acc = 1, x
-            while acc not in n2set:
-                acc = mat_mul(x, acc)
+            while not n2mask >> acc & 1:
+                acc = table[x][acc]
                 k += 1
             if k == q:
                 gens.append(x)
-        if q == 1:
-            yield tuple(sorted(n2)), [min(n2)]
-        elif gens:
-            # distinct isomorphisms correspond to distinct generator cosets
-            reps, seen_cs = [], set()
-            for x in sorted(gens):
-                cs = frozenset(mat_mul(x, y) for y in n2)
-                if cs not in seen_cs:
-                    seen_cs.add(cs)
-                    reps.append(x)
-            yield tuple(sorted(n2)), reps
-
-
-def _mat_inv(x, mat_mul, d):
-    # small group: invert by powering until identity
-    ident = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-    acc, prev = x, ident
-    while acc != ident:
-        prev = acc
-        acc = mat_mul(x, acc)
-    return prev
+        if normal and gens:
+            yield n2, gens

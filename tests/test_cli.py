@@ -259,3 +259,23 @@ def test_enumerate_output_is_pinned(capsys, group, p):
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[(group, p)]
+
+
+# sha256 of `classify` stdout on each group's enumeration, recorded from the
+# code before automorphism_witness became an index lookup.
+CLASSIFY_SHA256 = {
+    ("c2cubed", None): "4f264cb22d7c77b410cbe086507bceef08b29d3743c1d62d61e56c5c16fdc955",
+    ("cpc2c2", 3): "a0f10ad526d8468941ef97759bd8abf6d0179d54d5c8469c3c314709ff42f8bb",
+    ("cpc2c2", 13): "de4a9c23bc24e8390075e84c4ac624cb3bb20aca5664e2de3674e566660f2899",
+}
+
+
+@pytest.mark.parametrize("group,p", sorted(CLASSIFY_SHA256, key=str))
+def test_classify_output_is_pinned(tmp_path, capsys, group, p):
+    path = tmp_path / "theories.jsonl"
+    argv = ["enumerate", "--group", group] + ([] if p is None else ["--p", str(p)])
+    assert cli.main(argv + ["--out", str(path)]) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, ["classify", str(path)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_SHA256[(group, p)]

@@ -1,5 +1,10 @@
 """Automorphism-orbit, direct-product, and wedge constructions."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from supercharacters import (
@@ -7,6 +12,7 @@ from supercharacters import (
     Partition,
     WedgeSpec,
     all_theories,
+    aut_generating_subset,
     automorphism_witness,
     canonical_key,
     character_side_wedge,
@@ -23,6 +29,8 @@ from supercharacters import (
     wedge_decompositions,
 )
 from golden import GOLDEN_ORBIT_THEORIES
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _blocks_as_exps(t):
@@ -205,3 +213,51 @@ def test_wedge_decompositions_of_wedge_contain_its_subgroup():
     emb, quot = g.subgroup_embedding(n), g.quotient(n)
     t = wedge(WedgeSpec(n, minimal_theory(emb.group), minimal_theory(quot.group)))
     assert n.members in {ws.n.members for ws in wedge_decompositions(t)}
+
+
+def _linear_witness(t, candidates):
+    """The search automorphism_witness replaced: the first subgroup of Aut(G),
+    in subgroups_of_aut() order, whose orbit theory has t's canonical key."""
+    key = canonical_key(t)
+    for orbit_key, gens in candidates:
+        if orbit_key == key:
+            return gens
+    return None
+
+
+@pytest.mark.parametrize("which", ["klein", "cpc2c2-3", "c2cubed"])
+def test_witness_index_matches_linear_search(
+    which, klein_records, records_by_p, c2cubed_records
+):
+    records = {
+        "klein": klein_records,
+        "cpc2c2-3": records_by_p[3][0],
+        "c2cubed": c2cubed_records,
+    }[which]
+    g = records[0].theory.group
+    candidates = []
+    for sub in g.subgroups_of_aut():
+        gens = aut_generating_subset(sub)
+        candidates.append((canonical_key(from_automorphisms(g, gens)), gens))
+    found = 0
+    for rec in records:
+        want = _linear_witness(rec.theory, candidates)
+        assert automorphism_witness(rec.theory) == want
+        found += want is not None
+    # every theory of the Klein group and of (C_2)^3 is an orbit theory;
+    # the maximal theory of C_3 x C_2 x C_2 is not
+    if which == "cpc2c2-3":
+        assert 0 < found < len(records)
+    else:
+        assert found == len(records)
+
+
+def test_lattice_and_witness_index_are_built_on_first_use():
+    code = (
+        "from supercharacters import constructions, groups\n"
+        "caches = (groups._gl2_lattice, groups._cached_aut_subgroups,"
+        " constructions._witness_index)\n"
+        "assert all(f.cache_info().currsize == 0 for f in caches)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

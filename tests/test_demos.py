@@ -1,0 +1,30 @@
+"""The quick demos run to completion as standalone scripts."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# 04 (counting table through p = 19) and 05 (oracle cross-check) take
+# several seconds each and are left out.
+QUICK_DEMOS = [
+    "01_cyclotomic_and_characters.py",
+    "02_build_verify_dualize.py",
+    "03_constructions.py",
+    "06_refinement_lattice.py",
+]
+
+
+@pytest.mark.parametrize("name", QUICK_DEMOS)
+def test_demo_runs(name):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)],
+        env=env, cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

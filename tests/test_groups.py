@@ -11,7 +11,7 @@ from supercharacters import (
     aut_generating_subset,
     close_aut_set,
 )
-from supercharacters.groups import _generic_subgroups
+from supercharacters.groups import _perm_table, _subgroup_lattice
 
 
 def test_family_construction():
@@ -330,13 +330,93 @@ def test_subgroups_of_aut_counts(g, count):
                 assert x.compose(y).perm in perms
 
 
-@pytest.mark.parametrize("g", [GroupSpec.klein(), GroupSpec.cp_c2_c2(3)])
+def _perm_closure(gens, n):
+    ident = tuple(range(n))
+    have, queue = {ident}, [ident]
+    while queue:
+        x = queue.pop()
+        for a in gens:
+            z = tuple(a[i] for i in x)
+            if z not in have:
+                have.add(z)
+                queue.append(z)
+    return frozenset(have)
+
+
+def _exhaustive_subgroups(perms):
+    """Every subgroup of a permutation group: close each known subgroup's
+    generators together with each element it lacks, until nothing is new."""
+    ident = frozenset({tuple(range(len(perms[0])))})
+    known = {ident: ()}
+    frontier = [ident]
+    while frontier:
+        h = frontier.pop()
+        for a in perms:
+            if a not in h:
+                s = _perm_closure(known[h] + (a,), len(a))
+                if s not in known:
+                    known[s] = known[h] + (a,)
+                    frontier.append(s)
+    return set(known)
+
+
+@pytest.mark.parametrize("g", [
+    GroupSpec.klein(), GroupSpec.cp_c2_c2(3), GroupSpec.cp_c2_c2(5),
+])
 def test_subgroups_of_aut_against_exhaustive_closure(g):
     # the parameterized construction must agree with brute-force closure
-    auts = g.aut_group()
-    want = {frozenset(s) for s in _generic_subgroups([a.perm for a in auts])}
+    want = _exhaustive_subgroups([a.perm for a in g.aut_group()])
     got = {frozenset(m.perm for m in s) for s in g.subgroups_of_aut()}
     assert got == want
+
+
+@pytest.mark.parametrize("p", [3, 7, 13])
+def test_subgroup_lattice_agrees_with_goursat(p):
+    # the cyclic-extension lattice, run on Aut(G) itself rather than on its
+    # GL(2, 2) factor, finds the subgroups that Goursat's fiber products give
+    g = GroupSpec.cp_c2_c2(p)
+    perms = [a.perm for a in g.aut_group()]
+    lattice = _subgroup_lattice(_perm_table(perms))
+    for mask, members in lattice.items():
+        assert mask == sum(1 << i for i in members)
+    want = {frozenset(perms[i] for i in members) for members in lattice.values()}
+    got = {frozenset(m.perm for m in s) for s in g.subgroups_of_aut()}
+    assert len(want) == len(lattice)
+    assert got == want
+
+
+def test_gl32_lattice_order_histogram():
+    # GL(3, 2) = PSL(2, 7) has 179 subgroups: these are the known counts
+    # by order (the 35 of order 4 are 21 cyclic and 14 Klein four-groups)
+    subs = GroupSpec.c2_cubed().subgroups_of_aut()
+    hist = {}
+    for s in subs:
+        hist[len(s)] = hist.get(len(s), 0) + 1
+    assert hist == {1: 1, 2: 21, 3: 28, 4: 35, 6: 28, 7: 8, 8: 21, 12: 14,
+                    21: 8, 24: 14, 168: 1}
+
+
+def test_closure_keeps_greedy_generators():
+    # the greedy generators of a subgroup are the members, in ascending
+    # order, that the earlier ones do not generate; closing the whole set
+    # under products, as a fixpoint, is the slow reference
+    for g in (GroupSpec.cp_c2_c2(7), GroupSpec.c2_cubed(), GroupSpec.cp_c2(5)):
+        def product_closure(seed):
+            out = set(seed) | {0}
+            while True:
+                more = out | {g.mul_idx(i, j) for i in out for j in out}
+                if more == out:
+                    return out
+                out = more
+
+        for h in g.all_subgroups:
+            generated, want = {0}, []
+            for i in h.members:
+                if i not in generated:
+                    want.append(i)
+                    generated = product_closure(generated | {i})
+            assert h.generators == tuple(want)
+            assert g.generated_subgroup(h.generators).members == h.members
 
 
 def test_orbit_counts_match_on_both_sides():
