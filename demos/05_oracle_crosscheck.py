@@ -18,6 +18,7 @@ from supercharacters import (
     brute_force_count,
     brute_force_enumerate,
     canonical_key,
+    predicted_counts,
 )
 
 for g in [
@@ -35,8 +36,8 @@ for g in [
     print(f"{g.family:>8} (order {g.order:>2}): search found {len(searched):>3}, "
           f"constructions found {len(constructed):>3} -> {status}  [{elapsed:.2f}s]")
 
-# Beyond order 12 the search space explodes, so exhaustive search demands an
-# explicit node budget.  Without one the oracle refuses outright; with one
+# Beyond order 12 the number of partitions explodes, so exhaustive search
+# demands an explicit node budget.  Without one the oracle refuses outright; with one
 # it raises once the budget runs dry, reporting how far it got.
 g = GroupSpec.cp_c2_c2(5)
 try:
@@ -50,9 +51,12 @@ except BudgetExhaustedError as e:
     print(f"budget of 500: exhausted after {e.nodes} placements, "
           f"{e.found} theories already confirmed")
 
-# A generous budget lets the order-20 search finish; the count matches the
-# closed-form total of 109 for p = 5.
-start = time.perf_counter()
-count = brute_force_count(g, budget=10_000)
-print(f"full search of C5xC2xC2: {count} theories "
-      f"[{time.perf_counter() - start:.1f}s]")
+# A generous budget lets the search finish.  Blocks are built from the orbits
+# of the power maps x -> x^m, which permute the blocks of every theory, so
+# the search reaches p = 7, where p - 1 has a factor 3 (l = 1), and beyond.
+for p in (5, 7):
+    g = GroupSpec.cp_c2_c2(p)
+    start = time.perf_counter()
+    count = brute_force_count(g, budget=100_000)
+    print(f"full search of C{p}xC2xC2: {count} theories, closed form "
+          f"{predicted_counts(p).total} [{time.perf_counter() - start:.1f}s]")

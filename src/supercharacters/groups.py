@@ -278,19 +278,17 @@ class GroupSpec:
         members = tuple(sorted(set(member_indices)))
         if 0 not in members:
             raise ValueError("a subgroup must contain the identity")
-        mset = set(members)
-        for i in members:
-            if self.inverse_table[i] not in mset:
-                raise ValueError(f"not closed under inversion at index {i}")
-            for j in members:
-                if self.mul_idx(i, j) not in mset:
-                    raise ValueError(f"not closed under product at indices ({i}, {j})")
         gens: list[int] = []
         generated = {0}
         for i in members:
             if i not in generated:
                 gens.append(i)
                 generated = self._close(gens)
+        # the greedy generators generate a subgroup holding every member, so
+        # it equals the member set exactly when that set is closed
+        extra = generated.difference(members)
+        if extra:
+            raise ValueError(f"not closed under products: generates index {min(extra)}")
         return Subgroup(self, members, tuple(gens))
 
     def _close(self, gens) -> set[int]:
@@ -626,8 +624,19 @@ class AutMap:
 
     @cached_property
     def perm(self) -> tuple[int, ...]:
+        """Index permutation x -> alpha(x).  Index i splits into its p exponent
+        i >> d and its involution bits i & (2^d - 1); a generator of order p
+        maps to a unit u times it and the involutions to bit patterns, so
+        alpha(i) = (u * (i >> d) % p) << d | (XOR of the images of the bits)."""
         g = self.group
-        return tuple(g._index[self.apply_exps(exps)] for exps in g.elements)
+        images = [g._index[img] for img in self.gen_images]
+        bits = [0]
+        for img in images[len(images) - g.dim2:]:
+            bits = [b ^ c for b in bits for c in (0, img)]
+        if g.p is None:
+            return tuple(bits)
+        p, d, u = g.p, g.dim2, images[0] >> g.dim2
+        return tuple(u * a % p << d | b for a in range(p) for b in bits)
 
     @cached_property
     def inverse_perm(self) -> tuple[int, ...]:

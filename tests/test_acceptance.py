@@ -17,7 +17,7 @@ from supercharacters import (
     verify,
     wedge_decompositions,
 )
-from supercharacters.bruteforce import brute_force_enumerate
+from supercharacters.bruteforce import brute_force_count, brute_force_enumerate
 from supercharacters.enumeration import all_scts_cp_c2_c2, divisor_count
 from supercharacters.theories import theory_from_json, theory_to_json
 
@@ -106,6 +106,22 @@ def test_criterion_3_oracle_equivalence(fresh_runs, capsys):
             constructed = {canonical_key(r.theory) for r in all_theories(g)}
             assert searched == constructed, g.family
             assert len(searched) == expected, g.family
+
+
+def test_criterion_3_oracle_reaches_l_at_least_1(fresh_runs, capsys):
+    # p - 1 = 2^k * 3^l * n: p = 7 and p = 13 have l = 1
+    with reported(capsys, 3, "exhaustive search agrees at p in {5,7} and counts p=13"):
+        budget = 10**5  # well above the nodes the search needs
+        for p in (5, 7):
+            start = time.perf_counter()
+            g = GroupSpec.cp_c2_c2(p)
+            oracle = {canonical_key(t) for t in brute_force_enumerate(g, budget)}
+            assert time.perf_counter() - start <= TIME_LIMIT_ORACLE
+            constructive = {canonical_key(r.theory) for r in fresh_runs[p][0]}
+            assert oracle == constructive and len(oracle) == FROZEN[p][0]
+        start = time.perf_counter()
+        assert brute_force_count(GroupSpec.cp_c2_c2(13), budget) == FROZEN[13][0] == 211
+        assert time.perf_counter() - start <= TIME_LIMIT_ORACLE
 
 
 def test_criterion_4_golden_examples(capsys):

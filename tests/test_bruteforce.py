@@ -1,5 +1,8 @@
 """The exhaustive search: counts, cross-checks, and budget semantics."""
 
+from itertools import combinations
+from math import gcd
+
 import pytest
 
 from supercharacters import (
@@ -13,6 +16,7 @@ from supercharacters import (
     verify,
     verify_algebra,
 )
+from supercharacters.bruteforce import _search
 
 
 @pytest.mark.parametrize("g,count", [
@@ -62,6 +66,7 @@ def _set_partitions(items):
 
 @pytest.mark.parametrize("g", [
     GroupSpec.klein(), GroupSpec.cp(5), GroupSpec.cp(7), GroupSpec.cp_c2(3),
+    GroupSpec.c2_cubed(), GroupSpec.cp_c2(5),
 ])
 def test_search_agrees_with_filtering_every_partition(g):
     # independent oracle: test every set partition of the nonidentity
@@ -101,3 +106,92 @@ def test_budget_exhaustion():
 
 def test_ample_budget_completes():
     assert brute_force_count(GroupSpec.cp_c2(3), budget=10**6) == 7
+
+
+def _unpruned_partitions(g):
+    """The search without multiplier orbits: every subset of the allowed
+    elements is a candidate block, and of the power maps only the inverse
+    is checked."""
+    n = g.order
+    mt = g.mult_table
+    inv = g.inverse_table
+    found = set()
+
+    def conv(a, b):
+        coeff = [0] * n
+        for x in a:
+            for y in b:
+                coeff[mt[x][y]] += 1
+        return coeff
+
+    def recurse(unassigned, assigned, blocks, products, block_sets):
+        if not unassigned:
+            found.add(Partition.from_blocks([(0,)] + blocks, n).blocks)
+            return
+        s, rest = unassigned[0], unassigned[1:]
+        allowed = [t for t in rest if all(p[t] == p[s] for p in products)]
+        for size in range(len(allowed) + 1):
+            for extra in combinations(allowed, size):
+                block = (s,) + extra
+                bset = frozenset(block)
+                iset = frozenset(inv[x] for x in block)
+                if iset != bset:
+                    touched = any(x in assigned or x in bset for x in iset)
+                    if touched and iset not in block_sets:
+                        continue
+                new_products = []
+                for other in blocks + [block]:
+                    coeff = conv(other, block)
+                    if any(coeff[h] != coeff[done[0]] for done in blocks + [block]
+                           for h in done):
+                        break
+                    new_products.append(coeff)
+                else:
+                    block_sets.add(bset)
+                    recurse(tuple(t for t in rest if t not in bset), assigned | bset,
+                            blocks + [block], products + new_products, block_sets)
+                    block_sets.discard(bset)
+
+    recurse(tuple(range(1, n)), frozenset({0}), [], [], set())
+    return found
+
+
+ORDER_AT_MOST_12 = [
+    GroupSpec.of(()), GroupSpec.of((2,)), GroupSpec.klein(), GroupSpec.c2_cubed(),
+    GroupSpec.cp(3), GroupSpec.cp(5), GroupSpec.cp(7), GroupSpec.cp(11),
+    GroupSpec.cp_c2(3), GroupSpec.cp_c2(5), GroupSpec.cp_c2_c2(3),
+]
+
+
+@pytest.mark.parametrize("g", ORDER_AT_MOST_12, ids=str)
+def test_orbit_candidates_lose_no_partition(g):
+    # generating blocks from multiplier orbits must emit exactly what
+    # trying every subset with the inverse check alone emits
+    pruned = set()
+    _search(g, None, lambda blocks: pruned.add(Partition.from_blocks(blocks, g.order).blocks))
+    assert pruned == _unpruned_partitions(g)
+    assert len(pruned) == brute_force_count(g)
+
+
+def _power_maps(g):
+    """x -> x^m for every m coprime to |G|, by exponent arithmetic."""
+    n = g.order
+    return {tuple(g.index_of(tuple(m * e for e in x)) for x in g.elements)
+            for m in range(1, n + 1) if gcd(m, n) == 1}
+
+
+@pytest.mark.parametrize("g", [
+    GroupSpec.klein(), GroupSpec.c2_cubed(),
+    *(GroupSpec.cp(p) for p in (3, 5, 7)),
+    *(GroupSpec.cp_c2(p) for p in (3, 5, 7)),
+    *(GroupSpec.cp_c2_c2(p) for p in (3, 5, 7, 11, 13)),
+], ids=str)
+def test_power_maps_permute_the_superclasses(g):
+    # the premise of the search's pruning (Schur's multiplier theorem):
+    # in every constructed theory, each unit power map sends each
+    # superclass onto a superclass
+    maps = _power_maps(g)
+    for rec in all_theories(g):
+        blocks = {frozenset(b) for b in rec.theory.classes.blocks}
+        for m in maps:
+            assert {frozenset(m[x] for x in b) for b in blocks} == blocks

@@ -9,12 +9,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# 04 (counting table through p = 19) and 05 (oracle cross-check) take
-# several seconds each and are left out.
+# 04 (counting table through p = 19) takes several seconds and is left out.
 QUICK_DEMOS = [
     "01_cyclotomic_and_characters.py",
     "02_build_verify_dualize.py",
     "03_constructions.py",
+    "05_oracle_crosscheck.py",
     "06_refinement_lattice.py",
 ]
 

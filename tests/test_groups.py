@@ -1,5 +1,6 @@
 """Group models, characters, subgroup machinery, and automorphism actions."""
 
+import hashlib
 import random
 
 import pytest
@@ -163,6 +164,74 @@ def test_subgroup_validation():
         g.subgroup((1, 2, 3, 4))  # missing identity
     s = g.subgroup((0, 1, 2, 3, 4))
     assert s.order == 5
+
+
+def test_subgroup_accepts_exactly_the_closed_sets():
+    # reference: a set is a subgroup when it holds the identity and is
+    # closed under products (in a finite group that gives the inverses too)
+    rng = random.Random(11)
+    for g in (GroupSpec.cp_c2_c2(5), GroupSpec.c2_cubed(), GroupSpec.cp_c2(7)):
+        sets = [h.members for h in g.all_subgroups]
+        for size in (2, 3, 4, 5, g.order // 2, g.order - 1):
+            for _ in range(20):
+                sets.append((0,) + tuple(rng.sample(range(1, g.order), size - 1)))
+        for h in g.all_subgroups:  # a subgroup plus or less one element
+            sets.append(h.members + tuple(x for x in range(g.order) if x not in h)[:1])
+            sets.append(h.members[:-1])
+        for members in sets:
+            closed = 0 in members and all(
+                g.mul_idx(i, j) in members for i in members for j in members)
+            if closed:
+                assert g.subgroup(members).members == tuple(sorted(set(members)))
+            else:
+                with pytest.raises(ValueError):
+                    g.subgroup(members)
+
+
+# sha256 over every group of a family (p <= 43) of (gen_images, perm) for
+# each automorphism and of (members, generators) for each subgroup, recorded
+# from the code that mapped every element through apply_exps and checked
+# subgroup closure over all pairs of members
+_PRIMES_TO_43 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+_PINNED_GROUPS = {
+    "klein": ((GroupSpec.klein(),),
+              "48617b1a3b05e11eeea0cfa5a10f8e5bc635843ba910f5fb8137e1c6c42e7f20",
+              "53ce2c43a740f73fd1f05412e6db8450bb5b668ca49a4c796f7c74c0039f94c8"),
+    "c2cubed": ((GroupSpec.c2_cubed(),),
+                "59998e93f05a3137bab9644b3d50b23b9b33849a80f0cca5ac4e968477159cd2",
+                "1abaef83db14bf77c73e36e58133807249dc3f0f1dc1f725275aa6c017a3a127"),
+    "cp": (tuple(GroupSpec.cp(p) for p in _PRIMES_TO_43),
+           "66c0e440bff19b7d4224b4db95adb95b08beba3a53608557b46915871b360f6f",
+           "427df2b1d427b440e76b2a16b7de140d6bb94e15e1001adf8b18ae9230412ea2"),
+    "cpc2": (tuple(GroupSpec.cp_c2(p) for p in _PRIMES_TO_43),
+             "5f5b82c9fad566802d88c97bac8624351e9ed8191a9c21af13d714b77c13304c",
+             "2c2ef493c6a52f3a23899dbdfec0273776974fce1d960412a9701e065da29623"),
+    "cpc2c2": (tuple(GroupSpec.cp_c2_c2(p) for p in _PRIMES_TO_43),
+               "5d106ffb5de507f79558954ea79d5209c5cbc669835ad71bb6346c2fdaa961f3",
+               "77c64330bd6cc52ba44a410df28bab73c28eb11c96779ef9062a921f1f0c1ef7"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_PINNED_GROUPS))
+def test_aut_perms_and_subgroups_are_pinned(family):
+    groups, perm_digest, subgroup_digest = _PINNED_GROUPS[family]
+    perms, subs = hashlib.sha256(), hashlib.sha256()
+    for g in groups:
+        for a in g.aut_group():
+            perms.update(repr((a.gen_images, a.perm)).encode())
+        for s in g.all_subgroups:
+            subs.update(repr((s.members, s.generators)).encode())
+    assert perms.hexdigest() == perm_digest
+    assert subs.hexdigest() == subgroup_digest
+
+
+@pytest.mark.parametrize("g", [
+    GroupSpec.of(()), GroupSpec.of((2,)), GroupSpec.cp(11), GroupSpec.cp_c2(7),
+    GroupSpec.cp_c2_c2(5), GroupSpec.klein(), GroupSpec.c2_cubed(),
+], ids=str)
+def test_aut_perm_agrees_with_exponent_arithmetic(g):
+    for a in g.aut_group():
+        assert a.perm == tuple(g.index_of(a.apply_exps(x)) for x in g.elements)
 
 
 @pytest.mark.parametrize("g,count", [
