@@ -36,10 +36,10 @@ for g in [
     print(f"{g.family:>8} (order {g.order:>2}): search found {len(searched):>3}, "
           f"constructions found {len(constructed):>3} -> {status}  [{elapsed:.2f}s]")
 
-# Beyond order 12 the number of partitions explodes, so exhaustive search
+# Beyond order 44 the number of partitions explodes, so exhaustive search
 # demands an explicit node budget.  Without one the oracle refuses outright; with one
 # it raises once the budget runs dry, reporting how far it got.
-g = GroupSpec.cp_c2_c2(5)
+g = GroupSpec.cp_c2_c2(13)
 try:
     brute_force_count(g)
 except ValueError as e:

@@ -34,7 +34,7 @@ from math import gcd
 from .groups import GroupSpec, _perm_table, _subgroup_lattice
 from .theories import Partition, Theory, sort_key, theory_from_classes
 
-EXHAUSTIVE_LIMIT = 12
+EXHAUSTIVE_LIMIT = 44
 
 
 class BudgetExhaustedError(Exception):

@@ -16,7 +16,7 @@ and every theory is produced by tagged constructions plus the maximal one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from .bruteforce import brute_force_count
@@ -74,19 +74,7 @@ class CountReport:
     predicted: dict
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "k": self.k,
-            "l": self.l,
-            "n": self.n,
-            "total": self.total,
-            "automorphic": self.automorphic,
-            "direct": self.direct,
-            "overlap": self.overlap,
-            "wedge": self.wedge,
-            "maximal": self.maximal,
-            "predicted": dict(self.predicted),
-        }
+        return asdict(self)
 
     def matches(self) -> bool:
         return all(getattr(self, key) == val for key, val in self.predicted.items())
@@ -124,8 +112,7 @@ def predicted_counts(p: int) -> CountReport:
     """The closed-form counts alone, before any enumeration."""
     k, l, n = factor_pm1(p)
     f = _formula(p)
-    return CountReport(p, k, l, n, f["total"], f["automorphic"], f["direct"],
-                       f["overlap"], f["wedge"], f["maximal"], f)
+    return CountReport(p, k, l, n, **f, predicted=f)
 
 
 # What a construction's candidates are called when they fail verification.
@@ -299,9 +286,7 @@ def all_scts_cp_c2_c2(
         "wedge": sum(1 for r in records if "wedge" in r.tags),
         "maximal": sum(1 for r in records if "maximal" in r.tags),
     }
-    report = CountReport(p, k, l, n, counts["total"], counts["automorphic"],
-                         counts["direct"], counts["overlap"], counts["wedge"],
-                         counts["maximal"], _formula(p))
+    report = CountReport(p, k, l, n, **counts, predicted=_formula(p))
     if not report.matches():
         keys_by_tag = {
             tag: [canonical_key(r.theory) for r in records if tag in r.tags]

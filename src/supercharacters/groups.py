@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import gcd
 
 from .cyclotomic import CycInt, is_odd_prime
 
@@ -139,12 +140,6 @@ class GroupSpec:
         exps = x.exps if isinstance(x, (Element, Character)) else tuple(x)
         return self._index[self.reduce(exps)]
 
-    def mul(self, g: Element, h: Element) -> Element:
-        return self.element(tuple(a + b for a, b in zip(g.exps, h.exps)))
-
-    def inverse(self, g: Element) -> Element:
-        return self.element(tuple(-a for a in g.exps))
-
     def mul_idx(self, i: int, j: int) -> int:
         a, b = self.elements[i], self.elements[j]
         return self._index[tuple((x + y) % f for x, y, f in zip(a, b, self.factors))]
@@ -166,7 +161,7 @@ class GroupSpec:
         n = 1
         for e, f in zip(exps, self.factors):
             if e:
-                n = n * f // _gcd(n, f)
+                n = n * f // gcd(n, f)
         return n
 
     # -- characters ---------------------------------------------------------
@@ -310,24 +305,20 @@ class GroupSpec:
     def generated_subgroup(self, generator_indices) -> "Subgroup":
         return self.subgroup(self._close(generator_indices))
 
-    @cached_property
-    def two_part_vectors(self) -> tuple[tuple[int, ...], ...]:
-        """Exponent patterns of the (C_2)^d part, in lexicographic order."""
-        return tuple(itertools.product((0, 1), repeat=self.dim2))
-
     def _embed_parts(self, a_exp: int, vec: tuple[int, ...]) -> int:
         exps = ((a_exp,) if self.p else ()) + vec
         return self._index[exps]
 
     @cached_property
     def all_subgroups(self) -> tuple["Subgroup", ...]:
-        """Every subgroup; each splits as (p part) x (F_2 subspace of the 2 part)."""
-        subs = []
-        p_parts = [(0,)] if self.p is None else [(0,), tuple(range(self.p))]
-        for space in _subspaces(self.dim2):
-            for p_part in p_parts:
-                members = [self._embed_parts(i, v) for i in p_part for v in space]
-                subs.append(self.subgroup(members))
+        """Every subgroup; each splits as (p part) x (F_2 subspace of the 2
+        part).  Index i is (p exponent) << d | (involution bits), so the
+        subspaces are the subgroups of the XOR table of F_2^d."""
+        d = self.dim2
+        xor = [[v ^ w for w in range(1 << d)] for v in range(1 << d)]
+        p_parts = [(0,)] if self.p is None else [(0,), range(self.p)]
+        subs = [self.subgroup([a << d | w for a in p_part for w in space])
+                for space in _subgroup_lattice(xor).values() for p_part in p_parts]
         return tuple(sorted(subs, key=lambda h: (h.order, h.members)))
 
     def complementary_pairs(self) -> tuple[tuple["Subgroup", "Subgroup"], ...]:
@@ -373,34 +364,14 @@ class GroupSpec:
     def subgroups_of_aut(self) -> tuple[tuple["AutMap", ...], ...]:
         """All subgroups of Aut(G), each a multiplication-closed set of maps.
 
-        The automorphism group is the direct product of the cyclic unit
-        group of the p part (trivial without one) and GL(d, 2), and the
-        subgroups come from the Goursat parameterization over the subgroup
-        lattice of GL(d, 2), built once per d by cyclic extension
-        (_subgroup_lattice).  Sorted by order, then by generator images.
+        The automorphism group is the direct product of the unit group of
+        the p part (trivial without one) and GL(d, 2).  aut_group() lists
+        unit u by matrix a, so with k = |GL(d, 2)| the product of (u, a) and
+        (v, b) has index (u*v % p - 1) * k + gl[a][b], gl being GL(d, 2)'s
+        product table; _subgroup_lattice runs on that table.  Sorted by
+        order, then by generator images.
         """
         return _cached_aut_subgroups(self)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-@lru_cache(maxsize=None)
-def _subspaces(d: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All F_2-subspaces of F_2^d as sorted vector tuples, smallest first."""
-    vecs = list(itertools.product((0, 1), repeat=d))
-    nonzero = vecs[1:]
-    spaces = set()
-    for r in range(len(nonzero) + 1):
-        for subset in itertools.combinations(nonzero, r):
-            span = {(0,) * d}
-            for v in subset:
-                span |= {tuple(a ^ b for a, b in zip(v, w)) for w in span}
-            spaces.add(tuple(sorted(span)))
-    return tuple(sorted(spaces, key=lambda s: (len(s), s)))
 
 
 @lru_cache(maxsize=None)
@@ -662,9 +633,6 @@ class AutMap:
             out.append(g._index[new])
         return tuple(out)
 
-    def act_on_element(self, g: Element) -> Element:
-        return self.group.element(self.apply_exps(g.exps))
-
     def act_on_character(self, chi: Character) -> Character:
         g = self.group
         return Character(g.elements[self.char_perm[g.index_of(chi)]])
@@ -727,11 +695,13 @@ def _subgroup_lattice(table) -> dict[int, tuple[int, ...]]:
     bitmask of its member indices, valued by the sorted members.
 
     Cyclic extension: starting from the trivial subgroup, join each subgroup
-    found with each cyclic subgroup it does not contain.  Every subgroup is
-    generated by its cyclic subgroups, so every one is reached.  A join
-    K = <H, x> adds right cosets H y until each coset representative times
-    each generator stays inside (Dimino's method), O(|K| + [K:H] * gens)
-    table lookups; once K holds more than half the group it is the group."""
+    found with each cyclic subgroup of prime-power order it does not
+    contain.  Every element is a product of its own powers of prime-power
+    order, so every subgroup is generated by such cyclic subgroups and every
+    one is reached.  A join K = <H, x> adds right cosets H y until each
+    coset representative times each generator stays inside (Dimino's
+    method), O(|K| + [K:H] * gens) table lookups; once K holds more than
+    half the group it is the group."""
     n = len(table)
     e = next(i for i in range(n) if table[i][i] == i)
     cyclic: dict[int, int] = {}  # member mask -> least generator
@@ -740,7 +710,8 @@ def _subgroup_lattice(table) -> dict[int, tuple[int, ...]]:
         while y != e:
             mask |= 1 << y
             y = table[y][x]
-        cyclic.setdefault(mask, x)
+        if x != e and _is_prime_power(mask.bit_count()):
+            cyclic.setdefault(mask, x)
     found = {1 << e: ((e,), ())}  # mask -> (members, generators)
     queue = [1 << e]
     for h in queue:
@@ -766,11 +737,16 @@ def _subgroup_lattice(table) -> dict[int, tuple[int, ...]]:
     return {k: members for k, (members, _) in found.items()}
 
 
+def _is_prime_power(n: int) -> bool:
+    q = next(q for q in range(2, n + 1) if n % q == 0)
+    while n % q == 0:
+        n //= q
+    return n == 1
+
+
 @lru_cache(maxsize=None)
-def _gl2_lattice(d: int) -> tuple:
-    """GL(d, 2), indexed as in _gl2_matrices: the int product table of the
-    matrix products, and every subgroup as a (member mask, sorted members)
-    pair, smallest first."""
+def _gl2_table(d: int) -> list[list[int]]:
+    """The int product table of GL(d, 2), indexed as in _gl2_matrices."""
     vecs = list(itertools.product((0, 1), repeat=d))
     vindex = {v: i for i, v in enumerate(vecs)}
     # column action v -> m v turns the matrix product into composition
@@ -779,26 +755,7 @@ def _gl2_lattice(d: int) -> tuple:
               for v in vecs)
         for m in _gl2_matrices(d)
     ]
-    table = _perm_table(perms)
-    lattice = sorted(_subgroup_lattice(table).items(), key=lambda kv: (len(kv[1]), kv[1]))
-    return table, tuple(lattice)
-
-
-def _primitive_root(p: int) -> int:
-    for r in range(2, p):
-        x, seen = 1, set()
-        for _ in range(p - 1):
-            x = x * r % p
-            seen.add(x)
-        if len(seen) == p - 1:
-            return r
-    raise ValueError(f"no primitive root mod {p}")
-
-
-def _sort_aut_subgroups(subs) -> tuple[tuple[AutMap, ...], ...]:
-    uniq = {frozenset(s) for s in subs}
-    ordered = [tuple(sorted(s, key=lambda m: m.gen_images)) for s in uniq]
-    return tuple(sorted(ordered, key=lambda s: (len(s), [m.gen_images for m in s])))
+    return _perm_table(perms)
 
 
 @lru_cache(maxsize=None)
@@ -811,7 +768,21 @@ def _cached_aut_group(g: GroupSpec) -> tuple[AutMap, ...]:
 
 @lru_cache(maxsize=None)
 def _cached_aut_subgroups(g: GroupSpec) -> tuple[tuple[AutMap, ...], ...]:
-    return _sort_aut_subgroups(_goursat_subgroups(g))
+    maps = g.aut_group()
+    table = gl = _gl2_table(g.dim2)
+    if g.p is not None:
+        p, k = g.p, len(gl)
+        # shifted[w][a] is row a of gl moved to the block of unit w; rows
+        # concatenate these lists, so the table shares their int objects
+        shifted = [None] + [[[(w - 1) * k + b for b in row] for row in gl]
+                            for w in range(1, p)]
+        table = [list(itertools.chain.from_iterable(shifted[u * v % p][a]
+                                                    for v in range(1, p)))
+                 for u in range(1, p) for a in range(k)]
+    # aut_group() ascends by generator images, so sorting member indices
+    # sorts the subgroups by order, then by generator images
+    lattice = sorted(_subgroup_lattice(table).values(), key=lambda m: (len(m), m))
+    return tuple(tuple(maps[i] for i in members) for members in lattice)
 
 
 def aut_generating_subset(subgroup: tuple[AutMap, ...]) -> tuple[AutMap, ...]:
@@ -830,90 +801,3 @@ def aut_generating_subset(subgroup: tuple[AutMap, ...]) -> tuple[AutMap, ...]:
         if len(have) == len(subgroup):
             break
     return tuple(gens)
-
-
-def _goursat_subgroups(g: GroupSpec) -> list[frozenset[AutMap]]:
-    """Subgroups of Aut(G) = C_(p-1) x GL(d, 2) via Goursat's parameterization:
-    pick (H1, N1) in the cyclic part, (H2, N2) in the matrix part, and an
-    isomorphism of the (cyclic) quotients; the subgroup is the fiber product."""
-    p = g.p
-    m = (p - 1) if p else 1
-    r = _primitive_root(p) if p else None
-    mats = _gl2_matrices(g.dim2)
-    table, lattice = _gl2_lattice(g.dim2)
-    # each automorphism lies in many subgroups; build it once
-    aut = lru_cache(maxsize=None)(g.aut_from_parts)
-
-    # cyclic side: subgroup of order h is generated by r^(m/h); remember the
-    # discrete log of each unit so coset labels mod q are immediate
-    def cyclic_subgroup(h: int) -> dict[int | None, int]:
-        if p is None:
-            return {None: 0}
-        gen = pow(r, m // h, p)
-        units, x = {}, 1
-        for i in range(h):
-            units[x] = i
-            x = x * gen % p
-        return units
-
-    out = []
-    for h in _divisors(m):
-        units = cyclic_subgroup(h)
-        for q in _divisors(h):
-            # unique index-q subgroup of the cyclic part; label = log mod q
-            for h2 in lattice:
-                for n2, gen_cosets in _cyclic_quotients(table, lattice, h2, q):
-                    for gamma in gen_cosets:
-                        # label each y in H2 by its power of the generator coset
-                        label2 = {}
-                        coset = n2
-                        for k in range(q):
-                            for y in coset:
-                                label2[y] = k
-                            coset = [table[gamma][y] for y in coset]
-                        members = frozenset(
-                            aut(u, mats[y])
-                            for u, log in units.items()
-                            for y, lab in label2.items()
-                            if log % q == lab
-                        )
-                        out.append(members)
-    return out
-
-
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _cyclic_quotients(table, lattice, h2, q):
-    """(N2, generator cosets) pairs with N2 a lattice member normal in H2 and
-    H2/N2 cyclic of order q.  Distinct generator cosets x N2 give distinct
-    isomorphisms onto the cyclic side; each is named by its least member x.
-    Subgroups are (member mask, sorted members) pairs."""
-    h2mask, h2 = h2
-    if len(h2) % q != 0:
-        return
-    target = len(h2) // q
-    for n2mask, n2 in lattice:
-        if len(n2) != target or n2mask & ~h2mask:
-            continue
-        # h2 ascends, so the first member met of each coset is its least
-        gens, seen, normal = [], 0, True
-        for x in h2:
-            if seen >> x & 1:
-                continue
-            coset = sum(1 << table[x][y] for y in n2)
-            # x N2 = N2 x for one x per coset makes N2 normal in H2
-            if coset != sum(1 << table[y][x] for y in n2):
-                normal = False
-                break
-            seen |= coset
-            # order of the coset = smallest k with x^k in n2
-            k, acc = 1, x
-            while not n2mask >> acc & 1:
-                acc = table[x][acc]
-                k += 1
-            if k == q:
-                gens.append(x)
-        if normal and gens:
-            yield n2, gens

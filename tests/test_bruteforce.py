@@ -92,7 +92,9 @@ def test_search_is_deterministic():
 
 def test_large_group_requires_budget():
     with pytest.raises(ValueError):
-        brute_force_count(GroupSpec.cp_c2_c2(5))
+        brute_force_count(GroupSpec.cp_c2_c2(13))
+    # order 20 is inside the exhaustive limit
+    assert brute_force_count(GroupSpec.cp_c2_c2(5)) == 109
 
 
 def test_budget_exhaustion():

@@ -255,7 +255,7 @@ def test_witness_index_matches_linear_search(
 def test_lattice_and_witness_index_are_built_on_first_use():
     code = (
         "from supercharacters import constructions, groups\n"
-        "caches = (groups._gl2_lattice, groups._cached_aut_subgroups,"
+        "caches = (groups._gl2_table, groups._cached_aut_subgroups,"
         " constructions._witness_index)\n"
         "assert all(f.cache_info().currsize == 0 for f in caches)\n"
     )

@@ -431,9 +431,11 @@ def _exhaustive_subgroups(perms):
 
 @pytest.mark.parametrize("g", [
     GroupSpec.klein(), GroupSpec.cp_c2_c2(3), GroupSpec.cp_c2_c2(5),
+    GroupSpec.cp_c2_c2(7), GroupSpec.cp(13),
 ])
 def test_subgroups_of_aut_against_exhaustive_closure(g):
-    # the parameterized construction must agree with brute-force closure
+    # the lattice over the arithmetic product table must agree with
+    # brute-force closure; the last two have automorphisms of order 6 and 12
     want = _exhaustive_subgroups([a.perm for a in g.aut_group()])
     got = {frozenset(m.perm for m in s) for s in g.subgroups_of_aut()}
     assert got == want
@@ -441,8 +443,9 @@ def test_subgroups_of_aut_against_exhaustive_closure(g):
 
 @pytest.mark.parametrize("p", [3, 7, 13])
 def test_subgroup_lattice_agrees_with_goursat(p):
-    # the cyclic-extension lattice, run on Aut(G) itself rather than on its
-    # GL(2, 2) factor, finds the subgroups that Goursat's fiber products give
+    # subgroups_of_aut() runs the lattice on an arithmetic product table
+    # of Aut(G); running it on the composed permutations of the maps must
+    # give the same subgroups
     g = GroupSpec.cp_c2_c2(p)
     perms = [a.perm for a in g.aut_group()]
     lattice = _subgroup_lattice(_perm_table(perms))
@@ -452,6 +455,16 @@ def test_subgroup_lattice_agrees_with_goursat(p):
     got = {frozenset(m.perm for m in s) for s in g.subgroups_of_aut()}
     assert len(want) == len(lattice)
     assert got == want
+
+
+def test_subgroup_lattice_of_cyclic_groups():
+    # Z_n has one subgroup per divisor of n; the joins must reach the cyclic
+    # subgroups whose order is a prime power above a prime (Z_4 has one)
+    for n in range(1, 61):
+        table = [[(a + b) % n for b in range(n)] for a in range(n)]
+        lattice = _subgroup_lattice(table)
+        assert sorted(len(m) for m in lattice.values()) == [
+            d for d in range(1, n + 1) if n % d == 0], n
 
 
 def test_gl32_lattice_order_histogram():
