@@ -140,9 +140,19 @@ class GroupSpec:
         exps = x.exps if isinstance(x, (Element, Character)) else tuple(x)
         return self._index[self.reduce(exps)]
 
+    @cached_property
+    def _split(self) -> tuple[int | None, int, int]:
+        """(p, d, 2^d - 1): index i splits into its p exponent i >> d and its
+        involution bits i & (2^d - 1)."""
+        d = self.dim2
+        return self.p, d, (1 << d) - 1
+
     def mul_idx(self, i: int, j: int) -> int:
-        a, b = self.elements[i], self.elements[j]
-        return self._index[tuple((x + y) % f for x, y, f in zip(a, b, self.factors))]
+        """Index of the product: p exponents add mod p, involution bits XOR."""
+        p, d, mask = self._split
+        if p is None:
+            return i ^ j
+        return ((i >> d) + (j >> d)) % p << d | (i ^ j) & mask
 
     @cached_property
     def mult_table(self) -> tuple[tuple[int, ...], ...]:
@@ -193,13 +203,12 @@ class GroupSpec:
         Keys hold one signed digit of `width` bits per power of zeta_p;
         power[t] is the digit 1 at power t (O(width * p^2) bits in all, 35 KB
         at p = 199) and `ones` a 1 at every power."""
-        d = self.dim2
-        size = 1 << d
+        p, d, mask = self._split
         sign = tuple(-1 if bin(u & w).count("1") % 2 else 1
-                     for u in range(size) for w in range(size))
+                     for u in range(mask + 1) for w in range(mask + 1))
         width = (4 * self.order).bit_length()
-        power = tuple(1 << (width * t) for t in range(self.p or 0))
-        return self.p, d, size - 1, sign, width, power, sum(power)
+        power = tuple(1 << (width * t) for t in range(p or 0))
+        return p, d, mask, sign, width, power, sum(power)
 
     def sigma_keys(self, chars, xs) -> list[int]:
         """Canonical keys of sigma_X(x), the sum of chi_c(x) over the character
@@ -252,6 +261,19 @@ class GroupSpec:
             coeffs.append(digit)
             key = (key - digit) >> width
         return CycInt(p, tuple(coeffs))
+
+    @cached_property
+    def multiplier_perm(self) -> tuple[int, ...] | None:
+        """Index permutation of the multiplier x -> x^m for an odd m that is a
+        primitive root r mod p: (a, v) -> (r*a % p, v).  Its powers are all
+        the multipliers of G.  chi_c(x^m) = chi_{c^m}(x), so it moves the
+        characters by the same index permutation.  None for 2-groups, where
+        every multiplier is the identity."""
+        p, d, mask = self._split
+        if p is None:
+            return None
+        r = _primitive_root(p)
+        return tuple(r * a % p << d | v for a in range(p) for v in range(mask + 1))
 
     def annihilator(self, members) -> tuple[int, ...]:
         """Indices of characters that are 1 on every listed element index."""
@@ -372,6 +394,18 @@ class GroupSpec:
         order, then by generator images.
         """
         return _cached_aut_subgroups(self)
+
+
+def _primitive_root(p: int) -> int:
+    """The least generator of the units mod the odd prime p."""
+    qs, m, q = [], p - 1, 2
+    while m > 1:
+        if m % q == 0:
+            qs.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    return next(r for r in range(2, p) if all(pow(r, (p - 1) // q, p) != 1 for q in qs))
 
 
 @lru_cache(maxsize=None)

@@ -113,7 +113,15 @@ def sort_key(t: Theory) -> tuple[int, str]:
 
 
 def verify(t: Theory) -> Violation | None:
-    """Check the defining conditions; None when valid, else the first failure."""
+    """Check the defining conditions; None when valid, else the first failure.
+
+    Condition 3 is read off the multipliers when they fix both partitions,
+    as Schur's multiplier theorem says they do for every theory of an
+    abelian group: the keys at the 2^(d+1) indices with p exponent 0 or 1
+    give every key, and one character block per multiplier orbit is checked
+    (see _constant_by_multipliers).  When a partition is not fixed, or that
+    check fails, the full loop runs over every character block at every
+    element, so the Violation returned is always the full loop's first."""
     if (0,) not in t.classes.blocks:
         return Violation(1, (0,), "identity is not a singleton class")
     if (0,) not in t.charparts.blocks:
@@ -124,19 +132,75 @@ def verify(t: Theory) -> Violation | None:
             (len(t.classes), len(t.charparts)),
             f"{len(t.classes)} classes vs {len(t.charparts)} character blocks",
         )
+    if _constant_by_multipliers(t):
+        return None
     g = t.group
     for xi, x in enumerate(t.charparts.blocks):
-        keys = g.sigma_keys(x, range(g.order))
-        for k in t.classes.blocks:
-            ref = keys[k[0]]
-            for h in k[1:]:
-                if keys[h] != ref:
-                    return Violation(
-                        3,
-                        (xi, k[0], h),
-                        f"sigma of character block {xi} differs at elements {k[0]} and {h}",
-                    )
+        bad = _first_break(g.sigma_keys(x, range(g.order)), t.classes)
+        if bad is not None:
+            return Violation(
+                3,
+                (xi, *bad),
+                f"sigma of character block {xi} differs at elements {bad[0]} and {bad[1]}",
+            )
     return None
+
+
+def _first_break(keys, classes: Partition) -> tuple[int, int] | None:
+    """(k[0], h) for the first class block k and member h where keys[h]
+    differs from keys[k[0]]; None when keys are constant on every block."""
+    for k in classes.blocks:
+        ref = keys[k[0]]
+        for h in k[1:]:
+            if keys[h] != ref:
+                return k[0], h
+    return None
+
+
+def _invariant(part: Partition, perm) -> bool:
+    """True when perm maps every block into one block; perm being a
+    bijection, it then maps the blocks onto the blocks."""
+    block_of = part.block_of
+    for b in part.blocks:
+        target = block_of[perm[b[0]]]
+        for i in b[1:]:
+            if block_of[perm[i]] != target:
+                return False
+    return True
+
+
+def _constant_by_multipliers(t: Theory) -> bool:
+    """True when both partitions are invariant under the multipliers and
+    every sigma_X is constant on every class block; False when a partition
+    is not invariant or some sigma_X is not constant.
+
+    A unit a acts on index (e, v) as (a*e % p, v), on elements and on
+    characters alike, and chi_(b,w)(a*e, v) = chi_(a*b,w)(e, v).  So for
+    a != 0, sigma_X(a, v) = sigma_{aX}(1, v), and with the character
+    partition invariant aX is a block: the keys of every block at the
+    2^(d+1) indices with p exponent 0 or 1 give all keys.  With the class
+    partition invariant too, the K^(a) are the class blocks, so "sigma_X is
+    constant on every K" carries over to every aX: one character block per
+    orbit is checked, and there are at most 2^(d+1) orbits."""
+    g = t.group
+    perm = g.multiplier_perm
+    if perm is None or not (_invariant(t.classes, perm) and _invariant(t.charparts, perm)):
+        return False
+    p, d, mask = g._split
+    block_of = t.charparts.block_of
+    cols = [g.sigma_keys(x, range(2 << d)) for x in t.charparts.blocks]
+    done: set[int] = set()
+    for xi, x in enumerate(t.charparts.blocks):
+        if xi in done:
+            continue
+        b, w = x[0] >> d, x[0] & mask
+        orbit = [block_of[a * b % p << d | w] for a in range(1, p)]
+        done.update(orbit)
+        keys = cols[xi][: mask + 1] + [cols[yi][mask + 1 + v]
+                                       for yi in orbit for v in range(mask + 1)]
+        if _first_break(keys, t.classes) is not None:
+            return False
+    return True
 
 
 def require_valid(t: Theory, what: str) -> Theory:
@@ -180,19 +244,47 @@ def induced_character_partition(g: GroupSpec, classes: Partition) -> Partition:
 
     For a convolution-closed class partition this yields the unique character
     partition completing it to a theory, with the same number of blocks.
-    """
+
+    When the multipliers fix the class partition, as Schur's multiplier
+    theorem says they do for every theory, the class sums are evaluated only
+    at the 2^(d+1) characters with p exponent 0 or 1: the pairing is
+    symmetric, so sigma_K(a, v) = sigma_{aK}(1, v) for a != 0, and aK is a
+    class block.  Otherwise every class sum is evaluated at every character.
+    Both give the same signatures, hence the same partition or error."""
     n = g.order
-    columns = [g.sigma_keys(b, range(n)) for b in classes.blocks]
-    sigs: dict[tuple, list[int]] = {}
-    for c, sig in enumerate(zip(*columns)):
-        sigs.setdefault(sig, []).append(c)
-    part = Partition.from_blocks(sigs.values(), n)
+    perm = g.multiplier_perm
+    if perm is not None and _invariant(classes, perm):
+        sigs = _signatures_by_multipliers(g, classes)
+    else:
+        sigs = zip(*(g.sigma_keys(k, range(n)) for k in classes.blocks))
+    by_sig: dict[tuple, list[int]] = {}
+    for c, sig in enumerate(sigs):
+        by_sig.setdefault(sig, []).append(c)
+    part = Partition.from_blocks(by_sig.values(), n)
     if len(part) != len(classes):
         raise RuntimeError(
             f"induced partition has {len(part)} blocks for {len(classes)} classes; "
             "the class partition is not convolution-closed"
         )
     return part
+
+
+def _signatures_by_multipliers(g: GroupSpec, classes: Partition):
+    """The keys of every class sum at each character in index order, for a
+    class partition invariant under the multipliers."""
+    p, d, mask = g._split
+    block_of = classes.block_of
+    lead = [(k[0] >> d, k[0] & mask) for k in classes.blocks]
+    # small ids for the keys, which are equal exactly when the keys are,
+    # so that the signatures hash quickly
+    ids: dict[int, int] = {}
+    cols = [[ids.setdefault(key, len(ids)) for key in g.sigma_keys(k, range(2 << d))]
+            for k in classes.blocks]
+    yield from zip(*(col[: mask + 1] for col in cols))
+    ones = [col[mask + 1 :] for col in cols]
+    for a in range(1, p):
+        # sigma_K(a, v) = sigma_{aK}(1, v)
+        yield from zip(*[ones[block_of[a * e % p << d | v]] for e, v in lead])
 
 
 def theory_from_classes(g: GroupSpec, classes: Partition) -> Theory:
@@ -207,16 +299,12 @@ def supercharacter_table(t: Theory):
     rows = []
     for xi, x in enumerate(t.charparts.blocks):
         keys = g.sigma_keys(x, range(g.order))
-        row = []
-        for k in t.classes.blocks:
-            ref = keys[k[0]]
-            for h in k[1:]:
-                if keys[h] != ref:
-                    raise ValueError(
-                        f"sigma not constant: character block {xi}, elements {k[0]}, {h}"
-                    )
-            row.append(g.sigma_value(ref))
-        rows.append(row)
+        bad = _first_break(keys, t.classes)
+        if bad is not None:
+            raise ValueError(
+                f"sigma not constant: character block {xi}, elements {bad[0]}, {bad[1]}"
+            )
+        rows.append([g.sigma_value(keys[k[0]]) for k in t.classes.blocks])
     return rows
 
 

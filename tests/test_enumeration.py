@@ -1,5 +1,7 @@
 """Family enumerators, tagging, and the closed-form counting identities."""
 
+import time
+
 import pytest
 
 from supercharacters import (
@@ -133,6 +135,26 @@ def test_cp_c2_c2_counts(p, records_by_p):
             report.overlap, report.wedge) == (total, auto, direct, overlap, wedge)
     assert len(recs) == total
     assert len({canonical_key(r.theory) for r in recs}) == total
+
+
+# p = 37: p - 1 = 2^2 * 3^2, so k = 2, l = 2, n = 1 and d(36) = 9, d(9) = d(4) = 3;
+# by hand: total 6*3 + 4*3 + 30*9 + 13, automorphic 6*3 + 4*3 + 5*9,
+# direct 11*9 + 6, overlap 5*9, wedge 19*9 + 6
+COUNTS_AT_L_2 = (313, 75, 105, 45, 177)
+TIME_LIMIT_L_2 = 10.0  # seconds; about 0.6 s on a 2-core host
+
+
+def test_cp_c2_c2_counts_at_l_2():
+    start = time.perf_counter()
+    recs, report = all_scts_cp_c2_c2(37)
+    seconds = time.perf_counter() - start
+    assert (report.k, report.l, report.n) == (2, 2, 1)
+    got = (report.total, report.automorphic, report.direct, report.overlap, report.wedge)
+    assert got == COUNTS_AT_L_2
+    assert report.maximal == 1
+    assert all(getattr(report, key) == val for key, val in report.predicted.items())
+    assert len({canonical_key(r.theory) for r in recs}) == len(recs) == 313
+    assert seconds <= TIME_LIMIT_L_2, f"p=37 took {seconds:.1f}s"
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -234,6 +234,46 @@ def test_aut_perm_agrees_with_exponent_arithmetic(g):
         assert a.perm == tuple(g.index_of(a.apply_exps(x)) for x in g.elements)
 
 
+@pytest.mark.parametrize("g", [
+    GroupSpec.of(()), GroupSpec.of((2,)), GroupSpec.cp(13), GroupSpec.cp_c2(7),
+    GroupSpec.cp_c2_c2(5), GroupSpec.klein(), GroupSpec.c2_cubed(),
+], ids=str)
+def test_mul_idx_agrees_with_exponent_arithmetic(g):
+    for i, x in enumerate(g.elements):
+        for j, y in enumerate(g.elements):
+            assert g.mul_idx(i, j) == g.index_of([a + b for a, b in zip(x, y)])
+
+
+@pytest.mark.parametrize("g", [
+    GroupSpec.cp(3), GroupSpec.cp(13), GroupSpec.cp_c2(7),
+    GroupSpec.cp_c2_c2(5), GroupSpec.cp_c2_c2(13),
+], ids=str)
+def test_multiplier_perm_is_a_generating_power_map(g):
+    perm = g.multiplier_perm
+    p = g.p
+    # x -> x^m for the odd m that is congruent to the generator r mod p
+    r = g.elements[perm[g.index_of((1,) + (0,) * g.dim2)]][0]
+    m = r if r % 2 else r + p
+    powers = []
+    for x in range(g.order):
+        y = 0
+        for _ in range(m):
+            y = g.mul_idx(y, x)
+        powers.append(y)
+    assert perm == tuple(powers)
+    assert len({pow(r, k, p) for k in range(p - 1)}) == p - 1
+    # characters move the same way: chi_c(x^m) = chi_{perm[c]}(x)
+    for c in range(g.order):
+        for x in range(g.order):
+            assert (g.sigma_keys((c,), (perm[x],))
+                    == g.sigma_keys((perm[c],), (x,)))
+
+
+def test_multiplier_perm_is_none_for_2_groups():
+    for g in (GroupSpec.of(()), GroupSpec.of((2,)), GroupSpec.klein(), GroupSpec.c2_cubed()):
+        assert g.multiplier_perm is None
+
+
 @pytest.mark.parametrize("g,count", [
     (GroupSpec.cp(7), 0),
     (GroupSpec.klein(), 3),

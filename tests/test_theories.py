@@ -1,5 +1,7 @@
 """Theory objects: verification, duality, restriction, tables, serialization."""
 
+import random
+
 import pytest
 
 from supercharacters import (
@@ -7,6 +9,8 @@ from supercharacters import (
     Partition,
     Theory,
     TheoryRecord,
+    Violation,
+    all_theories,
     canonical_key,
     dual,
     induced_character_partition,
@@ -22,7 +26,7 @@ from supercharacters import (
     verify,
     verify_algebra,
 )
-from supercharacters.theories import sort_key
+from supercharacters.theories import _invariant, sort_key
 from supercharacters import CycInt
 
 
@@ -231,3 +235,162 @@ def test_theory_size_mismatch():
 def test_record_defaults():
     rec = TheoryRecord(minimal_theory(GroupSpec.klein()))
     assert rec.tags == set() and rec.provenance == []
+
+
+# -- the multiplier-reduced kernel against the full loop ---------------------
+
+
+def _full_loop_verify(t):
+    """verify as it reads with every character block summed at every element."""
+    if (0,) not in t.classes.blocks:
+        return Violation(1, (0,), "identity is not a singleton class")
+    if (0,) not in t.charparts.blocks:
+        return Violation(1, (0,), "trivial character is not a singleton block")
+    if len(t.classes) != len(t.charparts):
+        return Violation(
+            2,
+            (len(t.classes), len(t.charparts)),
+            f"{len(t.classes)} classes vs {len(t.charparts)} character blocks",
+        )
+    g = t.group
+    for xi, x in enumerate(t.charparts.blocks):
+        keys = g.sigma_keys(x, range(g.order))
+        for k in t.classes.blocks:
+            for h in k[1:]:
+                if keys[h] != keys[k[0]]:
+                    return Violation(
+                        3,
+                        (xi, k[0], h),
+                        f"sigma of character block {xi} differs at elements {k[0]} and {h}",
+                    )
+    return None
+
+
+def _full_loop_induced(g, classes):
+    """induced_character_partition with every class sum at every character,
+    as (partition, None) or (None, error text)."""
+    columns = [g.sigma_keys(b, range(g.order)) for b in classes.blocks]
+    sigs = {}
+    for c, sig in enumerate(zip(*columns)):
+        sigs.setdefault(sig, []).append(c)
+    part = Partition.from_blocks(sigs.values(), g.order)
+    if len(part) != len(classes):
+        return None, (
+            f"induced partition has {len(part)} blocks for {len(classes)} classes; "
+            "the class partition is not convolution-closed"
+        )
+    return part, None
+
+
+def _induced(g, classes):
+    try:
+        return induced_character_partition(g, classes), None
+    except RuntimeError as exc:
+        return None, str(exc)
+
+
+def _moved(part, rng):
+    """part with one nonidentity element moved into another nonidentity block,
+    or None when there are fewer than two such blocks."""
+    blocks = [list(b) for b in part.blocks if b != (0,)]
+    if len(blocks) < 2:
+        return None
+    src, dst = rng.sample(range(len(blocks)), 2)
+    x = rng.choice(blocks[src])
+    blocks[src].remove(x)
+    blocks[dst].append(x)
+    return Partition.from_blocks([(0,)] + [b for b in blocks if b], part.size)
+
+
+def _random_partition(rng, n, k):
+    """k blocks: the identity alone and the rest spread over k - 1 blocks."""
+    rest = list(range(1, n))
+    rng.shuffle(rest)
+    blocks = [[x] for x in rest[: k - 1]]
+    for x in rest[k - 1 :]:
+        rng.choice(blocks).append(x)
+    return Partition.from_blocks([(0,)] + blocks, n)
+
+
+def _random_invariant_partition(rng, g):
+    """A partition fixed by the multipliers: the orbits of a random subgroup
+    <r^j> of them, joined along a few random pairs and all their images."""
+    n, p = g.order, g.p
+    powers = [tuple(range(n))]
+    for _ in range(p - 2):
+        powers.append(tuple(g.multiplier_perm[i] for i in powers[-1]))
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        parent[find(x)] = find(y)
+
+    j = rng.choice([j for j in range(1, p) if (p - 1) % j == 0])
+    for x in range(n):
+        union(x, powers[j % (p - 1)][x])
+    for _ in range(rng.randrange(4)):
+        x, y = rng.sample(range(1, n), 2)
+        for q in powers:
+            union(q[x], q[y])
+    blocks = {}
+    for x in range(n):
+        blocks.setdefault(find(x), []).append(x)
+    return Partition.from_blocks(blocks.values(), n)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_multiplier_kernel_matches_full_loop(p):
+    rng = random.Random(1000 + p)
+    tally = {"invariant valid": 0, "invariant invalid": 0, "not invariant": 0,
+             "induced error": 0}
+    for g in (GroupSpec.cp(p), GroupSpec.cp_c2(p), GroupSpec.cp_c2_c2(p)):
+        n, perm = g.order, g.multiplier_perm
+        theories = [rec.theory for rec in all_theories(g)]
+        pairs = []  # (classes, charparts) to verify
+        class_sides = []  # class partitions to complete
+        for t in theories:
+            pairs.append((t.classes, t.charparts))
+            class_sides += [t.classes, t.charparts]
+            for side in (0, 1):
+                moved = _moved((t.classes, t.charparts)[side], rng)
+                if moved is not None:
+                    pairs.append((moved, t.charparts) if side == 0 else (t.classes, moved))
+                    class_sides.append(moved)
+        by_len = {}
+        for t in theories:
+            by_len.setdefault(len(t.classes), []).append(t)
+        for group in by_len.values():
+            for t1, t2 in zip(group, group[1:] + group[:1]):
+                pairs.append((t1.classes, t2.charparts))
+        for _ in range(40):
+            k = rng.randrange(2, n + 1)
+            classes = _random_partition(rng, n, k)
+            pairs.append((classes, _random_partition(rng, n, k)))
+            class_sides.append(classes)
+        invariant = {}
+        for _ in range(60):
+            part = _random_invariant_partition(rng, g)
+            invariant.setdefault(len(part), []).append(part)
+            class_sides.append(part)
+        for group in invariant.values():
+            pairs += list(zip(group, group[1:]))
+
+        for classes, charparts in pairs:
+            t = Theory(g, classes, charparts)
+            got = verify(t)
+            assert got == _full_loop_verify(t), (classes, charparts)
+            if not (_invariant(classes, perm) and _invariant(charparts, perm)):
+                tally["not invariant"] += 1
+            elif got is None:
+                tally["invariant valid"] += 1
+            else:
+                tally["invariant invalid"] += 1
+        for classes in class_sides:
+            got = _induced(g, classes)
+            assert got == _full_loop_induced(g, classes), classes
+            tally["induced error"] += got[1] is not None
+    assert all(count >= 20 for count in tally.values()), tally
