@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from .bruteforce import BudgetExhaustedError, brute_force_enumerate
 from .constructions import (
@@ -73,19 +74,18 @@ def _open_out(path: str | None):
 
 
 def _read_records(path: str | None) -> list[TheoryRecord]:
-    if path is None or path == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+    """Parse JSONL records line by line, skipping blank lines; a bad record
+    raises ValueError naming its 1-based line number."""
+    stdin = path is None or path == "-"
     records = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(theory_from_json(json.loads(line)))
-        except ValueError as e:
-            raise ValueError(f"line {lineno}: {e}") from None
+    with nullcontext(sys.stdin) if stdin else open(path, encoding="utf-8") as lines:
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                records.append(theory_from_json(json.loads(line.rstrip("\r\n"))))
+            except ValueError as e:
+                raise ValueError(f"line {lineno}: {e}") from None
     return records
 
 

@@ -735,7 +735,15 @@ def _subgroup_lattice(table) -> dict[int, tuple[int, ...]]:
     one is reached.  A join K = <H, x> adds right cosets H y until each
     coset representative times each generator stays inside (Dimino's
     method), O(|K| + [K:H] * gens) table lookups; once K holds more than
-    half the group it is the group."""
+    half the group it is the group.
+
+    Unless the cyclic generators all commute, only one subgroup per
+    conjugacy class is extended: each new join is queued, and its orbit
+    under conjugation by a subset of the cyclic generators that generates
+    the group is recorded without being queued.  Since
+    g<H, c>g^-1 = <gHg^-1, gcg^-1> and gcg^-1 again generates a cyclic
+    subgroup of prime-power order, the joins of a conjugate are conjugates
+    of joins, and every subgroup is still reached."""
     n = len(table)
     e = next(i for i in range(n) if table[i][i] == i)
     cyclic: dict[int, int] = {}  # member mask -> least generator
@@ -746,10 +754,11 @@ def _subgroup_lattice(table) -> dict[int, tuple[int, ...]]:
             y = table[y][x]
         if x != e and _is_prime_power(mask.bit_count()):
             cyclic.setdefault(mask, x)
-    found = {1 << e: ((e,), ())}  # mask -> (members, generators)
-    queue = [1 << e]
-    for h in queue:
-        members, gens = found[h]
+    conjugations = _conjugations(table, e, list(cyclic.values()))
+    found = {1 << e: (e,)}
+    queue = [(1 << e, ())]
+    for h, gens in queue:
+        members = found[h]
         for c, x in cyclic.items():
             if not c & ~h:
                 continue
@@ -765,10 +774,43 @@ def _subgroup_lattice(table) -> dict[int, tuple[int, ...]]:
                 if 2 * len(members) * len(reps) > n:
                     k = (1 << n) - 1
                     break
-            if k not in found:
-                found[k] = (tuple(i for i in range(n) if k >> i & 1), k_gens)
-                queue.append(k)
-    return {k: members for k, (members, _) in found.items()}
+            if k in found:
+                continue
+            found[k] = tuple(i for i in range(n) if k >> i & 1)
+            queue.append((k, k_gens))
+            orbit = [k]
+            for m in orbit:
+                for conj in conjugations:
+                    image = sorted(conj[y] for y in found[m])
+                    mask = sum(1 << y for y in image)
+                    if mask not in found:
+                        found[mask] = tuple(image)
+                        orbit.append(mask)
+    return found
+
+
+def _conjugations(table, e: int, gens: list[int]) -> list[list[int]]:
+    """The maps y -> x y x^-1 for the x of a greedy subset of gens that
+    generates what gens generate; none when gens commute pairwise."""
+    if all(table[x][y] == table[y][x] for x in gens for y in gens):
+        return []
+    out = []
+    reached, chosen = 1 << e, []
+    for x in gens:
+        if reached >> x & 1:
+            continue
+        chosen.append(x)
+        stack = [i for i in range(len(table)) if reached >> i & 1]
+        while stack:
+            y = stack.pop()
+            for s in chosen:
+                z = table[y][s]
+                if not reached >> z & 1:
+                    reached |= 1 << z
+                    stack.append(z)
+        inv = table[x].index(e)
+        out.append([table[table[x][y]][inv] for y in range(len(table))])
+    return out
 
 
 def _is_prime_power(n: int) -> bool:

@@ -2,24 +2,51 @@
 
 from __future__ import annotations
 
-from .theories import TheoryRecord, refines, sort_key
+from .theories import TheoryRecord, sort_key
 
 
 def refinement_edges(theories) -> list[tuple[int, int]]:
     """Covering pairs (i, j): theory i refines theory j with nothing strictly
-    between; indices follow the canonical (block count, key) order."""
+    between; indices follow the canonical (block count, key) order.
+
+    Each theory's class blocks are int bitmasks, and cell[x] is the mask of
+    the block holding x.  Theory i refines j (the relation of
+    theories.refines, taken over i != j) when every block mask m of i, with
+    least member x, has m & ~cell_j[x] == 0; a j with more blocks than i
+    cannot be refined by i and is skipped.  The pairs form int bitsets
+    up[i], and the covers of i are up[i] minus every up[k] with k in up[i].
+    Raises ValueError when the theories live on different groups."""
     ts = sorted(theories, key=sort_key)
-    n = len(ts)
-    rel = [
-        [i != j and refines(ts[i], ts[j]) for j in range(n)]
-        for i in range(n)
-    ]
+    if any(t.group != ts[0].group for t in ts):
+        raise ValueError("theories live on different groups")
+    masks, cells = [], []
+    for t in ts:
+        ms = [sum(1 << x for x in b) for b in t.classes.blocks]
+        masks.append([(b[0], m) for b, m in zip(t.classes.blocks, ms)])
+        cells.append([ms[k] for k in t.classes.block_of])
+    up = []
+    for i, blocks in enumerate(masks):
+        bits = 0
+        for j, cell in enumerate(cells):
+            if j != i and len(masks[j]) <= len(blocks) and all(
+                    not m & ~cell[x] for x, m in blocks):
+                bits |= 1 << j
+        up.append(bits)
     edges = []
-    for i in range(n):
-        for j in range(n):
-            if rel[i][j] and not any(rel[i][k] and rel[k][j] for k in range(n)):
-                edges.append((i, j))
+    for i, bits in enumerate(up):
+        above = 0
+        for k in _bits(bits):
+            above |= up[k]
+        edges.extend((i, j) for j in _bits(bits & ~above))
     return edges
+
+
+def _bits(mask: int):
+    """The set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _color(tags: set[str]) -> str:

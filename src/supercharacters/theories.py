@@ -383,19 +383,29 @@ def _partition_to_lists(g: GroupSpec, part: Partition) -> list:
 
 
 def _partition_from_lists(g: GroupSpec, data, what: str) -> Partition:
+    """Read a partition stored as lists of exponent vectors.
+
+    Each vector is checked in one pass: a list of len(g.factors) entries
+    ("bad exponent vector" otherwise), every entry a plain int, and the
+    tuple a key of g's exponent-to-index map; a failed type test or a missed
+    key is "exponents out of range".  The type test comes first because
+    True and 1.0 hash like 1 and would be found, and an unhashable entry
+    would raise TypeError."""
     if not isinstance(data, list):
         raise ValueError(f"{what} must be a list of blocks")
+    index, width = g._index, len(g.factors)
     blocks = []
     for b in data:
         if not isinstance(b, list) or not b:
             raise ValueError(f"{what} blocks must be nonempty lists")
         block = []
         for exps in b:
-            if not isinstance(exps, list) or len(exps) != len(g.factors):
+            if not isinstance(exps, list) or len(exps) != width:
                 raise ValueError(f"bad exponent vector {exps!r} in {what}")
-            if any(not _is_int(e) or not 0 <= e < f for e, f in zip(exps, g.factors)):
+            i = index.get(tuple(exps)) if all(type(e) is int for e in exps) else None
+            if i is None:
                 raise ValueError(f"exponents out of range in {what}: {exps!r}")
-            block.append(g.index_of(exps))
+            block.append(i)
         blocks.append(block)
     return Partition.from_blocks(blocks, g.order)
 

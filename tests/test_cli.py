@@ -186,6 +186,20 @@ def test_bad_inputs_exit_4(tmp_path, capsys):
     assert code == 4 and "line 1" in err
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_bad_record_after_blank_line_names_its_line(tmp_path, capsys, monkeypatch, source):
+    cli.main(["enumerate", "--group", "klein"])
+    good = capsys.readouterr().out.splitlines()
+    text = "\n".join([good[0], "", good[1][:-1], good[2]]) + "\n"
+    path = tmp_path / "gap.jsonl"
+    path.write_text(text)
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, ["verify"] + ([str(path)] if source == "file" else []))
+    assert code == 4 and out == ""
+    assert err.startswith("error: line 3: ") and err.count("\n") == 1
+
+
 def test_usage_errors_exit_4(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["enumerate", "--group", "frobnicate"])
@@ -220,7 +234,11 @@ _TRIVIAL_BLOCKS = '"superclasses":[[[0,0,0]]],"character_classes":[[[0,0,0]]]'
     ('{"group":{"family":"Cp","p":15},"superclasses":[[[0]]],'
      '"character_classes":[[[0]]]}',
      "prime"),
-], ids=["string-p", "bool-p", "bool-exponent", "huge-p", "nonprime-p"])
+    # 1.0 hashes like 1, so only a type test before the lookup rejects it
+    ('{"group":{"family":"Klein"},"superclasses":[[[0,0]],'
+     '[[1.0,0],[0,1],[1,1]]],"character_classes":[[[0,0]],[[1,0],[0,1],[1,1]]]}',
+     "exponents out of range in superclasses: [1.0, 0]"),
+], ids=["string-p", "bool-p", "bool-exponent", "huge-p", "nonprime-p", "float-exponent"])
 def test_hostile_records_exit_4(tmp_path, capsys, line, reason):
     path = tmp_path / "hostile.jsonl"
     path.write_text(line + "\n")

@@ -12,7 +12,7 @@ from supercharacters import (
     aut_generating_subset,
     close_aut_set,
 )
-from supercharacters.groups import _perm_table, _subgroup_lattice
+from supercharacters.groups import _gl2_table, _perm_table, _subgroup_lattice
 
 
 def test_family_construction():
@@ -505,6 +505,118 @@ def test_subgroup_lattice_of_cyclic_groups():
         lattice = _subgroup_lattice(table)
         assert sorted(len(m) for m in lattice.values()) == [
             d for d in range(1, n + 1) if n % d == 0], n
+
+
+def _lattice_without_conjugation(table):
+    """_subgroup_lattice as it read before the conjugacy-class step: every
+    join found is queued and extended by every cyclic subgroup of
+    prime-power order."""
+    n = len(table)
+    e = next(i for i in range(n) if table[i][i] == i)
+    cyclic = {}
+    for x in range(n):
+        mask, y = 1 << e, x
+        while y != e:
+            mask |= 1 << y
+            y = table[y][x]
+        if x != e and len(_prime_divisors(mask.bit_count())) == 1:
+            cyclic.setdefault(mask, x)
+    found = {1 << e: ((e,), ())}
+    queue = [1 << e]
+    for h in queue:
+        members, gens = found[h]
+        for c, x in cyclic.items():
+            if not c & ~h:
+                continue
+            k_gens = gens + (x,)
+            k, reps = h, [e]
+            for r in reps:
+                for s in k_gens:
+                    y = table[r][s]
+                    if not k >> y & 1:
+                        reps.append(y)
+                        for z in members:
+                            k |= 1 << table[z][y]
+                if 2 * len(members) * len(reps) > n:
+                    k = (1 << n) - 1
+                    break
+            if k not in found:
+                found[k] = (tuple(i for i in range(n) if k >> i & 1), k_gens)
+                queue.append(k)
+    return {k: members for k, (members, _) in found.items()}
+
+
+def _prime_divisors(n):
+    return {q for q in range(2, n + 1) if n % q == 0
+            and all(q % r for r in range(2, q))}
+
+
+def _dihedral_8_table():
+    rotation, flip = (1, 2, 3, 0), (0, 3, 2, 1)
+    return _perm_table(sorted(_perm_closure([rotation, flip], 4)))
+
+
+def _quaternion_table():
+    # index 4 * s + u is (-1)^s times the unit u of 1, i, j, k
+    units = {(0, 0): (0, 0), (1, 1): (1, 0), (2, 2): (1, 0), (3, 3): (1, 0),
+             (1, 2): (0, 3), (2, 3): (0, 1), (3, 1): (0, 2),
+             (2, 1): (1, 3), (3, 2): (1, 1), (1, 3): (1, 2)}
+    for u in range(4):
+        units[(0, u)] = units[(u, 0)] = (0, u)
+
+    def mul(a, b):
+        sign, unit = units[(a % 4, b % 4)]
+        return 4 * ((a // 4 + b // 4 + sign) % 2) + unit
+
+    return [[mul(a, b) for b in range(8)] for a in range(8)]
+
+
+def _aut_table(p):
+    return _perm_table([a.perm for a in GroupSpec.cp_c2_c2(p).aut_group()])
+
+
+@pytest.mark.parametrize("table", [
+    pytest.param(_gl2_table(3), id="GL(3,2)"),
+    pytest.param(_gl2_table(2), id="GL(2,2)"),
+    pytest.param(_dihedral_8_table(), id="D_4"),
+    pytest.param(_quaternion_table(), id="Q_8"),
+    *(pytest.param(_aut_table(p), id=f"Aut(C_{p}xC_2xC_2)") for p in (3, 7, 13)),
+    *(pytest.param([[(a + b) % n for b in range(n)] for a in range(n)], id=f"Z_{n}")
+      for n in (1, 8, 12, 30)),
+])
+def test_subgroup_lattice_matches_plain_cyclic_extension(table):
+    # extending one subgroup per conjugacy class must find exactly the
+    # subgroups that extending every subgroup finds
+    assert _subgroup_lattice(table) == _lattice_without_conjugation(table)
+
+
+def test_quaternion_and_dihedral_tables_are_groups():
+    for table, orders in ((_quaternion_table(), [1, 2, 4, 4, 4, 8]),
+                          (_dihedral_8_table(), [1, 2, 2, 2, 2, 2, 4, 4, 4, 8])):
+        n = len(table)
+        assert all(sorted(row) == list(range(n)) for row in table)
+        assert all(table[table[a][b]][c] == table[a][table[b][c]]
+                   for a in range(n) for b in range(n) for c in range(n))
+        assert sorted(len(m) for m in _subgroup_lattice(table).values()) == orders
+
+
+class _CountingTable(list):
+    """A product table that counts its row lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, i):
+        self.lookups += 1
+        return super().__getitem__(i)
+
+
+def test_gl32_lattice_extends_one_subgroup_per_class():
+    # GL(3, 2) has 179 subgroups in 15 conjugacy classes; joining only one
+    # per class must take far fewer table lookups than joining them all
+    plain, reduced = _CountingTable(_gl2_table(3)), _CountingTable(_gl2_table(3))
+    assert _subgroup_lattice(reduced) == _lattice_without_conjugation(plain)
+    reduced_lookups, plain_lookups = reduced.lookups, plain.lookups
+    assert 3 * reduced_lookups < plain_lookups
 
 
 def test_gl32_lattice_order_histogram():

@@ -1,5 +1,9 @@
 """Refinement-order edges and DOT rendering."""
 
+import random
+
+import pytest
+
 from supercharacters import GroupSpec, all_theories, refines
 from supercharacters.lattice import _color, lattice_dot, refinement_edges
 from supercharacters.theories import sort_key
@@ -30,6 +34,46 @@ def test_edges_are_covers():
             if k in (i, j):
                 continue
             assert not (refines(ts[i], ts[k]) and refines(ts[k], ts[j]))
+
+
+def _covers_by_refines(ts):
+    """Covering pairs from the pairwise predicate: i refines j, i != j, and
+    no k with i refining k and k refining j."""
+    n = len(ts)
+    up = [{j for j in range(n) if j != i and refines(ts[i], ts[j])} for i in range(n)]
+    down = [{i for i in range(n) if j in up[i]} for j in range(n)]
+    return [(i, j) for i in range(n) for j in sorted(up[i]) if not up[i] & down[j]]
+
+
+@pytest.fixture(scope="module")
+def cp_c2_c2_13_theories():
+    return [r.theory for r in all_theories(GroupSpec.cp_c2_c2(13))]
+
+
+def test_edges_match_pairwise_refines(cp_c2_c2_13_theories):
+    ts = sorted(cp_c2_c2_13_theories, key=sort_key)
+    assert len(ts) == 211
+    assert refinement_edges(ts) == _covers_by_refines(ts)
+
+
+def test_edges_with_a_duplicate_in_shuffled_order(cp_c2_c2_13_theories):
+    # two copies of one theory refine each other: they cover each other and
+    # every pair through them has the other copy strictly between
+    rng = random.Random(13)
+    ts = cp_c2_c2_13_theories + [cp_c2_c2_13_theories[57]]
+    rng.shuffle(ts)
+    edges = refinement_edges(ts)
+    assert edges == _covers_by_refines(sorted(ts, key=sort_key))
+    copies = [i for i, t in enumerate(sorted(ts, key=sort_key))
+              if t == cp_c2_c2_13_theories[57]]
+    assert (copies[0], copies[1]) in edges and (copies[1], copies[0]) in edges
+
+
+def test_edges_reject_mixed_groups():
+    ts = [r.theory for r in all_theories(GroupSpec.klein())]
+    ts += [r.theory for r in all_theories(GroupSpec.cp(3))]
+    with pytest.raises(ValueError, match="theories live on different groups"):
+        refinement_edges(ts)
 
 
 def test_dot_output_shape():

@@ -226,6 +226,30 @@ def test_json_rejects_malformed(mutate):
         theory_from_json(d)
 
 
+@pytest.mark.parametrize("exps,message", [
+    ([True, 0, 1], "exponents out of range in superclasses: [True, 0, 1]"),
+    ([1.0, 0, 1], "exponents out of range in superclasses: [1.0, 0, 1]"),
+    ([-1, 0, 1], "exponents out of range in superclasses: [-1, 0, 1]"),
+    ([3, 0, 1], "exponents out of range in superclasses: [3, 0, 1]"),
+    (["1", 0, 1], "exponents out of range in superclasses: ['1', 0, 1]"),
+    ([[1], 0, 1], "exponents out of range in superclasses: [[1], 0, 1]"),
+    ([None, 0, 1], "exponents out of range in superclasses: [None, 0, 1]"),
+    ([{}, 0, 1], "exponents out of range in superclasses: [{}, 0, 1]"),
+    ("ab", "bad exponent vector 'ab' in superclasses"),
+    ([0, 1], "bad exponent vector [0, 1] in superclasses"),
+    (None, "bad exponent vector None in superclasses"),
+], ids=["true", "float", "negative", "too-large", "string", "list", "null",
+        "object", "string-vector", "short-vector", "null-vector"])
+def test_json_rejects_malformed_exponents(exps, message):
+    # bools and floats equal to an exponent hash like it, and lists and
+    # objects are unhashable: each must be rejected before any lookup
+    d = theory_to_json(maximal_theory(GroupSpec.cp_c2_c2(3)))
+    d["superclasses"][1][0] = exps
+    with pytest.raises(ValueError) as info:
+        theory_from_json(d)
+    assert str(info.value) == message
+
+
 def test_theory_size_mismatch():
     g = GroupSpec.cp(5)
     with pytest.raises(ValueError):
