@@ -63,15 +63,17 @@ print("\nwedge over an order-10 subgroup, class sizes:",
       [len(b) for b in t_wedge.classes.blocks])
 
 # --- recognition --------------------------------------------------------
-# The decomposition helpers run the recipes in reverse: given a bare theory
-# they search for automorphism generators, complementary-pair splittings,
-# and wedge subgroups that reproduce it.
+# The decomposition helpers recognize the recipes from the class partition
+# alone: an index of orbit theories gives automorphism generators, and the
+# shape of the classes gives the complementary pairs the theory splits over
+# (every class a product of a class in each factor) and the wedge subgroups
+# (every class outside the subgroup a union of its cosets).
 print("\norbit theory recognized from generators:",
       automorphism_witness(t_orbit) is not None)
 print("product theory splits over",
       [(h1.order, h2.order) for h1, h2 in direct_decompositions(t_prod)])
 print("wedge theory decomposes over subgroup orders",
-      [w.n.order for w in wedge_decompositions(t_wedge)])
+      [w.order for w in wedge_decompositions(t_wedge)])
 
 # Wedges travel in pairs: a theory is a wedge exactly when its dual is.
 print("dual of the wedge is itself a wedge:",

@@ -26,7 +26,9 @@ from .theories import (
     TheoryRecord,
     canonical_key,
     dual,
+    require_valid,
     sort_key,
+    theory_from_classes,
     theory_from_json,
     theory_to_json,
     verify,
@@ -74,8 +76,9 @@ def _open_out(path: str | None):
 
 
 def _read_records(path: str | None) -> list[TheoryRecord]:
-    """Parse JSONL records line by line, skipping blank lines; a bad record
-    raises ValueError naming its 1-based line number."""
+    """Parse JSONL records line by line, skipping blank lines; a bad record,
+    including one nested too deep for the JSON decoder, raises ValueError
+    naming its 1-based line number."""
     stdin = path is None or path == "-"
     records = []
     with nullcontext(sys.stdin) if stdin else open(path, encoding="utf-8") as lines:
@@ -84,7 +87,7 @@ def _read_records(path: str | None) -> list[TheoryRecord]:
                 continue
             try:
                 records.append(theory_from_json(json.loads(line.rstrip("\r\n"))))
-            except ValueError as e:
+            except (ValueError, RecursionError) as e:
                 raise ValueError(f"line {lineno}: {e}") from None
     return records
 
@@ -156,6 +159,12 @@ def _classify_one(t) -> tuple[set[str], dict]:
     if gens is not None:
         tags.add("automorphic")
         witness["aut"] = [[list(i) for i in a.gen_images] for a in gens]
+    # the shape tests below assume that the class partition completes to a
+    # theory; a record whose partition does not gets no direct or wedge tag
+    try:
+        require_valid(theory_from_classes(t.group, t.classes), "class partition")
+    except RuntimeError:
+        return tags, witness
     pairs = direct_decompositions(t)
     if pairs:
         h1, h2 = pairs[0]
@@ -164,7 +173,7 @@ def _classify_one(t) -> tuple[set[str], dict]:
     wedges = wedge_decompositions(t)
     if wedges:
         tags.add("wedge")
-        witness["wedge"] = {"N": wedges[0].n.generator_exps()}
+        witness["wedge"] = {"N": wedges[0].generator_exps()}
     return tags, witness
 
 

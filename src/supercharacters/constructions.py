@@ -15,7 +15,6 @@ from .theories import (
     canonical_key,
     invariant_subgroups,
     require_valid,
-    restriction,
     theory_from_classes,
 )
 
@@ -216,56 +215,46 @@ def automorphism_witness(t: Theory) -> tuple[AutMap, ...] | None:
 
 
 def direct_decompositions(t: Theory) -> list[tuple[Subgroup, Subgroup]]:
-    """Complementary pairs of invariant subgroups over which t equals the
-    direct product of its own restrictions."""
+    """Complementary pairs (H1, H2) of invariant subgroups over which t is the
+    direct product of its restrictions: there are as many classes as pairs
+    of a class inside H1 and a class inside H2, and every product K1*K2
+    lies in one class (Hendrickson's characterisation by Schur rings).
+
+    Assumes that t's class partition completes to a theory; the restrictions
+    are then theories too, so nothing needs rebuilding.  The products K1*K2
+    cover G once each, so a pair costs O(|G|)."""
     g = t.group
-    key = canonical_key(t)
-    invariant = {s.members for s in invariant_subgroups(t)}
+    blocks, block_of = t.classes.blocks, t.classes.block_of
+    inside = {h.members: [blocks[b] for b in {block_of[i] for i in h.members}]
+              for h in invariant_subgroups(t)}
     out = []
     for h1, h2 in g.complementary_pairs():
-        if h1.members not in invariant or h2.members not in invariant:
+        k1, k2 = inside.get(h1.members), inside.get(h2.members)
+        if k1 is None or k2 is None or len(k1) * len(k2) != len(blocks):
             continue
-        try:
-            back = direct_product(restriction(t, h1), restriction(t, h2), h1, h2)
-        except RuntimeError:
-            continue
-        if canonical_key(back) == key:
+        if all(len({block_of[g.mul_idx(x, y)] for x in a for y in b}) == 1
+               for a in k1 for b in k2):
             out.append((h1, h2))
     return out
 
 
-def wedge_decompositions(t: Theory) -> list[WedgeSpec]:
-    """All wedge data (subgroup, inner and outer theories) that rebuild t."""
+def wedge_decompositions(t: Theory) -> list[Subgroup]:
+    """Proper nontrivial invariant subgroups N over which t is a wedge: every
+    class outside N is a union of N-cosets (Leung and Man's wedge product of
+    Schur rings).
+
+    Assumes that t's class partition completes to a theory; the classes
+    inside N and the images in G/N of those outside it are then theories of
+    N and of G/N, so nothing needs rebuilding."""
     g = t.group
-    key = canonical_key(t)
     out = []
     for n in invariant_subgroups(t):
         if not 1 < n.order < g.order:
             continue
         nset = set(n.members)
-        q = g.quotient(n)
-        proj = q.projection
-        outer_blocks = [(0,)]
-        fits = True
-        for b in t.classes.blocks:
-            if set(b) <= nset:
-                continue
-            images = {proj[i] for i in b}
-            if len(b) != len(images) * n.order:
-                fits = False
-                break
-            outer_blocks.append(tuple(sorted(images)))
-        if not fits:
-            continue
-        try:
-            inner = restriction(t, n)
-            outer = theory_from_classes(
-                q.group, Partition.from_blocks(outer_blocks, q.group.order)
-            )
-            ws = WedgeSpec(n, inner, outer)
-            back = wedge(ws)
-        except RuntimeError:
-            continue
-        if canonical_key(back) == key:
-            out.append(ws)
+        proj = g.quotient(n).projection
+        # a class outside N is a union of N-cosets when it fills the cosets it meets
+        if all(b[0] in nset or len(b) == len({proj[i] for i in b}) * n.order
+               for b in t.classes.blocks):
+            out.append(n)
     return out

@@ -343,9 +343,11 @@ class GroupSpec:
                 for space in _subgroup_lattice(xor).values() for p_part in p_parts]
         return tuple(sorted(subs, key=lambda h: (h.order, h.members)))
 
+    @lru_cache(maxsize=None)
     def complementary_pairs(self) -> tuple[tuple["Subgroup", "Subgroup"], ...]:
         """Unordered pairs of proper nontrivial subgroups that intersect trivially
-        and jointly generate the group; the larger factor is listed first."""
+        and jointly generate the group; the larger factor is listed first.
+        Computed once per group."""
         subs = [h for h in self.all_subgroups if 1 < h.order < self.order]
         pairs = []
         for i, h1 in enumerate(subs):

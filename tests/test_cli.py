@@ -6,7 +6,15 @@ import json
 
 import pytest
 
-from supercharacters import cli
+from supercharacters import (
+    Partition,
+    Theory,
+    canonical_key,
+    cli,
+    direct_decompositions,
+    theory_to_json,
+    wedge_decompositions,
+)
 
 
 def run(capsys, argv):
@@ -238,7 +246,10 @@ _TRIVIAL_BLOCKS = '"superclasses":[[[0,0,0]]],"character_classes":[[[0,0,0]]]'
     ('{"group":{"family":"Klein"},"superclasses":[[[0,0]],'
      '[[1.0,0],[0,1],[1,1]]],"character_classes":[[[0,0]],[[1,0],[0,1],[1,1]]]}',
      "exponents out of range in superclasses: [1.0, 0]"),
-], ids=["string-p", "bool-p", "bool-exponent", "huge-p", "nonprime-p", "float-exponent"])
+    # json.loads raises RecursionError, not ValueError, on deep nesting
+    ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+], ids=["string-p", "bool-p", "bool-exponent", "huge-p", "nonprime-p", "float-exponent",
+        "deep-nesting"])
 def test_hostile_records_exit_4(tmp_path, capsys, line, reason):
     path = tmp_path / "hostile.jsonl"
     path.write_text(line + "\n")
@@ -297,3 +308,49 @@ def test_classify_output_is_pinned(tmp_path, capsys, group, p):
     code, out, _ = run(capsys, ["classify", str(path)])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_SHA256[(group, p)]
+
+
+def _damaged(part: Partition) -> list[Partition]:
+    """Fixed damage to a class partition: the last element of the last class
+    moved into the class before it, the last two classes merged, and the
+    identity merged into the next class."""
+    blocks = [list(b) for b in part.blocks]
+    out = []
+    if len(blocks) >= 3:
+        if len(blocks[-1]) > 1:
+            out.append(blocks[:-2] + [blocks[-2] + blocks[-1][-1:], blocks[-1][:-1]])
+        out.append(blocks[:-2] + [blocks[-2] + blocks[-1]])
+    if len(blocks) >= 2:
+        out.append([blocks[0] + blocks[1]] + blocks[2:])
+    return [Partition.from_blocks(b, part.size) for b in out]
+
+
+# sha256 of `classify` stdout on the damaged records below, recorded from the
+# code that rebuilt every direct product and wedge before tagging it.
+DAMAGED_CLASSIFY_SHA256 = "395bad9c0d5965d95362af9eafaf3cc9cb0b9a1cb0523cea873e2233cc105715"
+
+
+def test_classify_tags_no_construction_on_damaged_classes(tmp_path, capsys, records_by_p):
+    records = records_by_p[3][0]
+    keys = {canonical_key(rec.theory) for rec in records}
+    damaged = []
+    for rec in records:
+        for classes in _damaged(rec.theory.classes):
+            t = Theory(rec.theory.group, classes, rec.theory.charparts)
+            # the enumeration is complete, so a key outside it is not a theory
+            if canonical_key(t) not in keys:
+                damaged.append(t)
+    assert len(damaged) == 166
+    # the partition shape alone would tag some of them
+    assert sum(bool(direct_decompositions(t) or wedge_decompositions(t))
+               for t in damaged) == 36
+    path = tmp_path / "damaged.jsonl"
+    path.write_text("".join(json.dumps(theory_to_json(t)) + "\n" for t in damaged))
+    code, out, _ = run(capsys, ["classify", str(path)])
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == len(damaged)
+    for line in lines:
+        tags = next(f for f in line.split() if f.startswith("tags="))
+        assert not {"direct", "wedge"} & set(tags[len("tags="):].split(","))
+    assert hashlib.sha256(out.encode()).hexdigest() == DAMAGED_CLASSIFY_SHA256

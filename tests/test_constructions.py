@@ -212,7 +212,7 @@ def test_wedge_decompositions_of_wedge_contain_its_subgroup():
     n = next(h for h in g.all_subgroups if h.order == 6)
     emb, quot = g.subgroup_embedding(n), g.quotient(n)
     t = wedge(WedgeSpec(n, minimal_theory(emb.group), minimal_theory(quot.group)))
-    assert n.members in {ws.n.members for ws in wedge_decompositions(t)}
+    assert n.members in {h.members for h in wedge_decompositions(t)}
 
 
 def _linear_witness(t, candidates):

@@ -9,22 +9,23 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# 04 (counting table through p = 19) takes several seconds and is left out.
 QUICK_DEMOS = [
     "01_cyclotomic_and_characters.py",
     "02_build_verify_dualize.py",
     "03_constructions.py",
+    "04_counting_table.py",
     "05_oracle_crosscheck.py",
     "06_refinement_lattice.py",
 ]
 
 
 @pytest.mark.parametrize("name", QUICK_DEMOS)
-def test_demo_runs(name):
+def test_demo_runs(name, tmp_path):
+    # in a scratch directory, since demo 06 writes refinement.dot to its cwd
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / name)],
-        env=env, cwd=ROOT, capture_output=True, text=True, timeout=120,
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
