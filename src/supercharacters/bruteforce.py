@@ -23,7 +23,8 @@ inverse map is one of them.  For 2-groups U is trivial and the candidates
 are all subsets of the allowed elements.
 
 One search node is a completed block placement that passed all checks.  With
-a budget, the search raises once it would exceed that many nodes.
+a budget, the search raises once it would exceed that many nodes; a budget
+below 1 is refused as bad input.
 """
 
 from __future__ import annotations
@@ -90,6 +91,8 @@ def _orbit_plan(g: GroupSpec):
 
 def _search(g: GroupSpec, budget: int | None, emit) -> None:
     n = g.order
+    if budget is not None and budget < 1:
+        raise ValueError(f"search budget must be at least 1, got {budget}")
     if n > EXHAUSTIVE_LIMIT and budget is None:
         raise ValueError(
             f"|G| = {n} exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}; pass a budget"

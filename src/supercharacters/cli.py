@@ -159,12 +159,14 @@ def _classify_one(t) -> tuple[set[str], dict]:
     if gens is not None:
         tags.add("automorphic")
         witness["aut"] = [[list(i) for i in a.gen_images] for a in gens]
-    # the shape tests below assume that the class partition completes to a
-    # theory; a record whose partition does not gets no direct or wedge tag
-    try:
-        require_valid(theory_from_classes(t.group, t.classes), "class partition")
-    except RuntimeError:
-        return tags, witness
+    else:
+        # the shape tests below assume that the class partition completes to
+        # a theory, as an orbit theory's does; a record whose partition does
+        # not gets no direct or wedge tag
+        try:
+            require_valid(theory_from_classes(t.group, t.classes), "class partition")
+        except RuntimeError:
+            return tags, witness
     pairs = direct_decompositions(t)
     if pairs:
         h1, h2 = pairs[0]

@@ -300,7 +300,7 @@ class GroupSpec:
         for i in members:
             if i not in generated:
                 gens.append(i)
-                generated = self._close(gens)
+                generated = _close(self.mul_idx, generated, gens)
         # the greedy generators generate a subgroup holding every member, so
         # it equals the member set exactly when that set is closed
         extra = generated.difference(members)
@@ -308,28 +308,8 @@ class GroupSpec:
             raise ValueError(f"not closed under products: generates index {min(extra)}")
         return Subgroup(self, members, tuple(gens))
 
-    def _close(self, gens) -> set[int]:
-        """The subgroup generated by the given element indices, as the products
-        of generators reached from the identity: O(|H| * len(gens)).  In a
-        finite group every inverse is such a product."""
-        gens = tuple(gens)
-        out = {0}
-        queue = [0]
-        while queue:
-            i = queue.pop()
-            for s in gens:
-                k = self.mul_idx(i, s)
-                if k not in out:
-                    out.add(k)
-                    queue.append(k)
-        return out
-
     def generated_subgroup(self, generator_indices) -> "Subgroup":
-        return self.subgroup(self._close(generator_indices))
-
-    def _embed_parts(self, a_exp: int, vec: tuple[int, ...]) -> int:
-        exps = ((a_exp,) if self.p else ()) + vec
-        return self._index[exps]
+        return self.subgroup(_close(self.mul_idx, {0}, generator_indices))
 
     @cached_property
     def all_subgroups(self) -> tuple["Subgroup", ...]:
@@ -413,54 +393,34 @@ def _primitive_root(p: int) -> int:
 @lru_cache(maxsize=None)
 def _gl2_matrices(d: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Invertible d x d matrices over F_2 in lexicographic order."""
-    if d == 0:
-        return ((),)
     out = []
     for bits in itertools.product((0, 1), repeat=d * d):
         mat = tuple(bits[i * d : (i + 1) * d] for i in range(d))
-        if _f2_rank(mat) == d:
+        if len(_f2_basis(int("".join(map(str, row)), 2) for row in mat)) == d:
             out.append(mat)
     return tuple(out)
 
 
-def _f2_rank(mat) -> int:
-    rows = [list(r) for r in mat]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                rows[r] = [a ^ b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+def _f2_basis(vectors) -> list[int]:
+    """Reduced echelon basis of the F_2 span of bit vectors held as ints,
+    by descending leading bit: each leading bit is set in its own vector
+    only.  x ^ b is below x exactly when x has the leading bit of b."""
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis = [min(b, b ^ v) for b in basis] + [v]
+    return sorted(basis, reverse=True)
 
 
-def _f2_rref(vectors) -> tuple[tuple[int, ...], ...]:
-    """Row-reduced echelon basis of the span, rows ordered by pivot column."""
-    rows = [list(v) for v in vectors]
-    basis: list[list[int]] = []
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((r for r in rows if r[col] and all(x == 0 for x in r[:col])), None)
-        if pivot is None:
-            continue
-        basis.append(pivot)
-        rows = [
-            [a ^ b for a, b in zip(r, pivot)] if r[col] else r
-            for r in rows
-            if r is not pivot
-        ]
-    # eliminate above the pivots for canonical rows
-    for i, b in enumerate(basis):
-        col = b.index(1)
-        for j in range(i):
-            if basis[j][col]:
-                basis[j] = [a ^ x for a, x in zip(basis[j], b)]
-    return tuple(tuple(b) for b in basis)
+def _span(basis) -> list[int]:
+    """Every XOR of a subset of basis, at the index whose bits select it,
+    the first vector at the highest bit."""
+    out = [0]
+    for b in basis:
+        out = [x ^ c for x in out for c in (0, b)]
+    return out
 
 
 @dataclass(frozen=True)
@@ -518,76 +478,46 @@ class QuotientMap:
 
 @lru_cache(maxsize=None)
 def _embedding(g: GroupSpec, members: tuple[int, ...]) -> SubgroupEmbedding:
-    mset = set(members)
-    has_p = g.p is not None and any(g.elements[i][0] for i in members)
-    if has_p and g._index[(1,) + (0,) * g.dim2] not in mset:
-        raise ValueError("p part of subgroup does not contain the generator")
-    two_vecs = [
-        g.elements[i][1 if g.p else 0 :]
-        for i in members
-        if (g.p is None or g.elements[i][0] == 0) and any(g.elements[i])
-    ]
-    basis = _f2_rref(two_vecs) if two_vecs else ()
-    factors = ((g.p,) if has_p else ()) + (2,) * len(basis)
-    sub = GroupSpec.of(factors)
-    to_parent = []
-    for exps in sub.elements:
-        a_exp = exps[0] if has_p else 0
-        vec_bits = exps[1 if has_p else 0 :]
-        vec = [0] * g.dim2
-        for bit, bvec in zip(vec_bits, basis):
-            if bit:
-                vec = [x ^ y for x, y in zip(vec, bvec)]
-        idx = g._embed_parts(a_exp if g.p else 0, tuple(vec))
-        to_parent.append(idx)
-    if set(to_parent) != mset:
+    """The subgroup P x W (P the p part, W a subspace of F_2^d) as a group of
+    its own: C_p if P is all of Z_p, times one C_2 per row of the reduced
+    echelon basis of W.  Its index a << k | t maps to a << d | (XOR of the
+    rows that the k bits of t select, the first row at the top bit)."""
+    p, d, mask = g._split
+    space = [i for i in members if i <= mask]
+    basis = _f2_basis(space)
+    has_p = len(space) < len(members)
+    sub = GroupSpec.of(((p,) if has_p else ()) + (2,) * len(basis))
+    to_parent = tuple(a << d | v for a in range(p if has_p else 1) for v in _span(basis))
+    if sorted(to_parent) != list(members):
         raise ValueError("embedding does not cover the subgroup")
-    return SubgroupEmbedding(g, sub, tuple(to_parent))
+    return SubgroupEmbedding(g, sub, to_parent)
 
 
 @lru_cache(maxsize=None)
 def _quotient(g: GroupSpec, members: tuple[int, ...]) -> QuotientMap:
-    n = g.order
-    rep = [0] * n
-    for i in range(n):
-        rep[i] = min(g.mul_idx(i, j) for j in members)
-    p_survives = g.p is not None and all(g.elements[i][0] == 0 for i in members)
-    two_size_n = sum(1 for i in members if g.p is None or g.elements[i][0] == 0)
-    dim2_q = g.dim2 - (two_size_n.bit_length() - 1)
-    q_spec = GroupSpec.of(((g.p,) if p_survives else ()) + (2,) * dim2_q)
-
-    gen_idx: list[int] = []
+    """G / (P x W): C_p if P is trivial, times one C_2 per vector c_1 < ... <
+    c_k, each the least vector outside the span of W and the earlier ones.
+    Index a << d | v maps to the k bits that select the XOR of the c_j in
+    the coset v + W, the first c_j at the top bit, after a when P is
+    trivial."""
+    p, d, mask = g._split
+    space = [i for i in members if i <= mask]
+    p_survives = p is not None and len(space) == len(members)
+    gens, span = [], set(space)
+    for v in range(mask + 1):
+        if v not in span:
+            gens.append(v)
+            span |= {x ^ v for x in span}
+    coset = [0] * (mask + 1)
+    for t, x in enumerate(_span(gens)):
+        for w in space:
+            coset[x ^ w] = t
+    k = len(gens)
+    q_spec = GroupSpec.of(((p,) if p_survives else ()) + (2,) * k)
     if p_survives:
-        gen_idx.append(g._index[(1,) + (0,) * g.dim2])
-    span = {rep[0]}
-    for i in range(n):
-        if len(gen_idx) == (1 if p_survives else 0) + dim2_q:
-            break
-        exps = g.elements[i]
-        if g.p is not None and exps[0]:
-            continue
-        if rep[i] in span:
-            continue
-        gen_idx.append(i)
-        # re-span over all chosen involution cosets to keep independence exact
-        span = set()
-        for bits in itertools.product((0, 1), repeat=len(gen_idx) - (1 if p_survives else 0)):
-            x = 0
-            for bit, gi in zip(bits, gen_idx[1 if p_survives else 0 :]):
-                if bit:
-                    x = g.mul_idx(x, gi)
-            span.add(rep[x])
-
-    rep_to_q: dict[int, int] = {}
-    for q_i, q_exps in enumerate(q_spec.elements):
-        x = 0
-        for e, gi in zip(q_exps, gen_idx):
-            for _ in range(e):
-                x = g.mul_idx(x, gi)
-        rep_to_q[rep[x]] = q_i
-    if len(rep_to_q) != q_spec.order:
-        raise ValueError("quotient coordinatization failed")
-    projection = tuple(rep_to_q[rep[i]] for i in range(n))
+        projection = tuple(a << k | t for a in range(p) for t in coset)
+    else:
+        projection = tuple(coset) * (p or 1)
     return QuotientMap(g, q_spec, projection)
 
 
@@ -637,9 +567,7 @@ class AutMap:
         alpha(i) = (u * (i >> d) % p) << d | (XOR of the images of the bits)."""
         g = self.group
         images = [g._index[img] for img in self.gen_images]
-        bits = [0]
-        for img in images[len(images) - g.dim2:]:
-            bits = [b ^ c for b in bits for c in (0, img)]
+        bits = _span(images[len(images) - g.dim2:])
         if g.p is None:
             return tuple(bits)
         p, d, u = g.p, g.dim2, images[0] >> g.dim2
@@ -692,31 +620,34 @@ class AutMap:
 
 def close_aut_set(gens) -> tuple[AutMap, ...]:
     """Multiplicative closure of a set of automorphisms, sorted by generator
-    images."""
+    images: _close on the indices of the maps in aut_group(), multiplied by
+    the index arithmetic of subgroups_of_aut()."""
     if not gens:
         raise ValueError("need at least one map to infer the group")
     g = gens[0].group
     if any(a.group != g for a in gens):
         raise ValueError("maps act on different groups")
-    units = [g._index[u] for u in AutMap.identity(g).gen_images]
-    closure = _close_perms([a.perm for a in gens], g.order)
-    maps = [AutMap(g, tuple(g.elements[perm[u]] for u in units)) for perm in closure]
-    return tuple(sorted(maps, key=lambda m: m.gen_images))
+    maps, index, mul, e = _aut_arithmetic(g)
+    closure = _close(mul, {e}, [index[a.gen_images] for a in gens])
+    return tuple(maps[i] for i in sorted(closure))
 
 
-def _close_perms(gens, n: int) -> frozenset[tuple[int, ...]]:
-    """The group of index permutations of range(n) generated by gens."""
-    ident = tuple(range(n))
-    have = {ident}
-    queue = [ident]
+def _close(mul, have, gens) -> set:
+    """The closure of the set `have` under right multiplication by gens,
+    mul(x, s) being the product: from {identity}, the subgroup that gens
+    generate, and from a subgroup inside that, the same.  O(|result| *
+    len(gens)) products; in a finite group every inverse is a product of
+    generators."""
+    out = set(have)
+    queue = list(out)
     while queue:
         x = queue.pop()
-        for a in gens:
-            z = tuple([a[i] for i in x])
-            if z not in have:
-                have.add(z)
+        for s in gens:
+            z = mul(x, s)
+            if z not in out:
+                out.add(z)
                 queue.append(z)
-    return frozenset(have)
+    return out
 
 
 def _perm_table(perms) -> list[list[int]]:
@@ -797,19 +728,12 @@ def _conjugations(table, e: int, gens: list[int]) -> list[list[int]]:
     if all(table[x][y] == table[y][x] for x in gens for y in gens):
         return []
     out = []
-    reached, chosen = 1 << e, []
+    reached, chosen = {e}, []
     for x in gens:
-        if reached >> x & 1:
+        if x in reached:
             continue
         chosen.append(x)
-        stack = [i for i in range(len(table)) if reached >> i & 1]
-        while stack:
-            y = stack.pop()
-            for s in chosen:
-                z = table[y][s]
-                if not reached >> z & 1:
-                    reached |= 1 << z
-                    stack.append(z)
+        reached = _close(lambda y, s: table[y][s], reached, chosen)
         inv = table[x].index(e)
         out.append([table[table[x][y]][inv] for y in range(len(table))])
     return out
@@ -863,19 +787,39 @@ def _cached_aut_subgroups(g: GroupSpec) -> tuple[tuple[AutMap, ...], ...]:
     return tuple(tuple(maps[i] for i in members) for members in lattice)
 
 
+@lru_cache(maxsize=None)
+def _aut_arithmetic(g: GroupSpec) -> tuple:
+    """(aut_group(), generator images -> index in it, product of indices,
+    index of the identity).  With k = |GL(d, 2)|, index (u - 1) * k + a
+    stands for unit u and matrix a, so (u, a)(v, b) has index
+    (u*v % p - 1) * k + gl[a][b]."""
+    maps = g.aut_group()
+    index = {m.gen_images: i for i, m in enumerate(maps)}
+    e = index[AutMap.identity(g).gen_images]
+    gl = _gl2_table(g.dim2)
+    if g.p is None:
+        return maps, index, lambda i, j: gl[i][j], e
+    p, k = g.p, len(gl)
+
+    def mul(i: int, j: int) -> int:
+        return ((i // k + 1) * (j // k + 1) % p - 1) * k + gl[i % k][j % k]
+    return maps, index, mul, e
+
+
 def aut_generating_subset(subgroup: tuple[AutMap, ...]) -> tuple[AutMap, ...]:
-    """A small generating subset of a multiplication-closed set of automorphisms."""
-    nontrivial = [a for a in subgroup if not a.is_identity()]
-    if not nontrivial:
+    """A small generating subset of a multiplication-closed set of
+    automorphisms: in ascending order of generator images, each map not in
+    the closure of those before it, until that closure is the whole set.
+    Closes indices of aut_group() as close_aut_set does."""
+    if not subgroup:
         return ()
-    n = nontrivial[0].group.order
-    gens: list[AutMap] = []
-    have: frozenset[tuple[int, ...]] = frozenset({tuple(range(n))})
-    for a in sorted(nontrivial, key=lambda m: m.gen_images):
-        if a.perm in have:
-            continue
-        gens.append(a)
-        have = _close_perms([m.perm for m in gens], n)
+    maps, index, mul, e = _aut_arithmetic(subgroup[0].group)
+    gens: list[int] = []
+    have = {e}
+    for i in sorted(index[a.gen_images] for a in subgroup):
         if len(have) == len(subgroup):
             break
-    return tuple(gens)
+        if i not in have:
+            gens.append(i)
+            have = _close(mul, have, gens)
+    return tuple(maps[i] for i in gens)

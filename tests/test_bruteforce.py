@@ -106,6 +106,13 @@ def test_budget_exhaustion():
         brute_force_count(GroupSpec.cp_c2_c2(5), budget=50)
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_budget_below_one_is_refused(budget):
+    for search in (brute_force_count, brute_force_enumerate):
+        with pytest.raises(ValueError, match="budget"):
+            search(GroupSpec.klein(), budget=budget)
+
+
 def test_ample_budget_completes():
     assert brute_force_count(GroupSpec.cp_c2(3), budget=10**6) == 7
 

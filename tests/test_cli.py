@@ -7,14 +7,19 @@ import json
 import pytest
 
 from supercharacters import (
+    GroupSpec,
     Partition,
     Theory,
+    aut_generating_subset,
     canonical_key,
     cli,
     direct_decompositions,
+    from_automorphisms,
+    theory_from_json,
     theory_to_json,
     wedge_decompositions,
 )
+from supercharacters import constructions, theories
 
 
 def run(capsys, argv):
@@ -139,6 +144,33 @@ def test_classify_matches_enumeration_tags(tmp_path, capsys):
     assert got == want
 
 
+def test_classify_verifies_each_class_partition_once(tmp_path, capsys, monkeypatch):
+    # the witness index verifies each distinct orbit theory once; an
+    # automorphic record has the classes of one, so only the other records
+    # are completed and verified at the class-partition gate
+    g = GroupSpec.cp_c2_c2(3)
+    path = tmp_path / "theories.jsonl"
+    assert cli.main(["enumerate", "--group", "cpc2c2", "--p", "3", "--out", str(path)]) == 0
+    orbit_keys = {canonical_key(from_automorphisms(g, aut_generating_subset(s)))
+                  for s in g.subgroups_of_aut()}
+    records = [theory_from_json(json.loads(line)) for line in path.read_text().splitlines()]
+    others = sum(canonical_key(rec.theory) not in orbit_keys for rec in records)
+    assert 0 < others < len(records)
+    calls = []
+    verify = theories.verify
+
+    def counting_verify(t):
+        calls.append(t)
+        return verify(t)
+
+    monkeypatch.setattr(theories, "verify", counting_verify)
+    constructions._witness_index.cache_clear()
+    capsys.readouterr()
+    code, _, _ = run(capsys, ["classify", str(path)])
+    assert code == 0
+    assert len(calls) == len(orbit_keys) + others
+
+
 def test_oracle_output(tmp_path, capsys):
     code, out, err = run(capsys, ["oracle", "--group", "klein"])
     assert code == 0
@@ -153,6 +185,9 @@ def test_oracle_budget_codes(capsys):
     assert code == 4 and "budget" in err
     code, _, err = run(capsys, ["oracle", "--group", "cpc2c2", "--p", "13", "--budget", "20"])
     assert code == 5 and "budget exhausted" in err
+    for budget in ("0", "-1"):
+        code, _, err = run(capsys, ["oracle", "--group", "klein", "--budget", budget])
+        assert code == 4 and "budget" in err and len(err.splitlines()) == 1
 
 
 def test_lattice_dot(tmp_path, capsys):

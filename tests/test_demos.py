@@ -1,4 +1,4 @@
-"""The quick demos run to completion as standalone scripts."""
+"""The demos and README's library tour run to completion as standalone scripts."""
 
 import os
 import subprocess
@@ -29,3 +29,18 @@ def test_demo_runs(name, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_readme_library_tour_runs(tmp_path):
+    # the first python block after the "Library tour" heading, so the
+    # documented API cannot drift from the code
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = text[text.index("## Library tour"):]
+    start = tour.index("```python\n") + len("```python\n")
+    code = tour[start:tour.index("```", start)]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -225,6 +225,40 @@ def test_aut_perms_and_subgroups_are_pinned(family):
     assert subs.hexdigest() == subgroup_digest
 
 
+# sha256 over every group of a family (p <= 43) of (members, embedded group,
+# to_parent, quotient group, projection) for each subgroup, recorded from
+# the code that reduced exponent tuples to an echelon basis and found each
+# coset representative as the least product with a member
+_PINNED_EMBEDDINGS = {
+    "trivial": ((GroupSpec.of(()),),
+                "283d017dbb6cd67542f54645304b63b30a2cc005d3ded06a6f88149f27188da8"),
+    "c2": ((GroupSpec.of((2,)),),
+           "2d224c09077eb47e84190b6c7e6a32a3015c4101b1ff1dd14b0469e819e16c84"),
+    "klein": ((GroupSpec.klein(),),
+              "68e6d9a3ad06d304e6ee18b94ed0179f0005de85708f29c0f08ce4e010429b63"),
+    "c2cubed": ((GroupSpec.c2_cubed(),),
+                "5a9f61e1f5f7f3b2e8821201acae5a4f6581aa9973f16c37fe94e8edcf94f1cb"),
+    "cp": (tuple(GroupSpec.cp(p) for p in _PRIMES_TO_43),
+           "8033db104234651a7ed2825b2bb8345e38bda544beee12174de084b86f73b9f0"),
+    "cpc2": (tuple(GroupSpec.cp_c2(p) for p in _PRIMES_TO_43),
+             "ec5fa5ae96c27514a69cc6f77aba95fbd3f69623913919bd77103fb78269801f"),
+    "cpc2c2": (tuple(GroupSpec.cp_c2_c2(p) for p in _PRIMES_TO_43),
+               "5552b42888bd7ef42f024cb2f0d88ca935ccfc2d6271c34b3e7178c28bf497b4"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_PINNED_EMBEDDINGS))
+def test_embeddings_and_quotients_are_pinned(family):
+    groups, digest = _PINNED_EMBEDDINGS[family]
+    h = hashlib.sha256()
+    for g in groups:
+        for s in g.all_subgroups:
+            emb, q = g.subgroup_embedding(s), g.quotient(s)
+            h.update(repr((s.members, emb.group.factors, emb.to_parent,
+                           q.group.factors, q.projection)).encode())
+    assert h.hexdigest() == digest
+
+
 @pytest.mark.parametrize("g", [
     GroupSpec.of(()), GroupSpec.of((2,)), GroupSpec.cp(11), GroupSpec.cp_c2(7),
     GroupSpec.cp_c2_c2(5), GroupSpec.klein(), GroupSpec.c2_cubed(),
@@ -408,17 +442,27 @@ def test_close_aut_set():
     closure = close_aut_set((doubling,))
     assert len(closure) == 4
     swap = g.aut_from_parts(1, ((0, 1), (1, 0)))
-    assert len(close_aut_set((doubling, swap))) == 8
+    both = close_aut_set((doubling, swap))
+    assert len(both) == 8
+    for gens, got in (((doubling,), closure), ((doubling, swap), both)):
+        assert {m.perm for m in got} == _perm_closure([a.perm for a in gens], g.order)
+        assert [m.gen_images for m in got] == sorted(m.gen_images for m in got)
 
 
 def test_aut_generating_subset():
-    g = GroupSpec.cp_c2_c2(3)
-    for sub in g.subgroups_of_aut():
-        gens = aut_generating_subset(sub)
-        if len(sub) == 1:
-            assert gens == ()
-        else:
-            assert {m.perm for m in close_aut_set(gens)} == {m.perm for m in sub}
+    for g in (GroupSpec.klein(), GroupSpec.c2_cubed(), GroupSpec.cp(13),
+              GroupSpec.cp_c2(7), GroupSpec.cp_c2_c2(3), GroupSpec.cp_c2_c2(7)):
+        for sub in g.subgroups_of_aut():
+            gens = aut_generating_subset(sub)
+            perms = [m.perm for m in gens]
+            assert _perm_closure(perms, g.order) == {m.perm for m in sub}
+            # greedy in ascending order of generator images: each generator
+            # is new to the closure of those before it
+            assert [m.gen_images for m in gens] == sorted(m.gen_images for m in gens)
+            for i, a in enumerate(gens):
+                assert a.perm not in _perm_closure(perms[:i], g.order)
+            if len(sub) == 1:
+                assert gens == ()
 
 
 @pytest.mark.parametrize("g,count", [
