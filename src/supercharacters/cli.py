@@ -26,7 +26,9 @@ from .theories import (
     TheoryRecord,
     canonical_key,
     dual,
+    generators_to_json,
     require_valid,
+    shape_tags,
     sort_key,
     theory_from_classes,
     theory_from_json,
@@ -149,16 +151,12 @@ def _cmd_dual(args) -> int:
 
 def _classify_one(t) -> tuple[set[str], dict]:
     """Recompute construction tags with explicit decomposition witnesses."""
-    tags: set[str] = set()
+    tags = shape_tags(t)
     witness: dict = {}
-    if all(len(b) == 1 for b in t.classes.blocks):
-        tags.add("minimal")
-    if len(t.classes.blocks) <= 2:
-        tags.add("maximal")
     gens = automorphism_witness(t)
     if gens is not None:
         tags.add("automorphic")
-        witness["aut"] = [[list(i) for i in a.gen_images] for a in gens]
+        witness["aut"] = generators_to_json(gens)
     else:
         # the shape tests below assume that the class partition completes to
         # a theory, as an orbit theory's does; a record whose partition does

@@ -8,7 +8,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
-from .groups import AutMap, GroupSpec, Subgroup, SubgroupEmbedding, aut_generating_subset
+from .groups import (
+    AutMap,
+    GroupSpec,
+    Subgroup,
+    SubgroupEmbedding,
+    _close,
+    _pull_back,
+    aut_generating_subset,
+)
 from .theories import (
     Partition,
     Theory,
@@ -20,24 +28,15 @@ from .theories import (
 
 
 def _orbit_partition(n: int, perms) -> Partition:
-    """Orbits of the group generated by the given permutations (union-find)."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for perm in perms:
-        for i in range(n):
-            ri, rj = find(i), find(perm[i])
-            if ri != rj:
-                parent[ri] = rj
-    groups: dict[int, list[int]] = {}
+    """Orbits of the group generated by the given permutations, each the
+    closure of its least point."""
+    blocks: list[set[int]] = []
+    seen: set[int] = set()
     for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return Partition.from_blocks(groups.values(), n)
+        if i not in seen:
+            blocks.append(_close(lambda x, s: s[x], {i}, perms))
+            seen |= blocks[-1]
+    return Partition.from_blocks(blocks, n)
 
 
 def from_automorphisms(g: GroupSpec, gens, check: bool = True) -> Theory:
@@ -55,37 +54,14 @@ def from_automorphisms(g: GroupSpec, gens, check: bool = True) -> Theory:
     return require_valid(t, "orbit theory") if check else t
 
 
-def _restrict_char(g: GroupSpec, emb: SubgroupEmbedding, c: int) -> int:
-    """Index in Irr(emb.group) of character c of g restricted along emb."""
-    sub = emb.group
-    chi = g.elements[c]
-    exps = []
-    for i, f in enumerate(sub.factors):
-        unit = sub.index_of(tuple(1 if j == i else 0 for j in range(len(sub.factors))))
-        parent = g.elements[emb.to_parent[unit]]
-        sign, t = g.pairing_parts(chi, parent)
-        if f == 2:
-            exps.append(0 if sign > 0 else 1)
-        else:
-            # the p generator of a subgroup embeds as a pure p-part element
-            if sign < 0:
-                raise RuntimeError("p generator embedded with a sign component")
-            exps.append(t)
-    return sub.index_of(tuple(exps))
-
-
 @lru_cache(maxsize=None)
 def _char_product_map(
     g: GroupSpec, e1: SubgroupEmbedding, e2: SubgroupEmbedding
 ) -> MappingProxyType:
     """For a complementary pair, Irr(G) = Irr(H1) x Irr(H2) by restriction;
     built once per pair, read-only because every caller shares it."""
-    out = {}
-    for c in range(g.order):
-        out[(_restrict_char(g, e1, c), _restrict_char(g, e2, c))] = c
-    if len(out) != g.order:
-        raise ValueError("restriction map is not a bijection; pair is not complementary")
-    return MappingProxyType(out)
+    r1, r2 = (_pull_back(e.to_parent, e.group, g) for e in (e1, e2))
+    return MappingProxyType({(x, y): c for c, (x, y) in enumerate(zip(r1, r2))})
 
 
 def direct_product(
@@ -162,27 +138,12 @@ def character_side_wedge(ws: WedgeSpec) -> Partition:
     g = ws.n.group
     emb = g.subgroup_embedding(ws.n)
     q = g.quotient(ws.n)
-    qg = q.group
-    # inflation: a character of the quotient composed with the projection
-    infl = {}
-    for cq in range(qg.order):
-        chi_q = qg.elements[cq]
-        exps = []
-        for i, f in enumerate(g.factors):
-            unit = g.index_of(tuple(1 if j == i else 0 for j in range(len(g.factors))))
-            sign, t = qg.pairing_parts(chi_q, qg.elements[q.projection[unit]])
-            if f == 2:
-                exps.append(0 if sign > 0 else 1)
-            else:
-                if sign < 0:
-                    raise RuntimeError("projection of the p generator has a sign part")
-                exps.append(t)
-        infl[cq] = g.index_of(tuple(exps))
+    infl = _pull_back(q.projection, g, q.group)
     blocks = [tuple(infl[c] for c in b) for b in ws.outer.charparts.blocks]
     # fibers of restriction to the subgroup
     fiber: dict[int, list[int]] = {}
-    for c in range(g.order):
-        fiber.setdefault(_restrict_char(g, emb, c), []).append(c)
+    for c, psi in enumerate(_pull_back(emb.to_parent, emb.group, g)):
+        fiber.setdefault(psi, []).append(c)
     for b in ws.inner.charparts.blocks:
         if b == (0,):
             continue

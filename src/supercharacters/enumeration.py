@@ -27,9 +27,11 @@ from .theories import (
     TheoryRecord,
     Theory,
     canonical_key,
+    generators_to_json,
     maximal_theory,
     minimal_theory,
     require_valid,
+    shape_tags,
     sort_key,
 )
 
@@ -152,11 +154,7 @@ class _Collector:
 
     def finish(self) -> list[TheoryRecord]:
         for rec in self.by_key.values():
-            t = rec.theory
-            if all(len(b) == 1 for b in t.classes.blocks):
-                rec.tags.add("minimal")
-            if len(t.classes.blocks) <= 2:
-                rec.tags.add("maximal")
+            rec.tags |= shape_tags(rec.theory)
         return sorted(self.by_key.values(), key=lambda r: sort_key(r.theory))
 
 
@@ -166,7 +164,7 @@ def _add_aut_theories(col: _Collector, g: GroupSpec) -> None:
         t = from_automorphisms(g, gens, check=False)
         col.add(t, "automorphic", {
             "construction": "aut",
-            "generators": [[list(img) for img in a.gen_images] for a in gens],
+            "generators": generators_to_json(gens),
         })
 
 

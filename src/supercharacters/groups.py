@@ -423,6 +423,24 @@ def _span(basis) -> list[int]:
     return out
 
 
+def _pull_back(images, source: GroupSpec, target: GroupSpec) -> list[int]:
+    """The character map chi -> chi o phi from Irr(target) to Irr(source),
+    for the homomorphism phi: source -> target with index images `images`,
+    as a list indexed by the characters of target: the transpose of phi.
+    chi_(b, w)(a, v) = zeta_p^(ab) (-1)^popcount(w & v), so bit j of the
+    image of chi_(b, w) is the parity of w against phi(bit j) and its p
+    exponent is b times the p exponent of phi(1, 0); the p exponent is
+    dropped when source has no p part and 0 when target has none."""
+    ps, ds, _ = source._split
+    pt, dt, mask = target._split
+    bits = [sum((w & images[1 << j]).bit_count() % 2 << j for j in range(ds))
+            for w in range(mask + 1)]
+    if ps is None or pt is None:
+        return bits * (pt or 1)
+    m = images[1 << ds] >> dt
+    return [b * m % ps << ds | w for b in range(pt) for w in bits]
+
+
 @dataclass(frozen=True)
 class Subgroup:
     """A subgroup given by its sorted member indices and greedy generators."""
@@ -541,15 +559,16 @@ class AutMap:
         for img, f in zip(self.gen_images, g.factors):
             if g.order_of_index(g._index[img]) != f:
                 raise ValueError(f"image {img} does not have order {f}")
-        if len(set(self.perm)) != g.order:
+        # a unit on the p exponent and independent images of the involutions
+        # give a bijection; an involution image of order 2 has no p part, so
+        # its index is its bits
+        if len(_f2_basis(self._bit_images)) != g.dim2:
             raise ValueError("generator images do not define a bijection")
 
     @classmethod
     def identity(cls, g: GroupSpec) -> "AutMap":
-        eye = []
-        for i in range(len(g.factors)):
-            eye.append(tuple(1 if j == i else 0 for j in range(len(g.factors))))
-        return cls(g, tuple(eye))
+        # generator k of n has index 1 << (n - 1 - k), the first at the top bit
+        return cls(g, tuple(g.elements[1 << k] for k in reversed(range(len(g.factors)))))
 
     def apply_exps(self, exps) -> tuple[int, ...]:
         g = self.group
@@ -559,18 +578,23 @@ class AutMap:
                 out = [x + e * y for x, y in zip(out, img)]
         return g.reduce(out)
 
+    @property
+    def _bit_images(self) -> list[int]:
+        """Indices of the images of the involution generators."""
+        g = self.group
+        return [g._index[img] for img in self.gen_images[len(g.factors) - g.dim2:]]
+
     @cached_property
     def perm(self) -> tuple[int, ...]:
         """Index permutation x -> alpha(x).  Index i splits into its p exponent
         i >> d and its involution bits i & (2^d - 1); a generator of order p
         maps to a unit u times it and the involutions to bit patterns, so
         alpha(i) = (u * (i >> d) % p) << d | (XOR of the images of the bits)."""
-        g = self.group
-        images = [g._index[img] for img in self.gen_images]
-        bits = _span(images[len(images) - g.dim2:])
-        if g.p is None:
+        p, d, _ = self.group._split
+        bits = _span(self._bit_images)
+        if p is None:
             return tuple(bits)
-        p, d, u = g.p, g.dim2, images[0] >> g.dim2
+        u = self.gen_images[0][0]
         return tuple(u * a % p << d | b for a in range(p) for b in bits)
 
     @cached_property
@@ -583,19 +607,7 @@ class AutMap:
     @cached_property
     def char_perm(self) -> tuple[int, ...]:
         """Index permutation of Irr(G) under chi -> chi o alpha^(-1)."""
-        g = self.group
-        unit = [g._index[tuple(1 if j == i else 0 for j in range(len(g.factors)))]
-                for i in range(len(g.factors))]
-        # exponent rows of alpha^(-1) on each generator; cross-order entries are 0
-        beta = [g.elements[self.inverse_perm[u]] for u in unit]
-        out = []
-        for chi in g.elements:
-            new = tuple(
-                sum(b * c for b, c in zip(beta[i], chi)) % g.factors[i]
-                for i in range(len(g.factors))
-            )
-            out.append(g._index[new])
-        return tuple(out)
+        return tuple(_pull_back(self.inverse_perm, self.group, self.group))
 
     def act_on_character(self, chi: Character) -> Character:
         g = self.group
@@ -609,13 +621,9 @@ class AutMap:
 
     def inverse(self) -> "AutMap":
         g = self.group
-        unit = [tuple(1 if j == i else 0 for j in range(len(g.factors)))
-                for i in range(len(g.factors))]
-        images = tuple(g.elements[self.inverse_perm[g._index[u]]] for u in unit)
-        return AutMap(g, images)
-
-    def is_identity(self) -> bool:
-        return all(self.perm[i] == i for i in range(len(self.perm)))
+        # the preimages of the generators, indexed as in identity()
+        return AutMap(g, tuple(g.elements[self.inverse_perm[1 << k]]
+                               for k in reversed(range(len(g.factors)))))
 
 
 def close_aut_set(gens) -> tuple[AutMap, ...]:

@@ -101,6 +101,17 @@ def maximal_theory(g: GroupSpec) -> Theory:
     return Theory(g, two, two)
 
 
+def shape_tags(t: Theory) -> set[str]:
+    """"minimal" when every class is one element, "maximal" when there are
+    at most two classes."""
+    tags = set()
+    if all(len(b) == 1 for b in t.classes.blocks):
+        tags.add("minimal")
+    if len(t.classes.blocks) <= 2:
+        tags.add("maximal")
+    return tags
+
+
 def canonical_key(t: Theory) -> str:
     """Deterministic rendering of the class partition; equal iff theories equal."""
     head = ".".join(str(f) for f in t.group.factors)
@@ -336,9 +347,7 @@ def restriction(t: Theory, n: Subgroup) -> Theory:
 def dual(t: Theory) -> Theory:
     """Swap the two partitions across the exponent-vector identification of
     G with its character group; valid for every valid theory."""
-    d = Theory(t.group, Partition(t.charparts.size, t.charparts.blocks),
-               Partition(t.classes.size, t.classes.blocks))
-    return require_valid(d, "transported partition")
+    return require_valid(Theory(t.group, t.charparts, t.classes), "transported partition")
 
 
 def refines(t1: Theory, t2: Theory) -> bool:
@@ -371,6 +380,11 @@ def group_from_json(d) -> GroupSpec:
         if p > DEFAULT_MAX_P:
             raise ValueError(f"p={p} exceeds the bound {DEFAULT_MAX_P}")
     return GroupSpec.from_family(d["family"], p)
+
+
+def generators_to_json(gens) -> list:
+    """The generator images of each automorphism as exponent lists."""
+    return [[list(img) for img in a.gen_images] for a in gens]
 
 
 def _is_int(x) -> bool:

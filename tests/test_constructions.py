@@ -28,6 +28,8 @@ from supercharacters import (
     wedge,
     wedge_decompositions,
 )
+from supercharacters.groups import _pull_back
+
 from golden import GOLDEN_ORBIT_THEORIES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -151,6 +153,29 @@ def test_character_side_formula_matches_derived_side():
                 assert wedge(ws).charparts == character_side_wedge(ws)
                 checked += 1
     assert checked == 62
+
+
+@pytest.mark.parametrize("g", [
+    GroupSpec.klein(), GroupSpec.c2_cubed(), GroupSpec.cp_c2(7), GroupSpec.cp_c2_c2(5),
+], ids=str)
+def test_restriction_and_inflation_match_pairing_parts(g):
+    # _pull_back along an embedding restricts characters, along a quotient
+    # map it inflates them; the reference reads each character off its
+    # values at every element through pairing_parts
+    def pulled(chi, target, images, source):
+        values = [target.pairing_parts(chi, target.elements[y]) for y in images]
+        return [c for c, psi in enumerate(source.elements)
+                if all(source.pairing_parts(psi, x) == v
+                       for x, v in zip(source.elements, values))]
+
+    for s in g.all_subgroups:
+        emb, q = g.subgroup_embedding(s), g.quotient(s)
+        restrict = _pull_back(emb.to_parent, emb.group, g)
+        assert [[r] for r in restrict] == [
+            pulled(chi, g, emb.to_parent, emb.group) for chi in g.elements]
+        inflate = _pull_back(q.projection, g, q.group)
+        assert [[c] for c in inflate] == [
+            pulled(chi, q.group, q.projection, g) for chi in q.group.elements]
 
 
 def test_wedge_charparts_shape():

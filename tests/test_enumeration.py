@@ -24,6 +24,7 @@ from supercharacters import (
 )
 from supercharacters import enumeration, theories
 from supercharacters.enumeration import _Collector, all_scts_cp_c2_c2
+from supercharacters.groups import DEFAULT_MAX_P
 from supercharacters.theories import sort_key
 
 # per-prime (total, automorphic, direct, overlap, wedge), worked out by hand
@@ -155,6 +156,25 @@ def test_cp_c2_c2_counts_at_l_2():
     assert all(getattr(report, key) == val for key, val in report.predicted.items())
     assert len({canonical_key(r.theory) for r in recs}) == len(recs) == 313
     assert seconds <= TIME_LIMIT_L_2, f"p=37 took {seconds:.1f}s"
+
+
+# p = 199 = DEFAULT_MAX_P: p - 1 = 2 * 3^2 * 11, so k = 1, l = 2, n = 11
+COUNTS_AT_MAX_P = (407, 94, 138, 60, 234)
+TIME_LIMIT_MAX_P = 15.0  # seconds, the bound README states next to --max-p 199
+
+
+def test_cp_c2_c2_at_max_p():
+    start = time.perf_counter()
+    recs, report = all_scts_cp_c2_c2(DEFAULT_MAX_P)
+    seconds = time.perf_counter() - start
+    assert DEFAULT_MAX_P == 199
+    assert (report.k, report.l, report.n) == (1, 2, 11)
+    got = (report.total, report.automorphic, report.direct, report.overlap, report.wedge)
+    assert got == COUNTS_AT_MAX_P
+    assert report.maximal == 1
+    assert report.matches()
+    assert len({canonical_key(r.theory) for r in recs}) == len(recs) == 407
+    assert seconds <= TIME_LIMIT_MAX_P, f"p={DEFAULT_MAX_P} took {seconds:.1f}s"
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

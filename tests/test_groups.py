@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -426,14 +427,88 @@ def test_aut_compose_inverse():
             assert ab.perm[x] == a.perm[b.perm[x]]
 
 
+_BIJECTION = "generator images do not define a bijection"
+
+
+# (group, generator images, the ValueError message AutMap gives)
+_BAD_AUT_IMAGES = [
+    # 0 is not a unit mod 5
+    (GroupSpec.cp_c2_c2(5), ((0, 0, 0), (0, 1, 0), (0, 0, 1)),
+     "image (0, 0, 0) does not have order 5"),
+    # singular matrix
+    (GroupSpec.cp_c2_c2(5), ((1, 0, 0), (0, 1, 0), (0, 1, 0)), _BIJECTION),
+    # wrong image orders: the first bad image is reported
+    (GroupSpec.cp_c2_c2(5), ((0, 1, 0), (0, 1, 0), (0, 0, 1)),
+     "image (0, 1, 0) does not have order 5"),
+    # odd image with a bit part
+    (GroupSpec.cp_c2_c2(5), ((2, 0, 1), (0, 1, 0), (0, 0, 1)),
+     "image (2, 0, 1) does not have order 5"),
+    (GroupSpec.cp_c2(7), ((3, 1), (0, 1)), "image (3, 1) does not have order 7"),
+    # involution image with a p part
+    (GroupSpec.cp_c2_c2(5), ((1, 0, 0), (4, 1, 0), (0, 0, 1)),
+     "image (4, 1, 0) does not have order 2"),
+    (GroupSpec.cp_c2(3), ((1, 0), (1, 0)), "image (1, 0) does not have order 2"),
+    # identity image
+    (GroupSpec.cp(5), ((0,),), "image (0,) does not have order 5"),
+    (GroupSpec.klein(), ((1, 0), (0, 0)), "image (0, 0) does not have order 2"),
+    (GroupSpec.cp_c2_c2(5), ((1, 0, 0), (0, 0, 0), (0, 1, 1)),
+     "image (0, 0, 0) does not have order 2"),
+    # two equal involution images
+    (GroupSpec.klein(), ((1, 1), (1, 1)), _BIJECTION),
+    (GroupSpec.c2_cubed(), ((1, 0, 0), (0, 1, 1), (0, 1, 1)), _BIJECTION),
+    # dependent but distinct involution images
+    (GroupSpec.c2_cubed(), ((1, 0, 0), (0, 1, 0), (1, 1, 0)), _BIJECTION),
+    # an order failure is reported before a bijection failure
+    (GroupSpec.c2_cubed(), ((1, 0, 0), (1, 0, 0), (0, 0, 0)),
+     "image (0, 0, 0) does not have order 2"),
+    # shape errors come first
+    (GroupSpec.klein(), ((1, 0),), "one image per generator is required"),
+    (GroupSpec.klein(), ((1, 0), (0, 1, 0)), "image has wrong exponent length"),
+]
+
+
 def test_aut_from_parts_validation():
+    for group, images, message in _BAD_AUT_IMAGES:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AutMap(group, images)
     g = GroupSpec.cp_c2_c2(5)
-    with pytest.raises(ValueError):
-        g.aut_from_parts(0, ((1, 0), (0, 1)))  # 0 is not a unit mod 5
-    with pytest.raises(ValueError):
-        g.aut_from_parts(1, ((1, 0), (1, 0)))  # singular matrix
-    with pytest.raises(ValueError):
-        AutMap(g, ((0, 1, 0), (0, 1, 0), (0, 0, 1)))  # wrong image orders
+    with pytest.raises(ValueError, match="does not have order 5"):
+        g.aut_from_parts(0, ((1, 0), (0, 1)))
+    with pytest.raises(ValueError, match=_BIJECTION):
+        g.aut_from_parts(1, ((1, 0), (1, 0)))
+    # images are reduced before they are checked
+    assert AutMap(g, ((6, 0, 0), (0, 3, 0), (5, 0, 1))) == AutMap.identity(g)
+
+
+# sha256 over every group of a family (p <= 43) of (gen_images, char_perm)
+# for each automorphism, recorded from the code that mapped each character's
+# exponent tuple through the exponent rows of the inverse map
+_PINNED_CHAR_PERMS = {
+    "trivial": ((GroupSpec.of(()),),
+                "f2fced5ba41d1382d9b5b022fe68bd5320fb66831b7ad4a387d2a9930519fcaf"),
+    "c2": ((GroupSpec.of((2,)),),
+           "96c4b1ad8c2fca68304799b8606e0c3861f5f36803a245348628ecc71928ee4f"),
+    "klein": ((GroupSpec.klein(),),
+              "63f51762c5d481a09b34c61ab6d003ab9c49b122eaf64af01775a6554548d689"),
+    "c2cubed": ((GroupSpec.c2_cubed(),),
+                "ca717676a804f911eff0487c0d8ca9ea07c86b4bbaf14ce653ad1ee9ebdb5ebe"),
+    "cp": (tuple(GroupSpec.cp(p) for p in _PRIMES_TO_43),
+           "080367586976d473a87614bc412ac499af11ee3027f5b166f5f4e34ba4eef3ee"),
+    "cpc2": (tuple(GroupSpec.cp_c2(p) for p in _PRIMES_TO_43),
+             "1a01ba6154e2a7ab55351a0c92d4eb169a15c1b6b7c52114f7fbdd6100031c02"),
+    "cpc2c2": (tuple(GroupSpec.cp_c2_c2(p) for p in _PRIMES_TO_43),
+               "bcfa5a4c678619229327cf390e01143df7c927489c2c95ac8807eec59bd36977"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_PINNED_CHAR_PERMS))
+def test_char_perms_are_pinned(family):
+    groups, digest = _PINNED_CHAR_PERMS[family]
+    h = hashlib.sha256()
+    for g in groups:
+        for a in g.aut_group():
+            h.update(repr((a.gen_images, a.char_perm)).encode())
+    assert h.hexdigest() == digest
 
 
 def test_close_aut_set():
