@@ -23,7 +23,6 @@ from .theories import (
     canonical_key,
     invariant_subgroups,
     require_valid,
-    theory_from_classes,
 )
 
 
@@ -110,8 +109,9 @@ class WedgeSpec:
 def wedge(ws: WedgeSpec, check: bool = True) -> Theory:
     """Classes inside the subgroup come from the inner theory; outside it they
     are preimages of the nonidentity classes of the outer quotient theory.
-    The character side is derived from the classes, which fails unless they
-    are convolution-closed; check=True then also verifies the result."""
+    The character side is built from inflation and restriction
+    (character_side_wedge), not derived from the classes, so nothing is
+    checked here unless check=True; otherwise the caller's gate verifies."""
     g = ws.n.group
     if not 1 < ws.n.order < g.order:
         raise ValueError("wedge needs a proper nontrivial subgroup")
@@ -127,28 +127,33 @@ def wedge(ws: WedgeSpec, check: bool = True) -> Theory:
         if b == (0,):
             continue
         blocks.append(tuple(i for j in b for i in fibers[j]))
-    t = theory_from_classes(g, Partition.from_blocks(blocks, g.order))
+    classes = Partition.from_blocks(blocks, g.order)
+    t = Theory(g, classes, character_side_wedge(ws))
     return require_valid(t, "wedge") if check else t
+
+
+@lru_cache(maxsize=None)
+def _wedge_char_maps(n: Subgroup) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Inflation Irr(G/N) -> Irr(G), and per character of N the characters
+    of G restricting to it (ascending); built once per subgroup."""
+    g = n.group
+    emb, q = g.subgroup_embedding(n), g.quotient(n)
+    infl = _pull_back(q.projection, g, q.group)
+    fiber: list[list[int]] = [[] for _ in range(emb.group.order)]
+    for c, psi in enumerate(_pull_back(emb.to_parent, emb.group, g)):
+        fiber[psi].append(c)
+    return tuple(infl), tuple(map(tuple, fiber))
 
 
 def character_side_wedge(ws: WedgeSpec) -> Partition:
     """The wedge's character partition built directly: inflations of the outer
     character blocks, plus unions of restriction fibers over each nontrivial
-    inner character block.  Must agree with the derived side of wedge()."""
-    g = ws.n.group
-    emb = g.subgroup_embedding(ws.n)
-    q = g.quotient(ws.n)
-    infl = _pull_back(q.projection, g, q.group)
+    inner character block (the characters of G/N are those trivial on N)."""
+    infl, fiber = _wedge_char_maps(ws.n)
     blocks = [tuple(infl[c] for c in b) for b in ws.outer.charparts.blocks]
-    # fibers of restriction to the subgroup
-    fiber: dict[int, list[int]] = {}
-    for c, psi in enumerate(_pull_back(emb.to_parent, emb.group, g)):
-        fiber.setdefault(psi, []).append(c)
-    for b in ws.inner.charparts.blocks:
-        if b == (0,):
-            continue
-        blocks.append(tuple(x for psi in b for x in fiber[psi]))
-    return Partition.from_blocks(blocks, g.order)
+    blocks += [tuple(x for psi in b for x in fiber[psi])
+               for b in ws.inner.charparts.blocks if b != (0,)]
+    return Partition.from_blocks(blocks, ws.n.group.order)
 
 
 @lru_cache(maxsize=None)

@@ -128,34 +128,35 @@ _BUILT_BY = {
 
 
 class _Collector:
-    """Deduplicates theories by canonical key, merging tags and witnesses.
+    """Deduplicates theories by their class blocks, merging tags and
+    witnesses; the canonical key is rendered only for the distinct theories,
+    to sort them at finish.  A collector holds the theories of one group.
 
     This is the one verification gate of the enumerator, which calls the
-    constructions with check=False: a candidate is verified when its key is
-    new, or when its character partition differs from the one recorded for
-    its key.  The classes of a theory determine its character partition, so
-    such a second partition fails verification and raises."""
+    constructions with check=False: a candidate is verified when its class
+    blocks are new, or when its character partition differs from the one
+    recorded for them.  The classes of a theory determine its character
+    partition, so such a second partition fails verification and raises."""
 
     def __init__(self):
-        self.by_key: dict[str, TheoryRecord] = {}
+        self.by_blocks: dict[tuple, TheoryRecord] = {}
 
     def add(self, t: Theory, tag: str | None, prov: dict) -> None:
-        key = canonical_key(t)
-        rec = self.by_key.get(key)
+        rec = self.by_blocks.get(t.classes.blocks)
         if rec is None or rec.theory.charparts != t.charparts:
             require_valid(t, _BUILT_BY[prov["construction"]])
         if rec is None:
             rec = TheoryRecord(t)
-            self.by_key[key] = rec
+            self.by_blocks[t.classes.blocks] = rec
         if tag:
             rec.tags.add(tag)
         if prov not in rec.provenance:
             rec.provenance.append(prov)
 
     def finish(self) -> list[TheoryRecord]:
-        for rec in self.by_key.values():
+        for rec in self.by_blocks.values():
             rec.tags |= shape_tags(rec.theory)
-        return sorted(self.by_key.values(), key=lambda r: sort_key(r.theory))
+        return sorted(self.by_blocks.values(), key=lambda r: sort_key(r.theory))
 
 
 def _add_aut_theories(col: _Collector, g: GroupSpec) -> None:

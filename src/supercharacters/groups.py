@@ -210,6 +210,29 @@ class GroupSpec:
         power = tuple(1 << (width * t) for t in range(p or 0))
         return p, d, mask, sign, width, power, sum(power)
 
+    @cached_property
+    def _lead_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Per character index c, the unnormalised key of chi_c at each of the
+        2^(d+1) lead indices x < 2 << d (p exponent 0 or 1):
+        +-power[a_c * a_x % p].  The entries are shared +-power objects, so
+        the table costs n * 2^(d+1) references."""
+        p, d, mask, sign, _, power, _ = self._kernel
+        neg = tuple(-q for q in power)
+        return tuple(
+            tuple((power if sign[(c & mask) << d | v] > 0 else neg)[(c >> d) * a % p]
+                  for a in (0, 1) for v in range(mask + 1))
+            for c in range(self.order))
+
+    def lead_keys(self, chars) -> list[int]:
+        """sigma_keys(chars, range(2 << d)) for a group with a p part, summed
+        column by column from the cached lead rows."""
+        p, _, _, _, width, _, ones = self._kernel
+        half = ones >> width << (width - 1)
+        top_bit = width * (p - 1)
+        rows = self._lead_rows
+        return [key - ((key + half) >> top_bit) * ones
+                for key in map(sum, zip(*[rows[c] for c in chars]))]
+
     def sigma_keys(self, chars, xs) -> list[int]:
         """Canonical keys of sigma_X(x), the sum of chi_c(x) over the character
         indices c in X, at each element index x in xs; keys are equal exactly

@@ -199,7 +199,7 @@ def _constant_by_multipliers(t: Theory) -> bool:
         return False
     p, d, mask = g._split
     block_of = t.charparts.block_of
-    cols = [g.sigma_keys(x, range(2 << d)) for x in t.charparts.blocks]
+    cols = [g.lead_keys(x) for x in t.charparts.blocks]
     done: set[int] = set()
     for xi, x in enumerate(t.charparts.blocks):
         if xi in done:
@@ -207,8 +207,9 @@ def _constant_by_multipliers(t: Theory) -> bool:
         b, w = x[0] >> d, x[0] & mask
         orbit = [block_of[a * b % p << d | w] for a in range(1, p)]
         done.update(orbit)
-        keys = cols[xi][: mask + 1] + [cols[yi][mask + 1 + v]
-                                       for yi in orbit for v in range(mask + 1)]
+        keys = cols[xi][: mask + 1]
+        for yi in orbit:
+            keys += cols[yi][mask + 1 :]
         if _first_break(keys, t.classes) is not None:
             return False
     return True
@@ -289,7 +290,7 @@ def _signatures_by_multipliers(g: GroupSpec, classes: Partition):
     # small ids for the keys, which are equal exactly when the keys are,
     # so that the signatures hash quickly
     ids: dict[int, int] = {}
-    cols = [[ids.setdefault(key, len(ids)) for key in g.sigma_keys(k, range(2 << d))]
+    cols = [[ids.setdefault(key, len(ids)) for key in g.lead_keys(k)]
             for k in classes.blocks]
     yield from zip(*(col[: mask + 1] for col in cols))
     ones = [col[mask + 1 :] for col in cols]

@@ -9,6 +9,7 @@ from supercharacters import (
     GroupSpec,
     Partition,
     Theory,
+    WedgeSpec,
     all_scts_c2_cubed,
     all_scts_cp,
     all_scts_cp_c2,
@@ -18,9 +19,11 @@ from supercharacters import (
     divisor_count,
     factor_pm1,
     invariant_subgroups,
+    minimal_theory,
     predicted_counts,
     theory_from_classes,
     verify,
+    wedge,
 )
 from supercharacters import enumeration, theories
 from supercharacters.enumeration import _Collector, all_scts_cp_c2_c2
@@ -138,43 +141,48 @@ def test_cp_c2_c2_counts(p, records_by_p):
     assert len({canonical_key(r.theory) for r in recs}) == total
 
 
-# p = 37: p - 1 = 2^2 * 3^2, so k = 2, l = 2, n = 1 and d(36) = 9, d(9) = d(4) = 3;
-# by hand: total 6*3 + 4*3 + 30*9 + 13, automorphic 6*3 + 4*3 + 5*9,
-# direct 11*9 + 6, overlap 5*9, wedge 19*9 + 6
-COUNTS_AT_L_2 = (313, 75, 105, 45, 177)
-TIME_LIMIT_L_2 = 10.0  # seconds; about 0.6 s on a 2-core host
+# The first primes with l = 2 (37), k = 5 (97), l = 3 (109), l = 4 (163) and
+# k = 6 (193), and DEFAULT_MAX_P.  Worked by hand from p - 1 = 2^k * 3^l * n:
+# (k, l, n) and (total, automorphic, direct, overlap, wedge) with
+#   total 3k*d(3^l n) + 2l*d(2^k n) + 30*d(p-1) + 13,
+#   automorphic 3k*d(3^l n) + 2l*d(2^k n) + 5*d(p-1),
+#   direct 11*d(p-1) + 6, overlap 5*d(p-1), wedge 19*d(p-1) + 6.
+LARGE_PRIMES = {
+    # 36 = 2^2 3^2: d(36) = 9, d(9) = d(4) = 3
+    37: ((2, 2, 1), (313, 75, 105, 45, 177)),
+    # 96 = 2^5 3: d(96) = 12, d(3) = 2, d(32) = 6
+    97: ((5, 1, 1), (415, 102, 138, 60, 234)),
+    # 108 = 2^2 3^3: d(108) = 12, d(27) = 4, d(4) = 3
+    109: ((2, 3, 1), (415, 102, 138, 60, 234)),
+    # 162 = 2 3^4: d(162) = 10, d(81) = 5, d(2) = 2
+    163: ((1, 4, 1), (344, 81, 116, 50, 196)),
+    # 192 = 2^6 3: d(192) = 14, d(3) = 2, d(64) = 7
+    193: ((6, 1, 1), (483, 120, 160, 70, 272)),
+    # 198 = 2 3^2 11: d(198) = 12, d(99) = 6, d(22) = 4
+    199: ((1, 2, 11), (407, 94, 138, 60, 234)),
+}
+# seconds; 37 took about 0.6 s on a 2-core host, and 15 s is the bound README
+# states next to --max-p 199
+TIME_LIMITS = {37: 10.0, 199: 15.0}
 
 
-def test_cp_c2_c2_counts_at_l_2():
+@pytest.mark.parametrize("p", sorted(LARGE_PRIMES))
+def test_cp_c2_c2_closed_form_at_large_primes(p):
     start = time.perf_counter()
-    recs, report = all_scts_cp_c2_c2(37)
-    seconds = time.perf_counter() - start
-    assert (report.k, report.l, report.n) == (2, 2, 1)
-    got = (report.total, report.automorphic, report.direct, report.overlap, report.wedge)
-    assert got == COUNTS_AT_L_2
-    assert report.maximal == 1
-    assert all(getattr(report, key) == val for key, val in report.predicted.items())
-    assert len({canonical_key(r.theory) for r in recs}) == len(recs) == 313
-    assert seconds <= TIME_LIMIT_L_2, f"p=37 took {seconds:.1f}s"
-
-
-# p = 199 = DEFAULT_MAX_P: p - 1 = 2 * 3^2 * 11, so k = 1, l = 2, n = 11
-COUNTS_AT_MAX_P = (407, 94, 138, 60, 234)
-TIME_LIMIT_MAX_P = 15.0  # seconds, the bound README states next to --max-p 199
-
-
-def test_cp_c2_c2_at_max_p():
-    start = time.perf_counter()
-    recs, report = all_scts_cp_c2_c2(DEFAULT_MAX_P)
+    recs, report = all_scts_cp_c2_c2(p)
     seconds = time.perf_counter() - start
     assert DEFAULT_MAX_P == 199
-    assert (report.k, report.l, report.n) == (1, 2, 11)
-    got = (report.total, report.automorphic, report.direct, report.overlap, report.wedge)
-    assert got == COUNTS_AT_MAX_P
+    kln, counts = LARGE_PRIMES[p]
+    assert (report.k, report.l, report.n) == factor_pm1(p) == kln
+    formula = enumeration._formula(p)
+    assert report.predicted == formula
+    tags = ("total", "automorphic", "direct", "overlap", "wedge")
+    assert tuple(formula[t] for t in tags) == counts
+    assert {t: getattr(report, t) for t in formula} == formula
     assert report.maximal == 1
-    assert report.matches()
-    assert len({canonical_key(r.theory) for r in recs}) == len(recs) == 407
-    assert seconds <= TIME_LIMIT_MAX_P, f"p={DEFAULT_MAX_P} took {seconds:.1f}s"
+    assert len({canonical_key(r.theory) for r in recs}) == len(recs) == counts[0]
+    if p in TIME_LIMITS:
+        assert seconds <= TIME_LIMITS[p], f"p={p} took {seconds:.1f}s"
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -310,6 +318,18 @@ def test_each_distinct_theory_is_verified_once(monkeypatch):
     assert len(calls) == len(records) + sum(len(all_theories(h)) for h in sub_groups)
 
 
+def test_enumerator_derives_no_character_side(monkeypatch):
+    # every construction builds its own character partition, so completing
+    # a class partition is never needed, in the subgroups' enumerations too
+    def refuse(g, classes):
+        raise AssertionError("induced_character_partition called")
+
+    monkeypatch.setattr(theories, "induced_character_partition", refuse)
+    enumeration._sub_theories.cache_clear()
+    records, report = all_scts_cp_c2_c2(5)
+    assert report.matches() and len(records) == 109
+
+
 def test_collector_rejects_a_wrong_character_partition():
     g = GroupSpec.cp(5)
     good = theory_from_classes(g, Partition.from_blocks([(0,), (1, 4), (2, 3)], 5))
@@ -323,6 +343,28 @@ def test_collector_rejects_a_wrong_character_partition():
     col.add(good, "wedge", {"construction": "wedge"})
     rec, = col.finish()
     assert rec.theory == good and rec.tags == {"automorphic", "wedge"}
+
+
+def test_collector_rejects_a_bad_wedge():
+    # wedge(..., check=False) derives nothing, so only the gate can catch a
+    # wrong character side: swap in a partition with as many blocks
+    g = GroupSpec.cp_c2_c2(3)
+    n = next(h for h in g.all_subgroups if h.order == 6)
+    emb, quot = g.subgroup_embedding(n), g.quotient(n)
+    ws = WedgeSpec(n, minimal_theory(emb.group), minimal_theory(quot.group))
+    good = wedge(ws)
+    assert verify(good) is None
+    assert wedge(ws, check=False) == good
+    other = next(r.theory.charparts for r in all_theories(g)
+                 if len(r.theory.charparts) == len(good.charparts)
+                 and r.theory.charparts != good.charparts)
+    bad = Theory(g, good.classes, other)
+    with pytest.raises(RuntimeError, match="wedge fails verification"):
+        _Collector().add(bad, "wedge", {"construction": "wedge"})
+    col = _Collector()
+    col.add(good, "wedge", {"construction": "wedge"})
+    with pytest.raises(RuntimeError, match="wedge fails verification"):
+        col.add(bad, "wedge", {"construction": "wedge"})
 
 
 def test_all_theories_returns_fresh_records():

@@ -841,6 +841,27 @@ def test_sigma_keys_are_exact(g):
         assert len(set(keys)) == len(set(values))
 
 
+@pytest.mark.parametrize("g", [
+    GroupSpec.cp_c2_c2(3), GroupSpec.cp_c2_c2(13), GroupSpec.cp_c2_c2(199),
+    GroupSpec.cp(13), GroupSpec.cp_c2(13),
+], ids=str)
+def test_lead_keys_match_sigma_keys(g):
+    """The cached lead rows, summed per column, give the full loop's keys at
+    the 2^(d+1) indices with p exponent 0 or 1."""
+    rng = random.Random(g.order)
+    n, d = g.order, g.dim2
+    perm = g.multiplier_perm
+    x = rng.randrange(1, n)
+    orbit = {x}
+    while perm[x] not in orbit:
+        x = perm[x]
+        orbit.add(x)
+    blocks = [(0,), range(n), sorted(orbit)]
+    blocks += [rng.sample(range(n), size) for size in (1, 2, 3, n // 2, n - 1)]
+    for chars in blocks:
+        assert g.lead_keys(chars) == g.sigma_keys(chars, range(2 << d))
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 199])
 def test_sigma_key_equality_is_value_equality(p):
     """Random signed multisets of powers of zeta_p, summed by the kernel of
