@@ -4,7 +4,6 @@ wedges over a proper nontrivial subgroup."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -13,8 +12,9 @@ from .groups import (
     GroupSpec,
     Subgroup,
     SubgroupEmbedding,
-    _close,
+    _Frozen,
     _pull_back,
+    _set,
     aut_generating_subset,
 )
 from .theories import (
@@ -27,14 +27,24 @@ from .theories import (
 
 
 def _orbit_partition(n: int, perms) -> Partition:
-    """Orbits of the group generated by the given permutations, each the
-    closure of its least point."""
-    blocks: list[set[int]] = []
-    seen: set[int] = set()
+    """Orbits of the group generated by the given permutations, in one pass:
+    each unseen point starts an orbit, which grows by the image of each of
+    its points under each generator until no image is new.  In a finite
+    group every inverse is a product of generators, so that is the orbit."""
+    blocks = []
+    seen = [False] * n
     for i in range(n):
-        if i not in seen:
-            blocks.append(_close(lambda x, s: s[x], {i}, perms))
-            seen |= blocks[-1]
+        if seen[i]:
+            continue
+        seen[i] = True
+        orbit = [i]
+        for x in orbit:
+            for s in perms:
+                y = s[x]
+                if not seen[y]:
+                    seen[y] = True
+                    orbit.append(y)
+        blocks.append(orbit)
     return Partition.from_blocks(blocks, n)
 
 
@@ -54,13 +64,28 @@ def from_automorphisms(g: GroupSpec, gens, check: bool = True) -> Theory:
 
 
 @lru_cache(maxsize=None)
-def _char_product_map(
+def _product_tables(
     g: GroupSpec, e1: SubgroupEmbedding, e2: SubgroupEmbedding
-) -> MappingProxyType:
-    """For a complementary pair, Irr(G) = Irr(H1) x Irr(H2) by restriction;
-    built once per pair, read-only because every caller shares it."""
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """For a complementary pair, G = H1 x H2, and Irr(G) = Irr(H1) x Irr(H2)
+    by restriction.  Row x of the first table lists the index in G of x*y
+    for every index y of H2, row x of the second the character of G that
+    restricts to x and y; built once per pair, tuples because every caller
+    shares them."""
+    elems = tuple(tuple(g.mul_idx(a, b) for b in e2.to_parent) for a in e1.to_parent)
+    chars = [[0] * e2.group.order for _ in range(e1.group.order)]
     r1, r2 = (_pull_back(e.to_parent, e.group, g) for e in (e1, e2))
-    return MappingProxyType({(x, y): c for c, (x, y) in enumerate(zip(r1, r2))})
+    for c, (x, y) in enumerate(zip(r1, r2)):
+        chars[x][y] = c
+    return elems, tuple(map(tuple, chars))
+
+
+def _products(table, part1: Partition, part2: Partition) -> Partition:
+    """The blocks {table[x][y] : x in A, y in B} over every block A of part1
+    and B of part2."""
+    return Partition.from_blocks([[row[y] for x in a for row in (table[x],) for y in b]
+                                  for a in part1.blocks for b in part2.blocks],
+                                 len(table) * len(table[0]))
 
 
 def direct_product(
@@ -77,33 +102,31 @@ def direct_product(
     e1, e2 = g.subgroup_embedding(h1), g.subgroup_embedding(h2)
     if t1.group != e1.group or t2.group != e2.group:
         raise ValueError("factor theories do not match the embedded subgroups")
-    blocks = [
-        tuple(
-            g.mul_idx(e1.to_parent[x], e2.to_parent[y]) for x in k for y in m
-        )
-        for k in t1.classes.blocks
-        for m in t2.classes.blocks
-    ]
-    classes = Partition.from_blocks(blocks, g.order)
-    cmap = _char_product_map(g, e1, e2)
-    cblocks = [
-        tuple(cmap[(x, y)] for x in bx for y in by)
-        for bx in t1.charparts.blocks
-        for by in t2.charparts.blocks
-    ]
-    charparts = Partition.from_blocks(cblocks, g.order)
-    t = Theory(g, classes, charparts)
+    elems, chars = _product_tables(g, e1, e2)
+    t = Theory(g, _products(elems, t1.classes, t2.classes),
+               _products(chars, t1.charparts, t2.charparts))
     return require_valid(t, "direct product") if check else t
 
 
-@dataclass(frozen=True)
-class WedgeSpec:
+class WedgeSpec(_Frozen):
     """A wedge datum: a proper nontrivial subgroup, a theory on it, and a
     theory on the quotient by it."""
 
-    n: Subgroup
-    inner: Theory
-    outer: Theory
+    _fields = ("n", "inner", "outer")
+
+    def __init__(self, n: Subgroup, inner: Theory, outer: Theory):
+        _set(self, "n", n)
+        _set(self, "inner", inner)
+        _set(self, "outer", outer)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n == other.n and self.inner == other.inner
+                and self.outer == other.outer)
+
+    def __hash__(self):
+        return hash((self.n, self.inner, self.outer))
 
 
 def wedge(ws: WedgeSpec, check: bool = True) -> Theory:

@@ -16,12 +16,11 @@ and every theory is produced by tagged constructions plus the maximal one.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from .bruteforce import brute_force_count
 from .constructions import WedgeSpec, direct_product, from_automorphisms, wedge
-from .groups import DEFAULT_MAX_P, GroupSpec, Subgroup, aut_generating_subset
+from .groups import DEFAULT_MAX_P, GroupSpec, Subgroup, _Frozen, _set, aut_generating_subset
 from .cyclotomic import is_odd_prime
 from .theories import (
     TheoryRecord,
@@ -59,24 +58,40 @@ def factor_pm1(p: int) -> tuple[int, int, int]:
     return k, l, m
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(_Frozen):
     """Actual per-tag counts for one prime next to the closed-form values."""
 
-    p: int
-    k: int
-    l: int
-    n: int
-    total: int
-    automorphic: int
-    direct: int
-    overlap: int
-    wedge: int
-    maximal: int
-    predicted: dict
+    _fields = ("p", "k", "l", "n", "total", "automorphic", "direct", "overlap", "wedge",
+               "maximal", "predicted")
+
+    def __init__(self, p: int, k: int, l: int, n: int, total: int, automorphic: int,
+                 direct: int, overlap: int, wedge: int, maximal: int, predicted: dict):
+        _set(self, "p", p)
+        _set(self, "k", k)
+        _set(self, "l", l)
+        _set(self, "n", n)
+        _set(self, "total", total)
+        _set(self, "automorphic", automorphic)
+        _set(self, "direct", direct)
+        _set(self, "overlap", overlap)
+        _set(self, "wedge", wedge)
+        _set(self, "maximal", maximal)
+        _set(self, "predicted", predicted)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        """Every field in constructor order, the predicted counts copied."""
+        out = {f: getattr(self, f) for f in self._fields}
+        out["predicted"] = dict(self.predicted)
+        return out
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.to_json() == other.to_json()
+
+    def __hash__(self):
+        # raises TypeError, as the predicted dict is unhashable
+        return hash(tuple(self.to_json().values()))
 
     def matches(self) -> bool:
         return all(getattr(self, key) == val for key, val in self.predicted.items())

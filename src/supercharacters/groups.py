@@ -11,9 +11,9 @@ the element with exponents (i, j, k).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
+from operator import itemgetter
 
 from .cyclotomic import CycInt, is_odd_prime
 
@@ -27,34 +27,84 @@ _FAMILY_BY_FACTORS = {
 }
 
 
-@dataclass(frozen=True)
-class Element:
+# sets a field of a _Frozen instance, past the __setattr__ that forbids it
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the value classes: _fields names the fields in constructor
+    order, for a repr of the form ClassName(field=value, ...)."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+
+class _Frozen(_Value):
+    """Base of the immutable value classes.  Each class writes out its own
+    __init__, which sets the fields with _set, and its own field-wise
+    __eq__ and __hash__; assigning or deleting an attribute raises
+    AttributeError.  cached_property still works, since it writes to the
+    instance __dict__.  Written by hand rather than generated when the
+    module loads, which would cost an exec per class and the import of
+    inspect and ast in every CLI call (see "Start-up" in the README)."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _ExponentVector(_Frozen):
+    """An exponent vector; equal only to one of the same class."""
+
+    _fields = ("exps",)
+
+    def __init__(self, exps: tuple[int, ...]):
+        _set(self, "exps", exps)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.exps == other.exps
+
+    def __hash__(self):
+        return hash((self.exps,))
+
+
+class Element(_ExponentVector):
     """A group element as a reduced exponent vector."""
 
-    exps: tuple[int, ...]
 
-
-@dataclass(frozen=True)
-class Character:
+class Character(_ExponentVector):
     """An irreducible character as a reduced exponent vector."""
 
-    exps: tuple[int, ...]
 
-
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(_Frozen):
     """One of the supported abelian groups, with derived data cached."""
 
-    factors: tuple[int, ...]
+    _fields = ("factors",)
 
-    def __post_init__(self):
-        odd = [f for f in self.factors if f != 2]
+    def __init__(self, factors: tuple[int, ...]):
+        odd = [f for f in factors if f != 2]
         if len(odd) > 1:
-            raise ValueError(f"at most one odd factor is supported, got {self.factors}")
-        if odd and (not is_odd_prime(odd[0]) or self.factors[0] != odd[0]):
-            raise ValueError(f"odd factor must be a leading odd prime, got {self.factors}")
-        if len(self.factors) - len(odd) > (2 if odd else 3):
-            raise ValueError(f"unsupported factor shape {self.factors}")
+            raise ValueError(f"at most one odd factor is supported, got {factors}")
+        if odd and (not is_odd_prime(odd[0]) or factors[0] != odd[0]):
+            raise ValueError(f"odd factor must be a leading odd prime, got {factors}")
+        if len(factors) - len(odd) > (2 if odd else 3):
+            raise ValueError(f"unsupported factor shape {factors}")
+        _set(self, "factors", factors)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self):
+        return hash((self.factors,))
 
     @classmethod
     @lru_cache(maxsize=None)
@@ -464,13 +514,24 @@ def _pull_back(images, source: GroupSpec, target: GroupSpec) -> list[int]:
     return [b * m % ps << ds | w for b in range(pt) for w in bits]
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(_Frozen):
     """A subgroup given by its sorted member indices and greedy generators."""
 
-    group: GroupSpec
-    members: tuple[int, ...]
-    generators: tuple[int, ...]
+    _fields = ("group", "members", "generators")
+
+    def __init__(self, group: GroupSpec, members: tuple[int, ...], generators: tuple[int, ...]):
+        _set(self, "group", group)
+        _set(self, "members", members)
+        _set(self, "generators", generators)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group == other.group and self.members == other.members
+                and self.generators == other.generators)
+
+    def __hash__(self):
+        return hash((self.group, self.members, self.generators))
 
     @property
     def order(self) -> int:
@@ -487,26 +548,48 @@ class Subgroup:
         return [list(self.group.elements[i]) for i in self.generators]
 
 
-@dataclass(frozen=True)
-class SubgroupEmbedding:
+class SubgroupEmbedding(_Frozen):
     """A subgroup rebuilt as a standalone group plus the index maps in and out."""
 
-    parent: GroupSpec
-    group: GroupSpec
-    to_parent: tuple[int, ...]
+    _fields = ("parent", "group", "to_parent")
+
+    def __init__(self, parent: GroupSpec, group: GroupSpec, to_parent: tuple[int, ...]):
+        _set(self, "parent", parent)
+        _set(self, "group", group)
+        _set(self, "to_parent", to_parent)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.parent == other.parent and self.group == other.group
+                and self.to_parent == other.to_parent)
+
+    def __hash__(self):
+        return hash((self.parent, self.group, self.to_parent))
 
     @cached_property
     def from_parent(self) -> dict[int, int]:
         return {g: i for i, g in enumerate(self.to_parent)}
 
 
-@dataclass(frozen=True)
-class QuotientMap:
+class QuotientMap(_Frozen):
     """A quotient group together with the index projection from the source."""
 
-    source: GroupSpec
-    group: GroupSpec
-    projection: tuple[int, ...]
+    _fields = ("source", "group", "projection")
+
+    def __init__(self, source: GroupSpec, group: GroupSpec, projection: tuple[int, ...]):
+        _set(self, "source", source)
+        _set(self, "group", group)
+        _set(self, "projection", projection)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source == other.source and self.group == other.group
+                and self.projection == other.projection)
+
+    def __hash__(self):
+        return hash((self.source, self.group, self.projection))
 
     @cached_property
     def fibers(self) -> tuple[tuple[int, ...], ...]:
@@ -562,23 +645,20 @@ def _quotient(g: GroupSpec, members: tuple[int, ...]) -> QuotientMap:
     return QuotientMap(g, q_spec, projection)
 
 
-@dataclass(frozen=True)
-class AutMap:
+class AutMap(_Frozen):
     """An automorphism given by the images of the canonical generators."""
 
-    group: GroupSpec
-    gen_images: tuple[tuple[int, ...], ...]
+    _fields = ("group", "gen_images")
 
-    def __post_init__(self):
-        g = self.group
-        if len(self.gen_images) != len(g.factors):
+    def __init__(self, group: GroupSpec, gen_images: tuple[tuple[int, ...], ...]):
+        g = group
+        if len(gen_images) != len(g.factors):
             raise ValueError("one image per generator is required")
-        for img in self.gen_images:
+        for img in gen_images:
             if len(img) != len(g.factors):
                 raise ValueError("image has wrong exponent length")
-        object.__setattr__(
-            self, "gen_images", tuple(g.reduce(img) for img in self.gen_images)
-        )
+        _set(self, "group", g)
+        _set(self, "gen_images", tuple(g.reduce(img) for img in gen_images))
         for img, f in zip(self.gen_images, g.factors):
             if g.order_of_index(g._index[img]) != f:
                 raise ValueError(f"image {img} does not have order {f}")
@@ -587,6 +667,14 @@ class AutMap:
         # its index is its bits
         if len(_f2_basis(self._bit_images)) != g.dim2:
             raise ValueError("generator images do not define a bijection")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.group == other.group and self.gen_images == other.gen_images
+
+    def __hash__(self):
+        return hash((self.group, self.gen_images))
 
     @classmethod
     def identity(cls, g: GroupSpec) -> "AutMap":
@@ -779,16 +867,18 @@ def _is_prime_power(n: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _gl2_table(d: int) -> list[list[int]]:
-    """The int product table of GL(d, 2), indexed as in _gl2_matrices."""
-    vecs = list(itertools.product((0, 1), repeat=d))
-    vindex = {v: i for i, v in enumerate(vecs)}
-    # column action v -> m v turns the matrix product into composition
-    perms = [
-        tuple(vindex[tuple(sum(a * b for a, b in zip(row, v)) % 2 for row in m)]
-              for v in vecs)
-        for m in _gl2_matrices(d)
-    ]
-    return _perm_table(perms)
+    """The int product table of GL(d, 2), indexed as in _gl2_matrices.  A
+    matrix is held as its d columns, each a vector index with the first
+    coordinate at the top bit; it maps vector v to the XOR of the columns
+    its coordinates select, so its action on all vectors is the _span of
+    its columns, and column k of a b is that action of a at column k of b."""
+    if d < 2:
+        return [[0]]  # GL(0, 2) and GL(1, 2) are trivial
+    cols = [tuple(sum(row[k] << (d - 1 - r) for r, row in enumerate(m)) for k in range(d))
+            for m in _gl2_matrices(d)]
+    index = {c: i for i, c in enumerate(cols)}
+    columns_of = [itemgetter(*c) for c in cols]
+    return [[index[b(act)] for b in columns_of] for act in map(_span, cols)]
 
 
 @lru_cache(maxsize=None)

@@ -10,18 +10,27 @@ equal and render identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
-from .groups import DEFAULT_MAX_P, GroupSpec, Subgroup
+from .groups import DEFAULT_MAX_P, GroupSpec, Subgroup, _Frozen, _set, _Value
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Frozen):
     """A set partition of range(size) in canonical block order."""
 
-    size: int
-    blocks: tuple[tuple[int, ...], ...]
+    _fields = ("size", "blocks")
+
+    def __init__(self, size: int, blocks: tuple[tuple[int, ...], ...]):
+        _set(self, "size", size)
+        _set(self, "blocks", blocks)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.size == other.size and self.blocks == other.blocks
+
+    def __hash__(self):
+        return hash((self.size, self.blocks))
 
     @classmethod
     def from_blocks(cls, blocks, size: int) -> "Partition":
@@ -56,36 +65,66 @@ class Partition:
         return tuple(sorted(block)) in set(self.blocks)
 
 
-@dataclass(frozen=True)
-class Theory:
+class Theory(_Frozen):
     """A pair of partitions: superclasses of G and blocks of Irr(G)."""
 
-    group: GroupSpec
-    classes: Partition
-    charparts: Partition
+    _fields = ("group", "classes", "charparts")
 
-    def __post_init__(self):
-        n = self.group.order
-        if self.classes.size != n or self.charparts.size != n:
+    def __init__(self, group: GroupSpec, classes: Partition, charparts: Partition):
+        n = group.order
+        if classes.size != n or charparts.size != n:
             raise ValueError("partition sizes do not match the group order")
+        _set(self, "group", group)
+        _set(self, "classes", classes)
+        _set(self, "charparts", charparts)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group == other.group and self.classes == other.classes
+                and self.charparts == other.charparts)
+
+    def __hash__(self):
+        return hash((self.group, self.classes, self.charparts))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Frozen):
     """Which defining condition failed, with a minimal witness."""
 
-    condition: int
-    witness: tuple
-    message: str
+    _fields = ("condition", "witness", "message")
+
+    def __init__(self, condition: int, witness: tuple, message: str):
+        _set(self, "condition", condition)
+        _set(self, "witness", witness)
+        _set(self, "message", message)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.condition == other.condition and self.witness == other.witness
+                and self.message == other.message)
+
+    def __hash__(self):
+        return hash((self.condition, self.witness, self.message))
 
 
-@dataclass
-class TheoryRecord:
-    """A theory with the constructions that produced it and their witnesses."""
+class TheoryRecord(_Value):
+    """A theory with the constructions that produced it and their witnesses;
+    mutable, so unhashable.  Omitted tags and provenance start empty."""
 
-    theory: Theory
-    tags: set[str] = field(default_factory=set)
-    provenance: list[dict] = field(default_factory=list)
+    _fields = ("theory", "tags", "provenance")
+
+    def __init__(self, theory: Theory, tags: set[str] | None = None,
+                 provenance: list[dict] | None = None):
+        self.theory = theory
+        self.tags = set() if tags is None else tags
+        self.provenance = [] if provenance is None else provenance
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.theory == other.theory and self.tags == other.tags
+                and self.provenance == other.provenance)
 
 
 def minimal_theory(g: GroupSpec) -> Theory:
@@ -403,12 +442,14 @@ def _partition_from_lists(g: GroupSpec, data, what: str) -> Partition:
     Each vector is checked in one pass: a list of len(g.factors) entries
     ("bad exponent vector" otherwise), every entry a plain int, and the
     tuple a key of g's exponent-to-index map; a failed type test or a missed
-    key is "exponents out of range".  The type test comes first because
-    True and 1.0 hash like 1 and would be found, and an unhashable entry
-    would raise TypeError."""
+    key is "exponents out of range".  The type test, one comparison of the
+    entries' types with (int,) * width, comes first because True and 1.0
+    hash like 1 and would be found, and an unhashable entry would raise
+    TypeError."""
     if not isinstance(data, list):
         raise ValueError(f"{what} must be a list of blocks")
     index, width = g._index, len(g.factors)
+    ints = (int,) * width
     blocks = []
     for b in data:
         if not isinstance(b, list) or not b:
@@ -417,7 +458,7 @@ def _partition_from_lists(g: GroupSpec, data, what: str) -> Partition:
         for exps in b:
             if not isinstance(exps, list) or len(exps) != width:
                 raise ValueError(f"bad exponent vector {exps!r} in {what}")
-            i = index.get(tuple(exps)) if all(type(e) is int for e in exps) else None
+            i = index.get(tuple(exps)) if tuple(map(type, exps)) == ints else None
             if i is None:
                 raise ValueError(f"exponents out of range in {what}: {exps!r}")
             block.append(i)

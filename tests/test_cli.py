@@ -3,6 +3,10 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,11 +25,24 @@ from supercharacters import (
 )
 from supercharacters import constructions, theories
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 
 def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_loads_no_class_generator():
+    # every CLI call is a fresh process that pays this import; -S skips
+    # site, so no .pth file of the host can load either module first
+    code = ("import sys\nimport supercharacters.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_enumerate_klein_stdout(capsys):

@@ -1,6 +1,7 @@
 """Group models, characters, subgroup machinery, and automorphism actions."""
 
 import hashlib
+import itertools
 import random
 import re
 
@@ -13,7 +14,7 @@ from supercharacters import (
     aut_generating_subset,
     close_aut_set,
 )
-from supercharacters.groups import _gl2_table, _perm_table, _subgroup_lattice
+from supercharacters.groups import _gl2_matrices, _gl2_table, _perm_table, _subgroup_lattice
 
 
 def test_family_construction():
@@ -614,6 +615,25 @@ def test_subgroup_lattice_agrees_with_goursat(p):
     got = {frozenset(m.perm for m in s) for s in g.subgroups_of_aut()}
     assert len(want) == len(lattice)
     assert got == want
+
+
+def _gl2_table_by_permutations(d):
+    """_gl2_table as it read before it worked on int columns: each matrix
+    as the permutation v -> m v of the vectors in lexicographic order,
+    composed pairwise by _perm_table."""
+    vecs = list(itertools.product((0, 1), repeat=d))
+    vindex = {v: i for i, v in enumerate(vecs)}
+    perms = [
+        tuple(vindex[tuple(sum(a * b for a, b in zip(row, v)) % 2 for row in m)]
+              for v in vecs)
+        for m in _gl2_matrices(d)
+    ]
+    return _perm_table(perms)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_gl2_table_matches_permutation_composition(d):
+    assert _gl2_table(d) == _gl2_table_by_permutations(d)
 
 
 def test_subgroup_lattice_of_cyclic_groups():
