@@ -38,7 +38,9 @@ for g in [
 
 # Beyond order 44 the number of partitions explodes, so exhaustive search
 # demands an explicit node budget.  Without one the oracle refuses outright; with one
-# it raises once the budget runs dry, reporting how far it got.
+# it raises once the budget runs dry, reporting how far it got.  One node
+# places a block together with its images under the power maps x -> x^m; the
+# full search of C13xC2xC2 takes 404 of them.
 g = GroupSpec.cp_c2_c2(13)
 try:
     brute_force_count(g)
@@ -46,15 +48,16 @@ except ValueError as e:
     print("\nno budget:", e)
 
 try:
-    brute_force_count(g, budget=500)
+    brute_force_count(g, budget=200)
 except BudgetExhaustedError as e:
-    print(f"budget of 500: exhausted after {e.nodes} placements, "
+    print(f"budget of 200: exhausted after {e.nodes} placements, "
           f"{e.found} theories already confirmed")
 
-# A generous budget lets the search finish.  Blocks are built from the orbits
-# of the power maps x -> x^m, which permute the blocks of every theory, so
-# the search reaches p = 7, where p - 1 has a factor 3 (l = 1), and beyond.
-for p in (5, 7):
+# A generous budget lets the search finish.  The power maps permute the
+# blocks of every theory, so a block's images are blocks too and are placed
+# with it; the search reaches p = 7 and 13, where p - 1 has a factor 3
+# (l = 1), and p = 19, where it has 3^2 (l = 2).
+for p in (5, 7, 13, 19):
     g = GroupSpec.cp_c2_c2(p)
     start = time.perf_counter()
     count = brute_force_count(g, budget=100_000)

@@ -153,8 +153,8 @@ def shape_tags(t: Theory) -> set[str]:
 
 def canonical_key(t: Theory) -> str:
     """Deterministic rendering of the class partition; equal iff theories equal."""
-    head = ".".join(str(f) for f in t.group.factors)
-    body = "|".join(",".join(str(i) for i in b) for b in t.classes.blocks)
+    head = ".".join(map(str, t.group.factors))
+    body = "|".join([",".join(map(str, b)) for b in t.classes.blocks])
     return f"{head}:{body}"
 
 
