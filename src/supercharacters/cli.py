@@ -275,7 +275,9 @@ def main(argv=None) -> int:
     except CountMismatchError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_COUNT
-    except ValueError as e:
+    except (ValueError, OSError) as e:
+        # OSError: an input file that cannot be read or an output path
+        # that cannot be written
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except RuntimeError as e:

@@ -5,6 +5,7 @@ wedges over a proper nontrivial subgroup."""
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from types import MappingProxyType
 
 from .groups import (
@@ -142,14 +143,10 @@ def wedge(ws: WedgeSpec, check: bool = True) -> Theory:
     q = g.quotient(ws.n)
     if ws.inner.group != emb.group or ws.outer.group != q.group:
         raise ValueError("inner/outer theories do not match the subgroup and quotient")
-    blocks = [
-        tuple(emb.to_parent[i] for i in b) for b in ws.inner.classes.blocks
-    ]
-    fibers = q.fibers
-    for b in ws.outer.classes.blocks:
-        if b == (0,):
-            continue
-        blocks.append(tuple(i for j in b for i in fibers[j]))
+    to_parent, fibers = emb.to_parent.__getitem__, q.fibers.__getitem__
+    blocks = [map(to_parent, b) for b in ws.inner.classes.blocks]
+    blocks += [chain.from_iterable(map(fibers, b))
+               for b in ws.outer.classes.blocks if b != (0,)]
     classes = Partition.from_blocks(blocks, g.order)
     t = Theory(g, classes, character_side_wedge(ws))
     return require_valid(t, "wedge") if check else t
@@ -172,9 +169,9 @@ def character_side_wedge(ws: WedgeSpec) -> Partition:
     """The wedge's character partition built directly: inflations of the outer
     character blocks, plus unions of restriction fibers over each nontrivial
     inner character block (the characters of G/N are those trivial on N)."""
-    infl, fiber = _wedge_char_maps(ws.n)
-    blocks = [tuple(infl[c] for c in b) for b in ws.outer.charparts.blocks]
-    blocks += [tuple(x for psi in b for x in fiber[psi])
+    infl, fiber = (m.__getitem__ for m in _wedge_char_maps(ws.n))
+    blocks = [map(infl, b) for b in ws.outer.charparts.blocks]
+    blocks += [chain.from_iterable(map(fiber, b))
                for b in ws.inner.charparts.blocks if b != (0,)]
     return Partition.from_blocks(blocks, ws.n.group.order)
 

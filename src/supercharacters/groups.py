@@ -262,26 +262,44 @@ class GroupSpec(_Frozen):
 
     @cached_property
     def _lead_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Per character index c, the unnormalised key of chi_c at each of the
-        2^(d+1) lead indices x < 2 << d (p exponent 0 or 1):
-        +-power[a_c * a_x % p].  The entries are shared +-power objects, so
-        the table costs n * 2^(d+1) references."""
-        p, d, mask, sign, _, power, _ = self._kernel
-        neg = tuple(-q for q in power)
+        """Per character index c, the key of chi_c at each of the 2^(d+1)
+        lead indices x < 2 << d (p exponent 0 or 1): +-power[a_c * a_x % p],
+        normalised as sigma_keys normalises.  Normalising subtracts the
+        count at zeta_p^(p-1) times `ones`, which is linear, so a column sum
+        of these rows is already a normalised key.  The entries are shared
+        objects, so the table costs n * 2^(d+1) references."""
+        p, d, mask, sign, _, power, ones = self._kernel
+        pos = power[:-1] + (power[-1] - ones,)
+        neg = tuple(-q for q in pos)
         return tuple(
-            tuple((power if sign[(c & mask) << d | v] > 0 else neg)[(c >> d) * a % p]
+            tuple((pos if sign[(c & mask) << d | v] > 0 else neg)[(c >> d) * a % p]
                   for a in (0, 1) for v in range(mask + 1))
             for c in range(self.order))
 
     def lead_keys(self, chars) -> list[int]:
         """sigma_keys(chars, range(2 << d)) for a group with a p part, summed
         column by column from the cached lead rows."""
-        p, _, _, _, width, _, ones = self._kernel
-        half = ones >> width << (width - 1)
-        top_bit = width * (p - 1)
         rows = self._lead_rows
-        return [key - ((key + half) >> top_bit) * ones
-                for key in map(sum, zip(*[rows[c] for c in chars]))]
+        return list(map(sum, zip(*map(rows.__getitem__, chars))))
+
+    @cached_property
+    def _lead_table(self) -> tuple[dict, dict, itertools.count]:
+        """(block -> lead ids, key -> id, the id counter), filled by
+        lead_ids."""
+        return {}, {}, itertools.count()
+
+    def lead_ids(self, block: tuple[int, ...]) -> tuple[int, ...]:
+        """lead_keys(block) as small ids, equal exactly when the keys are;
+        computed once per block tuple and group.  Every key is interned
+        through one dict, so each distinct key is stored once (at p = 199,
+        3,602 values for 59,552 keys over 7,444 blocks).  setdefault takes
+        a fresh id from the counter for every key; a key already interned
+        keeps its own, so each id stands for one key."""
+        table, ids, fresh = self._lead_table
+        out = table.get(block)
+        if out is None:
+            out = table[block] = tuple(map(ids.setdefault, self.lead_keys(block), fresh))
+        return out
 
     def sigma_keys(self, chars, xs) -> list[int]:
         """Canonical keys of sigma_X(x), the sum of chi_c(x) over the character

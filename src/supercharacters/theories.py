@@ -11,6 +11,8 @@ equal and render identically.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 
 from .groups import DEFAULT_MAX_P, GroupSpec, Subgroup, _Frozen, _set, _Value
 
@@ -34,14 +36,14 @@ class Partition(_Frozen):
 
     @classmethod
     def from_blocks(cls, blocks, size: int) -> "Partition":
-        cleaned = [tuple(sorted(b)) for b in blocks]
-        if any(not b for b in cleaned):
+        """Blocks are any iterables of points.  Sorted blocks that are
+        disjoint differ in their least members, so sorting them as tuples
+        orders them by least member."""
+        cleaned = list(map(tuple, map(sorted, blocks)))
+        if not all(cleaned):
             raise ValueError("empty block")
-        canon = tuple(sorted(cleaned, key=lambda b: b[0]))
-        seen: list[int] = []
-        for b in canon:
-            seen.extend(b)
-        if sorted(seen) != list(range(size)):
+        canon = tuple(sorted(cleaned))
+        if sorted(chain.from_iterable(canon)) != list(range(size)):
             raise ValueError(f"blocks do not partition range({size})")
         return cls(size, canon)
 
@@ -207,16 +209,18 @@ def _first_break(keys, classes: Partition) -> tuple[int, int] | None:
     return None
 
 
+def _leaders(part: Partition) -> list[int]:
+    """The least member of each point's block, per point."""
+    heads = [b[0] for b in part.blocks]
+    return list(map(heads.__getitem__, part.block_of))
+
+
 def _invariant(part: Partition, perm) -> bool:
-    """True when perm maps every block into one block; perm being a
-    bijection, it then maps the blocks onto the blocks."""
-    block_of = part.block_of
-    for b in part.blocks:
-        target = block_of[perm[b[0]]]
-        for i in b[1:]:
-            if block_of[perm[i]] != target:
-                return False
-    return True
+    """True when perm maps every block into one block, that is when the
+    block of perm[i] is the block of perm[leader of i] for every i; perm
+    being a bijection, it then maps the blocks onto the blocks."""
+    image = list(map(part.block_of.__getitem__, perm))
+    return image == list(map(image.__getitem__, _leaders(part)))
 
 
 def _constant_by_multipliers(t: Theory) -> bool:
@@ -227,30 +231,41 @@ def _constant_by_multipliers(t: Theory) -> bool:
     A unit a acts on index (e, v) as (a*e % p, v), on elements and on
     characters alike, and chi_(b,w)(a*e, v) = chi_(a*b,w)(e, v).  So for
     a != 0, sigma_X(a, v) = sigma_{aX}(1, v), and with the character
-    partition invariant aX is a block: the keys of every block at the
-    2^(d+1) indices with p exponent 0 or 1 give all keys.  With the class
-    partition invariant too, the K^(a) are the class blocks, so "sigma_X is
-    constant on every K" carries over to every aX: one character block per
-    orbit is checked, and there are at most 2^(d+1) orbits."""
+    partition invariant aX is a block: the lead ids of the blocks
+    (GroupSpec.lead_ids) give all keys.  With the class partition invariant
+    too, the K^(a) are the class blocks, so "sigma_X is constant on every K"
+    carries over to every aX: one character block per orbit is checked.
+    Every block holds an index (0, w), and is then fixed by the units, or
+    an index (a, w) with a != 0, and is then in the orbit of the block of
+    (1, w), which is block_of[(1 << d) | w :: 1 << d].  Keys are constant
+    on the class blocks when each equals the key at its class's least
+    member."""
     g = t.group
     perm = g.multiplier_perm
     if perm is None or not (_invariant(t.classes, perm) and _invariant(t.charparts, perm)):
         return False
-    p, d, mask = g._split
+    p, half = g.p, 1 << g.dim2
     block_of = t.charparts.block_of
-    cols = [g.lead_keys(x) for x in t.charparts.blocks]
+    cols = list(map(g.lead_ids, t.charparts.blocks))
+    leaders = _leaders(t.classes)
+    tail = itemgetter(slice(half, None))
     done: set[int] = set()
-    for xi, x in enumerate(t.charparts.blocks):
-        if xi in done:
-            continue
-        b, w = x[0] >> d, x[0] & mask
-        orbit = [block_of[a * b % p << d | w] for a in range(1, p)]
-        done.update(orbit)
-        keys = cols[xi][: mask + 1]
-        for yi in orbit:
-            keys += cols[yi][mask + 1 :]
-        if _first_break(keys, t.classes) is not None:
-            return False
+    for w in range(half):
+        xi = block_of[w]
+        if xi not in done:
+            done.add(xi)
+            col = cols[xi]
+            keys = [*col[:half], *col[half:] * (p - 1)]
+            if keys != list(map(keys.__getitem__, leaders)):
+                return False
+    for w in range(half):
+        orbit = block_of[half | w :: half]
+        if orbit[0] not in done:
+            done.update(orbit)
+            keys = [*cols[orbit[0]][:half], *chain.from_iterable(
+                map(tail, map(cols.__getitem__, orbit)))]
+            if keys != list(map(keys.__getitem__, leaders)):
+                return False
     return True
 
 
@@ -321,16 +336,13 @@ def induced_character_partition(g: GroupSpec, classes: Partition) -> Partition:
 
 
 def _signatures_by_multipliers(g: GroupSpec, classes: Partition):
-    """The keys of every class sum at each character in index order, for a
-    class partition invariant under the multipliers."""
+    """The lead ids of every class sum at each character in index order,
+    for a class partition invariant under the multipliers; ids are equal
+    exactly when the keys are."""
     p, d, mask = g._split
     block_of = classes.block_of
     lead = [(k[0] >> d, k[0] & mask) for k in classes.blocks]
-    # small ids for the keys, which are equal exactly when the keys are,
-    # so that the signatures hash quickly
-    ids: dict[int, int] = {}
-    cols = [[ids.setdefault(key, len(ids)) for key in g.lead_keys(k)]
-            for k in classes.blocks]
+    cols = list(map(g.lead_ids, classes.blocks))
     yield from zip(*(col[: mask + 1] for col in cols))
     ones = [col[mask + 1 :] for col in cols]
     for a in range(1, p):

@@ -246,6 +246,24 @@ def test_bad_inputs_exit_4(tmp_path, capsys):
     assert code == 4 and "line 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    # an input file that does not exist
+    lambda d: ["verify", str(d / "absent.jsonl")],
+    # a directory given as the input file
+    lambda d: ["classify", str(d)],
+    # output paths that cannot be opened for writing
+    lambda d: ["enumerate", "--group", "klein", "--out", str(d / "absent" / "out.jsonl")],
+    lambda d: ["lattice", str(d / "klein.jsonl"), "--dot", str(d)],
+], ids=["verify-missing", "classify-directory", "enumerate-out", "lattice-dot"])
+def test_file_errors_exit_4_with_one_line(tmp_path, capsys, argv):
+    cli.main(["enumerate", "--group", "klein", "--out", str(tmp_path / "klein.jsonl")])
+    capsys.readouterr()
+    code, out, err = run(capsys, argv(tmp_path))
+    assert code == 4 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("source", ["file", "stdin"])
 def test_bad_record_after_blank_line_names_its_line(tmp_path, capsys, monkeypatch, source):
     cli.main(["enumerate", "--group", "klein"])

@@ -142,7 +142,8 @@ def test_cp_c2_c2_counts(p, records_by_p):
 
 
 # The first primes with l = 2 (37), k = 5 (97), l = 3 (109), l = 4 (163) and
-# k = 6 (193), and DEFAULT_MAX_P.  Worked by hand from p - 1 = 2^k * 3^l * n:
+# k = 6 (193), the prime below 200 with the most theories (181), and
+# DEFAULT_MAX_P.  Worked by hand from p - 1 = 2^k * 3^l * n:
 # (k, l, n) and (total, automorphic, direct, overlap, wedge) with
 #   total 3k*d(3^l n) + 2l*d(2^k n) + 30*d(p-1) + 13,
 #   automorphic 3k*d(3^l n) + 2l*d(2^k n) + 5*d(p-1),
@@ -156,6 +157,8 @@ LARGE_PRIMES = {
     109: ((2, 3, 1), (415, 102, 138, 60, 234)),
     # 162 = 2 3^4: d(162) = 10, d(81) = 5, d(2) = 2
     163: ((1, 4, 1), (344, 81, 116, 50, 196)),
+    # 180 = 2^2 3^2 5: d(180) = 18, d(45) = 6, d(20) = 6
+    181: ((2, 2, 5), (613, 150, 204, 90, 348)),
     # 192 = 2^6 3: d(192) = 14, d(3) = 2, d(64) = 7
     193: ((6, 1, 1), (483, 120, 160, 70, 272)),
     # 198 = 2 3^2 11: d(198) = 12, d(99) = 6, d(22) = 4

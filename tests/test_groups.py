@@ -882,6 +882,34 @@ def test_lead_keys_match_sigma_keys(g):
         assert g.lead_keys(chars) == g.sigma_keys(chars, range(2 << d))
 
 
+@pytest.mark.parametrize("g", [
+    GroupSpec.cp_c2_c2(3), GroupSpec.cp_c2_c2(13), GroupSpec.cp_c2_c2(199),
+    GroupSpec.cp(13), GroupSpec.cp_c2(13),
+], ids=str)
+def test_lead_ids_intern_lead_keys(g):
+    """The blocks of test_lead_keys_match_sigma_keys: two lead ids are equal
+    exactly when their keys are, and a repeat call returns the same tuple."""
+    rng = random.Random(g.order)
+    n, d = g.order, g.dim2
+    perm = g.multiplier_perm
+    x = rng.randrange(1, n)
+    orbit = {x}
+    while perm[x] not in orbit:
+        x = perm[x]
+        orbit.add(x)
+    blocks = [(0,), range(n), sorted(orbit)]
+    blocks += [rng.sample(range(n), size) for size in (1, 2, 3, n // 2, n - 1)]
+    id_of_key = {}
+    for chars in map(tuple, blocks):
+        ids = g.lead_ids(chars)
+        assert len(ids) == 2 << d
+        assert g.lead_ids(chars) is ids
+        for key, i in zip(g.sigma_keys(chars, range(2 << d)), ids):
+            assert id_of_key.setdefault(key, i) == i
+    # one key per id: equal ids mean equal keys
+    assert len(set(id_of_key.values())) == len(id_of_key)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 199])
 def test_sigma_key_equality_is_value_equality(p):
     """Random signed multisets of powers of zeta_p, summed by the kernel of

@@ -48,6 +48,31 @@ def test_partition_validation():
     assert Partition.discrete(4).blocks == ((0,), (1,), (2,), (3,))
 
 
+@pytest.mark.parametrize("blocks,size,message", [
+    ([(0,), ()], 1, "empty block"),
+    # the empty block is named before the overlap
+    ([(0, 1), (1, 2), ()], 3, "empty block"),
+    # two blocks with the same least member
+    ([(0, 1), (0, 2)], 3, "blocks do not partition range(3)"),
+    ([(0,), (2,)], 3, "blocks do not partition range(3)"),
+])
+def test_partition_validation_messages(blocks, size, message):
+    with pytest.raises(ValueError) as info:
+        Partition.from_blocks(blocks, size)
+    assert str(info.value) == message
+
+
+def test_partition_order_is_canonical_for_any_input_order():
+    rng = random.Random(7)
+    blocks = [(5, 2), (0,), (7, 1, 3), (4,), (6,)]
+    want = ((0,), (1, 3, 7), (2, 5), (4,), (6,))
+    for _ in range(10):
+        rng.shuffle(blocks)
+        shuffled = [rng.sample(b, len(b)) for b in blocks]
+        assert Partition.from_blocks(shuffled, 8).blocks == want
+        assert Partition.from_blocks(map(iter, shuffled), 8).blocks == want
+
+
 @pytest.mark.parametrize("g", [
     GroupSpec.cp(5), GroupSpec.klein(), GroupSpec.cp_c2(3),
     GroupSpec.c2_cubed(), GroupSpec.cp_c2_c2(3),
