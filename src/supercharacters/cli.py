@@ -64,8 +64,6 @@ def _group_from_args(args) -> GroupSpec:
     needs_p = family in ("Cp", "CpC2", "CpC2C2")
     if needs_p and args.p is None:
         raise ValueError(f"--p is required for --group {args.group}")
-    if not needs_p and args.p is not None:
-        raise ValueError(f"--p does not apply to --group {args.group}")
     if needs_p and args.p > args.max_p:
         raise ValueError(f"p={args.p} exceeds the bound {args.max_p} (see --max-p)")
     return GroupSpec.from_family(family, args.p)

@@ -120,15 +120,6 @@ class WedgeSpec(_Frozen):
         _set(self, "inner", inner)
         _set(self, "outer", outer)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n == other.n and self.inner == other.inner
-                and self.outer == other.outer)
-
-    def __hash__(self):
-        return hash((self.n, self.inner, self.outer))
-
 
 def wedge(ws: WedgeSpec, check: bool = True) -> Theory:
     """Classes inside the subgroup come from the inner theory; outside it they

@@ -84,15 +84,6 @@ class CountReport(_Frozen):
         out["predicted"] = dict(self.predicted)
         return out
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.to_json() == other.to_json()
-
-    def __hash__(self):
-        # raises TypeError, as the predicted dict is unhashable
-        return hash(tuple(self.to_json().values()))
-
     def matches(self) -> bool:
         return all(getattr(self, key) == val for key, val in self.predicted.items())
 
@@ -221,54 +212,43 @@ def _add_wedge_theories(col: _Collector, g: GroupSpec) -> None:
                 })
 
 
-def _add_extremes(col: _Collector, g: GroupSpec) -> None:
+def _enumerate(g: GroupSpec, *adders) -> list[TheoryRecord]:
+    """The distinct theories of g that the constructions in adders and the
+    two extremes give, each verified once, in all_theories order."""
+    col = _Collector()
+    for add in adders:
+        add(col, g)
     col.add(minimal_theory(g), None, {"construction": "minimal"})
     col.add(maximal_theory(g), None, {"construction": "maximal"})
+    return col.finish()
+
+
+_ALL_CONSTRUCTIONS = (_add_aut_theories, _add_direct_theories, _add_wedge_theories)
 
 
 def all_scts_cp(p: int, max_p: int = DEFAULT_MAX_P) -> list[TheoryRecord]:
     """Every theory of C_p; there are d(p-1), all from automorphism orbits."""
     _check_p(p, max_p)
-    g = GroupSpec.cp(p)
-    col = _Collector()
-    _add_aut_theories(col, g)
-    _add_extremes(col, g)
-    return col.finish()
+    return _enumerate(GroupSpec.cp(p), _add_aut_theories)
 
 
 def all_scts_klein() -> list[TheoryRecord]:
     """Every theory of C_2 x C_2; there are 5."""
-    g = GroupSpec.klein()
-    col = _Collector()
-    _add_aut_theories(col, g)
-    _add_direct_theories(col, g)
-    _add_wedge_theories(col, g)
-    _add_extremes(col, g)
-    return col.finish()
+    return _enumerate(GroupSpec.klein(), *_ALL_CONSTRUCTIONS)
 
 
 def all_scts_cp_c2(p: int, max_p: int = DEFAULT_MAX_P) -> list[TheoryRecord]:
     """Every theory of C_p x C_2; there are 3*d(p-1) + 1, and the automorphic
     ones are exactly the direct products."""
     _check_p(p, max_p)
-    g = GroupSpec.cp_c2(p)
-    col = _Collector()
-    _add_aut_theories(col, g)
-    _add_direct_theories(col, g)
-    _add_wedge_theories(col, g)
-    _add_extremes(col, g)
-    return col.finish()
+    return _enumerate(GroupSpec.cp_c2(p), *_ALL_CONSTRUCTIONS)
 
 
 def all_scts_c2_cubed() -> list[TheoryRecord]:
     """Every theory of (C_2)^3 from wedges, direct products, and the extremes;
     the count is checked against the brute-force search."""
     g = GroupSpec.c2_cubed()
-    col = _Collector()
-    _add_direct_theories(col, g)
-    _add_wedge_theories(col, g)
-    _add_extremes(col, g)
-    records = col.finish()
+    records = _enumerate(g, _add_direct_theories, _add_wedge_theories)
     oracle = brute_force_count(g)
     if len(records) != oracle:
         raise RuntimeError(
@@ -283,13 +263,7 @@ def all_scts_cp_c2_c2(
     """Every theory of C_p x C_2 x C_2, with the count report; raises
     CountMismatchError when any actual count differs from its formula."""
     _check_p(p, max_p)
-    g = GroupSpec.cp_c2_c2(p)
-    col = _Collector()
-    _add_aut_theories(col, g)
-    _add_direct_theories(col, g)
-    _add_wedge_theories(col, g)
-    _add_extremes(col, g)
-    records = col.finish()
+    records = _enumerate(GroupSpec.cp_c2_c2(p), *_ALL_CONSTRUCTIONS)
 
     k, l, n = factor_pm1(p)
     counts = {

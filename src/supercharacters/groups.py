@@ -33,23 +33,36 @@ _set = object.__setattr__
 
 class _Value:
     """Base of the value classes: _fields names the fields in constructor
-    order, for a repr of the form ClassName(field=value, ...)."""
+    order, for a repr of the form ClassName(field=value, ...), and for
+    equality: two values are equal when they are of the same class and
+    their field tuples are equal."""
 
     _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
 
     def __repr__(self):
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({args})"
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._astuple() == other._astuple()
+
 
 class _Frozen(_Value):
-    """Base of the immutable value classes.  Each class writes out its own
-    __init__, which sets the fields with _set, and its own field-wise
-    __eq__ and __hash__; assigning or deleting an attribute raises
-    AttributeError.  cached_property still works, since it writes to the
-    instance __dict__.  Written by hand rather than generated when the
-    module loads, which would cost an exec per class and the import of
-    inspect and ast in every CLI call (see "Start-up" in the README)."""
+    """Base of the immutable value classes, hashed by their field tuple.
+    Each class writes out its own __init__, which sets the fields with
+    _set; assigning or deleting an attribute raises AttributeError.
+    cached_property still works, since it writes to the instance __dict__.
+    No methods are generated when the module loads, which would cost an
+    exec per class and the import of inspect and ast in every CLI call (see
+    "Start-up" in the README)."""
+
+    def __hash__(self):
+        return hash(self._astuple())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -65,14 +78,6 @@ class _ExponentVector(_Frozen):
 
     def __init__(self, exps: tuple[int, ...]):
         _set(self, "exps", exps)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.exps == other.exps
-
-    def __hash__(self):
-        return hash((self.exps,))
 
 
 class Element(_ExponentVector):
@@ -97,14 +102,6 @@ class GroupSpec(_Frozen):
         if len(factors) - len(odd) > (2 if odd else 3):
             raise ValueError(f"unsupported factor shape {factors}")
         _set(self, "factors", factors)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self):
-        return hash((self.factors,))
 
     @classmethod
     @lru_cache(maxsize=None)
@@ -134,13 +131,19 @@ class GroupSpec(_Frozen):
 
     @classmethod
     def from_family(cls, family: str, p: int | None = None) -> "GroupSpec":
+        """The group of a family name; p is an odd prime for the C_p
+        families and absent for the 2-groups."""
         needs_p = {"Cp": (), "CpC2": (2,), "CpC2C2": (2, 2)}
         if family in needs_p:
             if p is None:
                 raise ValueError(f"family {family} needs p")
+            if not is_odd_prime(p):
+                raise ValueError(f"p must be an odd prime, got {p}")
             return cls.of((p,) + needs_p[family])
         for factors, name in _FAMILY_BY_FACTORS.items():
             if name == family:
+                if p is not None:
+                    raise ValueError(f"p does not apply to family {family}")
                 return cls.of(factors)
         raise ValueError(f"unknown family {family!r}")
 
@@ -542,15 +545,6 @@ class Subgroup(_Frozen):
         _set(self, "members", members)
         _set(self, "generators", generators)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.group == other.group and self.members == other.members
-                and self.generators == other.generators)
-
-    def __hash__(self):
-        return hash((self.group, self.members, self.generators))
-
     @property
     def order(self) -> int:
         return len(self.members)
@@ -576,15 +570,6 @@ class SubgroupEmbedding(_Frozen):
         _set(self, "group", group)
         _set(self, "to_parent", to_parent)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.parent == other.parent and self.group == other.group
-                and self.to_parent == other.to_parent)
-
-    def __hash__(self):
-        return hash((self.parent, self.group, self.to_parent))
-
     @cached_property
     def from_parent(self) -> dict[int, int]:
         return {g: i for i, g in enumerate(self.to_parent)}
@@ -599,15 +584,6 @@ class QuotientMap(_Frozen):
         _set(self, "source", source)
         _set(self, "group", group)
         _set(self, "projection", projection)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.source == other.source and self.group == other.group
-                and self.projection == other.projection)
-
-    def __hash__(self):
-        return hash((self.source, self.group, self.projection))
 
     @cached_property
     def fibers(self) -> tuple[tuple[int, ...], ...]:
@@ -685,14 +661,6 @@ class AutMap(_Frozen):
         # its index is its bits
         if len(_f2_basis(self._bit_images)) != g.dim2:
             raise ValueError("generator images do not define a bijection")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.group == other.group and self.gen_images == other.gen_images
-
-    def __hash__(self):
-        return hash((self.group, self.gen_images))
 
     @classmethod
     def identity(cls, g: GroupSpec) -> "AutMap":

@@ -26,14 +26,6 @@ class Partition(_Frozen):
         _set(self, "size", size)
         _set(self, "blocks", blocks)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.size == other.size and self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash((self.size, self.blocks))
-
     @classmethod
     def from_blocks(cls, blocks, size: int) -> "Partition":
         """Blocks are any iterables of points.  Sorted blocks that are
@@ -80,15 +72,6 @@ class Theory(_Frozen):
         _set(self, "classes", classes)
         _set(self, "charparts", charparts)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.group == other.group and self.classes == other.classes
-                and self.charparts == other.charparts)
-
-    def __hash__(self):
-        return hash((self.group, self.classes, self.charparts))
-
 
 class Violation(_Frozen):
     """Which defining condition failed, with a minimal witness."""
@@ -99,15 +82,6 @@ class Violation(_Frozen):
         _set(self, "condition", condition)
         _set(self, "witness", witness)
         _set(self, "message", message)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.condition == other.condition and self.witness == other.witness
-                and self.message == other.message)
-
-    def __hash__(self):
-        return hash((self.condition, self.witness, self.message))
 
 
 class TheoryRecord(_Value):
@@ -121,12 +95,6 @@ class TheoryRecord(_Value):
         self.theory = theory
         self.tags = set() if tags is None else tags
         self.provenance = [] if provenance is None else provenance
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.theory == other.theory and self.tags == other.tags
-                and self.provenance == other.provenance)
 
 
 def minimal_theory(g: GroupSpec) -> Theory:

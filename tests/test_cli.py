@@ -238,6 +238,12 @@ def test_bad_inputs_exit_4(tmp_path, capsys):
     assert code == 4 and "does not apply" in err
     code, _, err = run(capsys, ["enumerate", "--group", "cp", "--p", "4"])
     assert code == 4
+    # p = 2 would build a 2-group under the wrong family name
+    for argv in (["enumerate", "--group", "cpc2c2", "--p", "2"],
+                 ["oracle", "--group", "cp", "--p", "2"]):
+        code, out, err = run(capsys, argv)
+        assert code == 4 and out == ""
+        assert err == "error: p must be an odd prime, got 2\n"
     code, _, err = run(capsys, ["count", "--p", "211"])
     assert code == 4 and "exceeds" in err
     garbled = tmp_path / "garbled.jsonl"
@@ -312,14 +318,20 @@ _TRIVIAL_BLOCKS = '"superclasses":[[[0,0,0]]],"character_classes":[[[0,0,0]]]'
     ('{"group":{"family":"Cp","p":15},"superclasses":[[[0]]],'
      '"character_classes":[[[0]]]}',
      "prime"),
+    ('{"group":{"family":"Cp","p":2},"superclasses":[[[0]]],'
+     '"character_classes":[[[0]]]}',
+     "p must be an odd prime, got 2"),
+    ('{"group":{"family":"Klein","p":3},"superclasses":[[[0,0]]],'
+     '"character_classes":[[[0,0]]]}',
+     "p does not apply to family Klein"),
     # 1.0 hashes like 1, so only a type test before the lookup rejects it
     ('{"group":{"family":"Klein"},"superclasses":[[[0,0]],'
      '[[1.0,0],[0,1],[1,1]]],"character_classes":[[[0,0]],[[1,0],[0,1],[1,1]]]}',
      "exponents out of range in superclasses: [1.0, 0]"),
     # json.loads raises RecursionError, not ValueError, on deep nesting
     ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
-], ids=["string-p", "bool-p", "bool-exponent", "huge-p", "nonprime-p", "float-exponent",
-        "deep-nesting"])
+], ids=["string-p", "bool-p", "bool-exponent", "huge-p", "nonprime-p", "two-p", "klein-p",
+        "float-exponent", "deep-nesting"])
 def test_hostile_records_exit_4(tmp_path, capsys, line, reason):
     path = tmp_path / "hostile.jsonl"
     path.write_text(line + "\n")

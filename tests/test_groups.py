@@ -49,6 +49,11 @@ def test_unknown_family():
         GroupSpec.from_family("dihedral", 5)
     with pytest.raises(ValueError):
         GroupSpec.from_family("Cp", None)
+    # 2 is not an odd prime: (C_2)^3 is not C_p x C_2 x C_2 at p = 2
+    with pytest.raises(ValueError, match="odd prime"):
+        GroupSpec.from_family("CpC2C2", 2)
+    with pytest.raises(ValueError, match="does not apply"):
+        GroupSpec.from_family("Klein", 3)
 
 
 def test_element_indexing():

@@ -20,6 +20,7 @@ from supercharacters import (
     Violation,
     WedgeSpec,
     cli,
+    groups,
     maximal_theory,
     minimal_theory,
     predicted_counts,
@@ -93,6 +94,18 @@ def test_equal_objects_hash_equal(cls, fields, values):
     a, b = _pair(cls, fields, values)
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+    # the hash of the field tuple, on which the iteration order of sets rests
+    assert hash(a) == hash(tuple(getattr(a, f) for f in fields))
+
+
+def test_every_value_class_is_covered():
+    found, stack = set(), [groups._Value]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            if not sub.__name__.startswith("_"):
+                found.add(sub)
+    assert found == {c[0] for c in CASES}
 
 
 @pytest.mark.parametrize("cls,fields,values", FROZEN, ids=_ids(FROZEN))
