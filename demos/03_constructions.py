@@ -5,7 +5,8 @@ Three ways to construct a theory: orbits, products, wedges
 Every supercharacter theory of C_p x C_2 x C_2 except the coarsest one comes
 from three recipes: orbits of a group of automorphisms, a direct product of
 theories on complementary subgroups, or a wedge over a proper subgroup.
-This script builds one of each and then asks the library to recognize them.
+This script builds one of each, checks it with verify (the constructions
+only build), and then asks the library to recognize them.
 """
 
 from supercharacters import (
@@ -18,6 +19,7 @@ from supercharacters import (
     from_automorphisms,
     maximal_theory,
     minimal_theory,
+    verify,
     wedge,
     wedge_decompositions,
 )
@@ -31,6 +33,7 @@ g = GroupSpec.cp_c2_c2(5)
 # characters, always form a theory.
 alpha = g.aut_from_parts(2, ((1, 0), (1, 1)))
 t_orbit = from_automorphisms(g, (alpha,))
+assert verify(t_orbit) is None
 print("orbit theory of a -> a^2 with a shear on the 2-part:")
 for block in t_orbit.classes.blocks:
     print("  ", [g.elements[i] for i in block])
@@ -44,6 +47,7 @@ h5, h22 = next(
 t_prod = direct_product(
     maximal_theory(GroupSpec.cp(5)), minimal_theory(GroupSpec.klein()), h5, h22
 )
+assert verify(t_prod) is None
 print("\ndirect product of coarse C5 with fine Klein, class sizes:",
       [len(b) for b in t_prod.classes.blocks])
 
@@ -59,6 +63,7 @@ ws = WedgeSpec(
     maximal_theory(g.quotient(n).group),
 )
 t_wedge = wedge(ws)
+assert verify(t_wedge) is None
 print("\nwedge over an order-10 subgroup, class sizes:",
       [len(b) for b in t_wedge.classes.blocks])
 

@@ -21,9 +21,9 @@ from .groups import (
 from .theories import (
     Partition,
     Theory,
-    canonical_key,
+    _Collector,
+    generators_to_json,
     invariant_subgroups,
-    require_valid,
 )
 
 
@@ -49,19 +49,17 @@ def _orbit_partition(n: int, perms) -> Partition:
     return Partition.from_blocks(blocks, n)
 
 
-def from_automorphisms(g: GroupSpec, gens, check: bool = True) -> Theory:
+def from_automorphisms(g: GroupSpec, gens) -> Theory:
     """Classes are the orbits of the generated subgroup of Aut(G) on elements,
     character blocks its orbits on characters; no generators means the
-    discrete orbits, i.e. the minimal theory.  With check=False the caller
-    takes over verification."""
+    discrete orbits, i.e. the minimal theory."""
     gens = list(gens)
     for a in gens:
         if a.group != g:
             raise ValueError("automorphism acts on a different group")
     classes = _orbit_partition(g.order, [a.perm for a in gens])
     charparts = _orbit_partition(g.order, [a.char_perm for a in gens])
-    t = Theory(g, classes, charparts)
-    return require_valid(t, "orbit theory") if check else t
+    return Theory(g, classes, charparts)
 
 
 @lru_cache(maxsize=None)
@@ -89,12 +87,9 @@ def _products(table, part1: Partition, part2: Partition) -> Partition:
                                  len(table) * len(table[0]))
 
 
-def direct_product(
-    t1: Theory, t2: Theory, h1: Subgroup, h2: Subgroup, check: bool = True
-) -> Theory:
+def direct_product(t1: Theory, t2: Theory, h1: Subgroup, h2: Subgroup) -> Theory:
     """The theory on h1.group whose classes are all products K*L of a class of
-    t1 by a class of t2, across the complementary pair (h1, h2).  With
-    check=False the caller takes over verification."""
+    t1 by a class of t2, across the complementary pair (h1, h2)."""
     g = h1.group
     if h2.group != g:
         raise ValueError("subgroups live in different groups")
@@ -104,9 +99,8 @@ def direct_product(
     if t1.group != e1.group or t2.group != e2.group:
         raise ValueError("factor theories do not match the embedded subgroups")
     elems, chars = _product_tables(g, e1, e2)
-    t = Theory(g, _products(elems, t1.classes, t2.classes),
-               _products(chars, t1.charparts, t2.charparts))
-    return require_valid(t, "direct product") if check else t
+    return Theory(g, _products(elems, t1.classes, t2.classes),
+                  _products(chars, t1.charparts, t2.charparts))
 
 
 class WedgeSpec(_Frozen):
@@ -121,12 +115,11 @@ class WedgeSpec(_Frozen):
         _set(self, "outer", outer)
 
 
-def wedge(ws: WedgeSpec, check: bool = True) -> Theory:
+def wedge(ws: WedgeSpec) -> Theory:
     """Classes inside the subgroup come from the inner theory; outside it they
     are preimages of the nonidentity classes of the outer quotient theory.
     The character side is built from inflation and restriction
-    (character_side_wedge), not derived from the classes, so nothing is
-    checked here unless check=True; otherwise the caller's gate verifies."""
+    (character_side_wedge), not derived from the classes."""
     g = ws.n.group
     if not 1 < ws.n.order < g.order:
         raise ValueError("wedge needs a proper nontrivial subgroup")
@@ -139,8 +132,7 @@ def wedge(ws: WedgeSpec, check: bool = True) -> Theory:
     blocks += [chain.from_iterable(map(fibers, b))
                for b in ws.outer.classes.blocks if b != (0,)]
     classes = Partition.from_blocks(blocks, g.order)
-    t = Theory(g, classes, character_side_wedge(ws))
-    return require_valid(t, "wedge") if check else t
+    return Theory(g, classes, character_side_wedge(ws))
 
 
 @lru_cache(maxsize=None)
@@ -167,28 +159,34 @@ def character_side_wedge(ws: WedgeSpec) -> Partition:
     return Partition.from_blocks(blocks, ws.n.group.order)
 
 
-@lru_cache(maxsize=None)
-def _witness_index(g: GroupSpec) -> MappingProxyType:
-    """canonical key -> generators of the first subgroup of Aut(G), in
-    subgroups_of_aut() order, whose orbit theory has that key; built once per
-    group on first use.  Like the enumerator's gate, an orbit theory is
-    verified when its key is new or its character partition differs from
-    the one recorded for the key (which then raises)."""
-    first: dict[str, tuple[Theory, tuple[AutMap, ...]]] = {}
+def _add_aut_theories(col: _Collector, g: GroupSpec) -> dict[tuple, tuple[AutMap, ...]]:
+    """Adds the orbit theory of every subgroup of Aut(G) to col, in
+    subgroups_of_aut() order; returns, per class blocks, the generators of
+    the first subgroup whose orbit theory has those blocks."""
+    first: dict[tuple, tuple[AutMap, ...]] = {}
     for subgroup in g.subgroups_of_aut():
         gens = aut_generating_subset(subgroup)
-        t = from_automorphisms(g, gens, check=False)
-        key = canonical_key(t)
-        seen = first.setdefault(key, (t, gens))[0]
-        if seen is t or seen.charparts != t.charparts:
-            require_valid(t, "orbit theory")
-    return MappingProxyType({key: gens for key, (_, gens) in first.items()})
+        t = from_automorphisms(g, gens)
+        col.add(t, "automorphic", {
+            "construction": "aut",
+            "generators": generators_to_json(gens),
+        })
+        first.setdefault(t.classes.blocks, gens)
+    return first
+
+
+@lru_cache(maxsize=None)
+def _witness_index(g: GroupSpec) -> MappingProxyType:
+    """Class blocks -> generators of the first subgroup of Aut(G) whose orbit
+    theory has them; built once per group on first use, through the
+    enumerator's walk and gate."""
+    return MappingProxyType(_add_aut_theories(_Collector(), g))
 
 
 def automorphism_witness(t: Theory) -> tuple[AutMap, ...] | None:
     """Generators of a subgroup of Aut(G) whose orbit theory equals t, or None;
     the first such subgroup in subgroups_of_aut() order."""
-    return _witness_index(t.group).get(canonical_key(t))
+    return _witness_index(t.group).get(t.classes.blocks)
 
 
 def direct_decompositions(t: Theory) -> list[tuple[Subgroup, Subgroup]]:

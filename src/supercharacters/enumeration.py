@@ -19,19 +19,16 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .bruteforce import brute_force_count
-from .constructions import WedgeSpec, direct_product, from_automorphisms, wedge
-from .groups import DEFAULT_MAX_P, GroupSpec, Subgroup, _Frozen, _set, aut_generating_subset
+from .constructions import WedgeSpec, _add_aut_theories, direct_product, wedge
+from .groups import DEFAULT_MAX_P, GroupSpec, _Frozen, _set
 from .cyclotomic import is_odd_prime
 from .theories import (
     TheoryRecord,
     Theory,
+    _Collector,
     canonical_key,
-    generators_to_json,
     maximal_theory,
     minimal_theory,
-    require_valid,
-    shape_tags,
-    sort_key,
 )
 
 
@@ -123,58 +120,6 @@ def predicted_counts(p: int) -> CountReport:
     return CountReport(p, k, l, n, **f, predicted=f)
 
 
-# What a construction's candidates are called when they fail verification.
-_BUILT_BY = {
-    "aut": "orbit theory",
-    "direct": "direct product",
-    "wedge": "wedge",
-    "minimal": "minimal theory",
-    "maximal": "maximal theory",
-}
-
-
-class _Collector:
-    """Deduplicates theories by their class blocks, merging tags and
-    witnesses; the canonical key is rendered only for the distinct theories,
-    to sort them at finish.  A collector holds the theories of one group.
-
-    This is the one verification gate of the enumerator, which calls the
-    constructions with check=False: a candidate is verified when its class
-    blocks are new, or when its character partition differs from the one
-    recorded for them.  The classes of a theory determine its character
-    partition, so such a second partition fails verification and raises."""
-
-    def __init__(self):
-        self.by_blocks: dict[tuple, TheoryRecord] = {}
-
-    def add(self, t: Theory, tag: str | None, prov: dict) -> None:
-        rec = self.by_blocks.get(t.classes.blocks)
-        if rec is None or rec.theory.charparts != t.charparts:
-            require_valid(t, _BUILT_BY[prov["construction"]])
-        if rec is None:
-            rec = TheoryRecord(t)
-            self.by_blocks[t.classes.blocks] = rec
-        if tag:
-            rec.tags.add(tag)
-        if prov not in rec.provenance:
-            rec.provenance.append(prov)
-
-    def finish(self) -> list[TheoryRecord]:
-        for rec in self.by_blocks.values():
-            rec.tags |= shape_tags(rec.theory)
-        return sorted(self.by_blocks.values(), key=lambda r: sort_key(r.theory))
-
-
-def _add_aut_theories(col: _Collector, g: GroupSpec) -> None:
-    for subgroup in g.subgroups_of_aut():
-        gens = aut_generating_subset(subgroup)
-        t = from_automorphisms(g, gens, check=False)
-        col.add(t, "automorphic", {
-            "construction": "aut",
-            "generators": generators_to_json(gens),
-        })
-
-
 @lru_cache(maxsize=None)
 def _sub_theories(g: GroupSpec) -> tuple[tuple[Theory, str], ...]:
     """Every theory of a subgroup or quotient with its canonical key, in
@@ -187,7 +132,7 @@ def _add_direct_theories(col: _Collector, g: GroupSpec) -> None:
         e1, e2 = g.subgroup_embedding(h1), g.subgroup_embedding(h2)
         for t1, key1 in _sub_theories(e1.group):
             for t2, key2 in _sub_theories(e2.group):
-                t = direct_product(t1, t2, h1, h2, check=False)
+                t = direct_product(t1, t2, h1, h2)
                 col.add(t, "direct", {
                     "construction": "direct",
                     "pair": [h1.generator_exps(), h2.generator_exps()],
@@ -203,7 +148,7 @@ def _add_wedge_theories(col: _Collector, g: GroupSpec) -> None:
         quot = g.quotient(n)
         for ti, key_i in _sub_theories(emb.group):
             for to, key_o in _sub_theories(quot.group):
-                t = wedge(WedgeSpec(n, ti, to), check=False)
+                t = wedge(WedgeSpec(n, ti, to))
                 col.add(t, "wedge", {
                     "construction": "wedge",
                     "N": n.generator_exps(),
@@ -309,7 +254,5 @@ def all_theories(g: GroupSpec, max_p: int = DEFAULT_MAX_P) -> list[TheoryRecord]
 
 
 def _check_p(p: int, max_p: int) -> None:
-    if not is_odd_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
     if p > max_p:
         raise ValueError(f"p={p} exceeds the bound {max_p}")

@@ -111,7 +111,7 @@ class GroupSpec(_Frozen):
 
     @classmethod
     def cp(cls, p: int) -> "GroupSpec":
-        return cls.of((p,))
+        return cls.from_family("Cp", p)
 
     @classmethod
     def klein(cls) -> "GroupSpec":
@@ -119,7 +119,7 @@ class GroupSpec(_Frozen):
 
     @classmethod
     def cp_c2(cls, p: int) -> "GroupSpec":
-        return cls.of((p, 2))
+        return cls.from_family("CpC2", p)
 
     @classmethod
     def c2_cubed(cls) -> "GroupSpec":
@@ -127,7 +127,7 @@ class GroupSpec(_Frozen):
 
     @classmethod
     def cp_c2_c2(cls, p: int) -> "GroupSpec":
-        return cls.of((p, 2, 2))
+        return cls.from_family("CpC2C2", p)
 
     @classmethod
     def from_family(cls, family: str, p: int | None = None) -> "GroupSpec":
@@ -211,13 +211,6 @@ class GroupSpec(_Frozen):
     def mult_table(self) -> tuple[tuple[int, ...], ...]:
         n = self.order
         return tuple(tuple(self.mul_idx(i, j) for j in range(n)) for i in range(n))
-
-    @cached_property
-    def inverse_table(self) -> tuple[int, ...]:
-        return tuple(
-            self._index[tuple(-a % f for a, f in zip(exps, self.factors))]
-            for exps in self.elements
-        )
 
     def order_of_index(self, i: int) -> int:
         exps = self.elements[i]
@@ -705,16 +698,6 @@ class AutMap(_Frozen):
     def char_perm(self) -> tuple[int, ...]:
         """Index permutation of Irr(G) under chi -> chi o alpha^(-1)."""
         return tuple(_pull_back(self.inverse_perm, self.group, self.group))
-
-    def act_on_character(self, chi: Character) -> Character:
-        g = self.group
-        return Character(g.elements[self.char_perm[g.index_of(chi)]])
-
-    def compose(self, other: "AutMap") -> "AutMap":
-        """self after other."""
-        if other.group != self.group:
-            raise ValueError("maps act on different groups")
-        return AutMap(self.group, tuple(self.apply_exps(img) for img in other.gen_images))
 
     def inverse(self) -> "AutMap":
         g = self.group

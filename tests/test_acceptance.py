@@ -129,6 +129,7 @@ def test_criterion_4_golden_examples(capsys):
         for case in GOLDEN_ORBIT_THEORIES:
             g = GroupSpec.cp_c2_c2(case["p"])
             t = from_automorphisms(g, (g.aut_from_parts(case["u"], case["mat"]),))
+            assert verify(t) is None, case["name"]
             built = [[list(g.elements[i]) for i in block] for block in t.classes.blocks]
             want = [[list(e) for e in block] for block in case["classes"]]
             assert json.dumps(built) == json.dumps(want), case["name"]

@@ -123,7 +123,7 @@ def _unpruned_partitions(g):
     is checked."""
     n = g.order
     mt = g.mult_table
-    inv = g.inverse_table
+    inv = [row.index(0) for row in mt]
     found = set()
 
     def conv(a, b):

@@ -28,6 +28,7 @@ from supercharacters import (
     wedge,
     wedge_decompositions,
 )
+from supercharacters import theories
 from supercharacters.groups import _pull_back
 
 from golden import GOLDEN_ORBIT_THEORIES
@@ -42,13 +43,17 @@ def _blocks_as_exps(t):
 
 def test_no_generators_gives_minimal():
     g = GroupSpec.cp_c2_c2(5)
-    assert from_automorphisms(g, []) == minimal_theory(g)
+    t = from_automorphisms(g, [])
+    assert verify(t) is None
+    assert t == minimal_theory(g)
 
 
 def test_full_automorphism_group_of_cp_gives_maximal():
     g = GroupSpec.cp(7)
     gens = [g.aut_from_parts(3, ())]  # 3 generates the units mod 7
-    assert from_automorphisms(g, gens) == maximal_theory(g)
+    t = from_automorphisms(g, gens)
+    assert verify(t) is None
+    assert t == maximal_theory(g)
 
 
 @pytest.mark.parametrize("case", GOLDEN_ORBIT_THEORIES, ids=lambda c: c["name"])
@@ -63,6 +68,7 @@ def test_cycle_orientations_differ():
     g = GroupSpec.cp_c2_c2(7)
     fwd = from_automorphisms(g, [g.aut_from_parts(2, ((0, 1), (1, 1)))])
     rev = from_automorphisms(g, [g.aut_from_parts(2, ((1, 1), (1, 0)))])
+    assert verify(fwd) is None and verify(rev) is None
     assert canonical_key(fwd) != canonical_key(rev)
     assert len(fwd.classes) == len(rev.classes) == 10
 
@@ -97,6 +103,7 @@ def test_direct_product_restricts_to_factors():
         for r1 in all_theories(e1.group):
             for r2 in all_theories(e2.group):
                 t = direct_product(r1.theory, r2.theory, h1, h2)
+                assert verify(t) is None
                 assert restriction(t, h1) == r1.theory
                 assert restriction(t, h2) == r2.theory
 
@@ -151,6 +158,7 @@ def test_character_side_formula_matches_derived_side():
         for r1 in all_theories(emb.group):
             for r2 in all_theories(quot.group):
                 t = wedge(WedgeSpec(n, r1.theory, r2.theory))
+                assert verify(t) is None
                 assert t.charparts == induced_character_partition(g, t.classes)
                 checked += 1
     assert checked == 62
@@ -186,6 +194,7 @@ def test_wedge_charparts_shape():
     emb, quot = g.subgroup_embedding(n), g.quotient(n)
     inner, outer = maximal_theory(emb.group), maximal_theory(quot.group)
     t = wedge(WedgeSpec(n, inner, outer))
+    assert verify(t) is None
     sizes = sorted(len(b) for b in t.charparts.blocks)
     assert sizes == sorted([1, 4, 3 * 5])
 
@@ -210,6 +219,7 @@ def test_golden_theory_decomposes_as_predicted():
     case = GOLDEN_ORBIT_THEORIES[0]
     g = GroupSpec.cp_c2_c2(case["p"])
     t = from_automorphisms(g, [g.aut_from_parts(case["u"], case["mat"])])
+    assert verify(t) is None
     assert automorphism_witness(t) is not None
     assert direct_decompositions(t) == []
     assert wedge_decompositions(t) == []
@@ -220,6 +230,7 @@ def test_golden_theory_decomposes_as_predicted():
     # the half-orbit refinement comes from inversion acting on the p part alone
     cp = GroupSpec.cp(5)
     half = from_automorphisms(cp, [cp.aut_from_parts(4, ())])
+    assert verify(half) is None
     assert [list(b) for b in half.classes.blocks] == [[0], [1, 4], [2, 3]]
 
 
@@ -229,6 +240,7 @@ def test_golden_theory_refines_product_of_restrictions():
     t = from_automorphisms(g, [g.aut_from_parts(case["u"], case["mat"])])
     h1, h2 = _pair(g, 5)
     prod = direct_product(restriction(t, h1), restriction(t, h2), h1, h2)
+    assert verify(t) is None and verify(prod) is None
     assert refines(t, prod)
     assert not refines(prod, t)
 
@@ -238,7 +250,24 @@ def test_wedge_decompositions_of_wedge_contain_its_subgroup():
     n = next(h for h in g.all_subgroups if h.order == 6)
     emb, quot = g.subgroup_embedding(n), g.quotient(n)
     t = wedge(WedgeSpec(n, minimal_theory(emb.group), minimal_theory(quot.group)))
+    assert verify(t) is None
     assert n.members in {h.members for h in wedge_decompositions(t)}
+
+
+def test_constructions_do_not_verify(monkeypatch):
+    # verification is the caller's: the enumerator's gate, or verify itself
+    def refuse(t):
+        raise AssertionError("a construction called verify")
+
+    monkeypatch.setattr(theories, "verify", refuse)
+    g = GroupSpec.cp_c2_c2(5)
+    from_automorphisms(g, [g.aut_from_parts(2, ((0, 1), (1, 1)))])
+    h1, h2 = _pair(g, 5)
+    e1, e2 = g.subgroup_embedding(h1), g.subgroup_embedding(h2)
+    direct_product(maximal_theory(e1.group), minimal_theory(e2.group), h1, h2)
+    n = next(h for h in g.all_subgroups if h.order == 10)
+    emb, quot = g.subgroup_embedding(n), g.quotient(n)
+    wedge(WedgeSpec(n, minimal_theory(emb.group), maximal_theory(quot.group)))
 
 
 def _linear_witness(t, candidates):
@@ -264,7 +293,9 @@ def test_witness_index_matches_linear_search(
     candidates = []
     for sub in g.subgroups_of_aut():
         gens = aut_generating_subset(sub)
-        candidates.append((canonical_key(from_automorphisms(g, gens)), gens))
+        t = from_automorphisms(g, gens)
+        assert verify(t) is None
+        candidates.append((canonical_key(t), gens))
     found = 0
     for rec in records:
         want = _linear_witness(rec.theory, candidates)

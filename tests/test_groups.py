@@ -56,6 +56,15 @@ def test_unknown_family():
         GroupSpec.from_family("Klein", 3)
 
 
+def test_prime_factories_need_an_odd_prime():
+    # p = 2 must not give C_2, the Klein group or (C_2)^3
+    for factory in (GroupSpec.cp, GroupSpec.cp_c2, GroupSpec.cp_c2_c2):
+        for p in (1, 2, 9):
+            with pytest.raises(ValueError, match="odd prime"):
+                factory(p)
+    assert GroupSpec.of((2,)).family == "C2"
+
+
 def test_element_indexing():
     g = GroupSpec.cp_c2_c2(3)
     assert g.order == 12
@@ -71,7 +80,7 @@ def test_group_laws_exhaustive_klein():
     g = GroupSpec.klein()
     for i in range(4):
         assert g.mul_idx(i, 0) == i
-        assert g.mul_idx(i, g.inverse_table[i]) == 0
+        assert g.mult_table[i].count(0) == 1
         for j in range(4):
             assert g.mul_idx(i, j) == g.mul_idx(j, i)
             for k in range(4):
@@ -85,7 +94,7 @@ def test_group_laws_random(p):
     for _ in range(60):
         i, j, k = (rng.randrange(g.order) for _ in range(3))
         assert g.mul_idx(i, 0) == i
-        assert g.mul_idx(i, g.inverse_table[i]) == 0
+        assert g.mult_table[i].count(0) == 1
         assert g.mul_idx(i, j) == g.mul_idx(j, i)
         assert g.mul_idx(g.mul_idx(i, j), k) == g.mul_idx(i, g.mul_idx(j, k))
 
@@ -157,7 +166,7 @@ def test_subgroup_counts(g, count):
     for s in subs:
         members = set(s.members)
         for x in s.members:
-            assert g.inverse_table[x] in members
+            assert g.mult_table[x].index(0) in members
             for y in s.members:
                 assert g.mul_idx(x, y) in members
         assert set(g.generated_subgroup(s.generators).members) == members
@@ -411,26 +420,28 @@ def test_aut_character_compatibility():
             assert g.char_value(moved, elem) == g.char_value(chi, pulled)
 
 
-def test_act_on_character_swap():
+def test_char_perm_swap():
     g = GroupSpec.cp_c2_c2(3)
     swap = g.aut_from_parts(1, ((0, 1), (1, 0)))
-    chi = g.character((0, 1, 0))
-    assert swap.act_on_character(chi).exps == (0, 0, 1)
-    fixed = g.character((0, 1, 1))
-    assert swap.act_on_character(fixed).exps == (0, 1, 1)
+    assert g.elements[swap.char_perm[g.index_of((0, 1, 0))]] == (0, 0, 1)
+    assert g.elements[swap.char_perm[g.index_of((0, 1, 1))]] == (0, 1, 1)
 
 
-def test_aut_compose_inverse():
+def test_aut_inverse_and_products():
     g = GroupSpec.cp_c2_c2(5)
     rng = random.Random(4)
     auts = g.aut_group()
+    perms = {a.perm for a in auts}
     ident = AutMap.identity(g)
     for _ in range(10):
         a, b = rng.choice(auts), rng.choice(auts)
-        assert a.compose(a.inverse()) == ident
-        ab = a.compose(b)
-        for x in range(g.order):
-            assert ab.perm[x] == a.perm[b.perm[x]]
+        inv = a.inverse()
+        assert tuple(a.perm[x] for x in inv.perm) == ident.perm
+        assert inv.perm == a.inverse_perm and inv.inverse() == a
+        # a after b sends each generator image of b through a
+        ab = tuple(a.perm[x] for x in b.perm)
+        assert ab in perms
+        assert AutMap(g, tuple(a.apply_exps(img) for img in b.gen_images)).perm == ab
 
 
 _BIJECTION = "generator images do not define a bijection"
@@ -561,7 +572,7 @@ def test_subgroups_of_aut_counts(g, count):
         perms = {m.perm for m in s}
         for x in s:
             for y in s:
-                assert x.compose(y).perm in perms
+                assert tuple(x.perm[i] for i in y.perm) in perms
 
 
 def _perm_closure(gens, n):
