@@ -20,7 +20,7 @@ from .constructions import (
     wedge_decompositions,
 )
 from .enumeration import CountMismatchError, all_scts_cp_c2_c2, all_theories
-from .groups import DEFAULT_MAX_P, GroupSpec
+from .groups import GroupSpec, _NEEDS_P
 from .lattice import lattice_dot
 from .theories import (
     TheoryRecord,
@@ -61,11 +61,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _group_from_args(args) -> GroupSpec:
     family = _FAMILIES[args.group]
-    needs_p = family in ("Cp", "CpC2", "CpC2C2")
-    if needs_p and args.p is None:
+    if family in _NEEDS_P and args.p is None:
         raise ValueError(f"--p is required for --group {args.group}")
-    if needs_p and args.p > args.max_p:
-        raise ValueError(f"p={args.p} exceeds the bound {args.max_p} (see --max-p)")
     return GroupSpec.from_family(family, args.p)
 
 
@@ -104,7 +101,7 @@ def _write_records(records, path: str | None) -> None:
 
 
 def _cmd_count(args) -> int:
-    _records, report = all_scts_cp_c2_c2(args.p, args.max_p)
+    _records, report = all_scts_cp_c2_c2(args.p)
     if args.json:
         print(json.dumps(report.to_json(), separators=(",", ":")))
     else:
@@ -116,7 +113,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     g = _group_from_args(args)
-    records = all_theories(g, args.max_p)
+    records = all_theories(g)
     _write_records(records, args.out)
     return EXIT_OK
 
@@ -216,21 +213,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="supercharacters", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_max_p(p):
-        p.add_argument("--max-p", type=int, default=DEFAULT_MAX_P,
-                       help=f"largest accepted prime (default {DEFAULT_MAX_P})")
-
     p_count = sub.add_parser("count", help="enumerate C_p x C_2 x C_2 and check the formulas")
     p_count.add_argument("--p", type=int, required=True)
     p_count.add_argument("--json", action="store_true")
-    add_max_p(p_count)
     p_count.set_defaults(func=_cmd_count)
 
     p_enum = sub.add_parser("enumerate", help="list every theory of a group as JSONL")
     p_enum.add_argument("--group", choices=sorted(_FAMILIES), required=True)
     p_enum.add_argument("--p", type=int)
     p_enum.add_argument("--out", help="output file (default stdout)")
-    add_max_p(p_enum)
     p_enum.set_defaults(func=_cmd_enumerate)
 
     p_verify = sub.add_parser("verify", help="check each JSONL theory")
@@ -251,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--p", type=int)
     p_oracle.add_argument("--budget", type=int, help="search node budget")
     p_oracle.add_argument("--out", help="output file (default stdout)")
-    add_max_p(p_oracle)
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_lattice = sub.add_parser("lattice", help="DOT digraph of covering refinements")

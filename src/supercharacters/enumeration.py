@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .bruteforce import brute_force_count
 from .constructions import WedgeSpec, _add_aut_theories, direct_product, wedge
-from .groups import DEFAULT_MAX_P, GroupSpec, _Frozen, _set
+from .groups import GroupSpec, _Frozen, _set
 from .cyclotomic import is_odd_prime
 from .theories import (
     TheoryRecord,
@@ -171,9 +171,8 @@ def _enumerate(g: GroupSpec, *adders) -> list[TheoryRecord]:
 _ALL_CONSTRUCTIONS = (_add_aut_theories, _add_direct_theories, _add_wedge_theories)
 
 
-def all_scts_cp(p: int, max_p: int = DEFAULT_MAX_P) -> list[TheoryRecord]:
+def all_scts_cp(p: int) -> list[TheoryRecord]:
     """Every theory of C_p; there are d(p-1), all from automorphism orbits."""
-    _check_p(p, max_p)
     return _enumerate(GroupSpec.cp(p), _add_aut_theories)
 
 
@@ -182,10 +181,9 @@ def all_scts_klein() -> list[TheoryRecord]:
     return _enumerate(GroupSpec.klein(), *_ALL_CONSTRUCTIONS)
 
 
-def all_scts_cp_c2(p: int, max_p: int = DEFAULT_MAX_P) -> list[TheoryRecord]:
+def all_scts_cp_c2(p: int) -> list[TheoryRecord]:
     """Every theory of C_p x C_2; there are 3*d(p-1) + 1, and the automorphic
     ones are exactly the direct products."""
-    _check_p(p, max_p)
     return _enumerate(GroupSpec.cp_c2(p), *_ALL_CONSTRUCTIONS)
 
 
@@ -202,12 +200,9 @@ def all_scts_c2_cubed() -> list[TheoryRecord]:
     return records
 
 
-def all_scts_cp_c2_c2(
-    p: int, max_p: int = DEFAULT_MAX_P
-) -> tuple[list[TheoryRecord], CountReport]:
+def all_scts_cp_c2_c2(p: int) -> tuple[list[TheoryRecord], CountReport]:
     """Every theory of C_p x C_2 x C_2, with the count report; raises
     CountMismatchError when any actual count differs from its formula."""
-    _check_p(p, max_p)
     records = _enumerate(GroupSpec.cp_c2_c2(p), *_ALL_CONSTRUCTIONS)
 
     k, l, n = factor_pm1(p)
@@ -230,7 +225,7 @@ def all_scts_cp_c2_c2(
     return records, report
 
 
-def all_theories(g: GroupSpec, max_p: int = DEFAULT_MAX_P) -> list[TheoryRecord]:
+def all_theories(g: GroupSpec) -> list[TheoryRecord]:
     """Dispatch to the enumerator for the family of g."""
     fam = g.family
     if fam == "Trivial":
@@ -241,18 +236,13 @@ def all_theories(g: GroupSpec, max_p: int = DEFAULT_MAX_P) -> list[TheoryRecord]
                            [{"construction": "minimal"}, {"construction": "maximal"}])
         return [rec]
     if fam == "Cp":
-        return all_scts_cp(g.p, max_p)
+        return all_scts_cp(g.p)
     if fam == "Klein":
         return all_scts_klein()
     if fam == "CpC2":
-        return all_scts_cp_c2(g.p, max_p)
+        return all_scts_cp_c2(g.p)
     if fam == "C2cubed":
         return all_scts_c2_cubed()
     if fam == "CpC2C2":
-        return all_scts_cp_c2_c2(g.p, max_p)[0]
+        return all_scts_cp_c2_c2(g.p)[0]
     raise ValueError(f"no enumerator for family {fam}")
-
-
-def _check_p(p: int, max_p: int) -> None:
-    if p > max_p:
-        raise ValueError(f"p={p} exceeds the bound {max_p}")

@@ -17,7 +17,12 @@ from operator import itemgetter
 
 from .cyclotomic import CycInt, is_odd_prime
 
+# the largest p that from_family accepts, for the CLI, JSONL records and the
+# enumerators alike
 DEFAULT_MAX_P = 199
+
+# the 2-factors that follow p in each family that takes an odd prime p
+_NEEDS_P = {"Cp": (), "CpC2": (2,), "CpC2C2": (2, 2)}
 
 _FAMILY_BY_FACTORS = {
     (): "Trivial",
@@ -131,15 +136,20 @@ class GroupSpec(_Frozen):
 
     @classmethod
     def from_family(cls, family: str, p: int | None = None) -> "GroupSpec":
-        """The group of a family name; p is an odd prime for the C_p
-        families and absent for the 2-groups."""
-        needs_p = {"Cp": (), "CpC2": (2,), "CpC2C2": (2, 2)}
-        if family in needs_p:
+        """The group of a family name; p is an odd prime up to DEFAULT_MAX_P
+        for the C_p families and absent for the 2-groups.  The bound is
+        tested before primality, so a huge p never reaches trial division."""
+        if family in _NEEDS_P:
             if p is None:
                 raise ValueError(f"family {family} needs p")
+            # bool is an int subclass, but true and false are not numbers
+            if not isinstance(p, int) or isinstance(p, bool):
+                raise ValueError(f"p must be an integer, got {p!r}")
+            if p > DEFAULT_MAX_P:
+                raise ValueError(f"p={p} exceeds the bound {DEFAULT_MAX_P}")
             if not is_odd_prime(p):
                 raise ValueError(f"p must be an odd prime, got {p}")
-            return cls.of((p,) + needs_p[family])
+            return cls.of((p,) + _NEEDS_P[family])
         for factors, name in _FAMILY_BY_FACTORS.items():
             if name == family:
                 if p is not None:

@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 
-from .groups import DEFAULT_MAX_P, GroupSpec, Subgroup, _Frozen, _set, _Value
+from .groups import GroupSpec, Subgroup, _Frozen, _set, _Value
 
 
 class Partition(_Frozen):
@@ -435,23 +435,12 @@ def group_to_json(g: GroupSpec) -> dict:
 def group_from_json(d) -> GroupSpec:
     if not isinstance(d, dict) or not isinstance(d.get("family"), str):
         raise ValueError("group must be an object with a family")
-    p = d.get("p")
-    if p is not None:
-        if not _is_int(p):
-            raise ValueError(f"p must be an integer, got {p!r}")
-        if p > DEFAULT_MAX_P:
-            raise ValueError(f"p={p} exceeds the bound {DEFAULT_MAX_P}")
-    return GroupSpec.from_family(d["family"], p)
+    return GroupSpec.from_family(d["family"], d.get("p"))
 
 
 def generators_to_json(gens) -> list:
     """The generator images of each automorphism as exponent lists."""
     return [[list(img) for img in a.gen_images] for a in gens]
-
-
-def _is_int(x) -> bool:
-    """A JSON integer; bool is an int subclass but true/false are not numbers."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _partition_to_lists(g: GroupSpec, part: Partition) -> list:

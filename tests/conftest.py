@@ -13,7 +13,7 @@ from supercharacters import (
 @pytest.fixture(scope="session")
 def records_by_p():
     """Full C_p x C_2 x C_2 enumerations (records, report) for small primes."""
-    return {p: all_scts_cp_c2_c2(p) for p in (3, 5, 7)}
+    return {p: all_scts_cp_c2_c2(p) for p in (3, 5, 7, 11, 13)}
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from supercharacters import (
+    CountMismatchError,
     GroupSpec,
     Partition,
     Theory,
@@ -23,7 +24,7 @@ from supercharacters import (
     theory_to_json,
     wedge_decompositions,
 )
-from supercharacters import constructions, theories
+from supercharacters import constructions, enumeration, groups, theories
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -297,6 +298,70 @@ def test_usage_errors_exit_4(capsys):
 def test_count_mismatch_exit_code_is_reserved():
     assert cli.EXIT_COUNT == 3
     assert cli.EXIT_BUDGET == 5
+
+
+def test_count_mismatch_exits_3(capsys, monkeypatch):
+    real_formula = enumeration._formula
+
+    def one_too_many(p):
+        f = dict(real_formula(p))
+        if p == 3:
+            f["total"] += 1
+        return f
+
+    monkeypatch.setattr(enumeration, "_formula", one_too_many)
+    with pytest.raises(CountMismatchError) as info:
+        enumeration.all_scts_cp_c2_c2(3)
+    assert len(info.value.keys_by_tag["all"]) == 76
+    code, out, err = run(capsys, ["count", "--p", "3"])
+    assert code == 3 and out == ""
+    assert err == "error: count mismatch at p=3: total: predicted 77, got 76\n"
+
+
+def _no_trial_division(p):
+    raise AssertionError(f"trial division reached for p={p}")
+
+
+# the one bound on p, DEFAULT_MAX_P = 199, holds for every way in: CLI
+# arguments, the enumerators behind them, the oracle and JSONL records; it is
+# tested before primality, so a 31-digit p is refused at once
+@pytest.mark.parametrize("p", [211, 10**30 + 57], ids=["211", "31-digit"])
+@pytest.mark.parametrize("argv,prefix", [
+    (lambda f, p: ["count", "--p", str(p)], ""),
+    (lambda f, p: ["enumerate", "--group", "cp", "--p", str(p)], ""),
+    (lambda f, p: ["enumerate", "--group", "cpc2", "--p", str(p)], ""),
+    (lambda f, p: ["enumerate", "--group", "cpc2c2", "--p", str(p)], ""),
+    (lambda f, p: ["oracle", "--group", "cp", "--p", str(p)], ""),
+    (lambda f, p: ["verify", str(f)], "line 1: "),
+], ids=["count", "enumerate-cp", "enumerate-cpc2", "enumerate-cpc2c2", "oracle", "verify"])
+def test_p_past_the_bound_exits_4_with_one_line(tmp_path, capsys, monkeypatch, argv, prefix, p):
+    monkeypatch.setattr(groups, "is_odd_prime", _no_trial_division)
+    record = tmp_path / "cp.jsonl"
+    record.write_text('{"group":{"family":"Cp","p":%d},"superclasses":[[[0]]],'
+                      '"character_classes":[[[0]]]}\n' % p)
+    code, out, err = run(capsys, argv(record, p))
+    assert code == 4 and out == ""
+    assert err == f"error: {prefix}p={p} exceeds the bound 199\n"
+
+
+def test_max_p_option_is_gone(capsys):
+    for argv in (["count", "--p", "3", "--max-p", "211"],
+                 ["enumerate", "--group", "cp", "--p", "3", "--max-p", "199"],
+                 ["oracle", "--group", "cp", "--p", "3", "--max-p", "199"]):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 4
+        assert "unrecognized arguments: --max-p" in capsys.readouterr().err
+
+
+def test_round_trip_at_the_bound(tmp_path, capsys):
+    path = tmp_path / "cp199.jsonl"
+    assert cli.main(["enumerate", "--group", "cp", "--p", "199", "--out", str(path)]) == 0
+    capsys.readouterr()
+    code, out, err = run(capsys, ["verify", str(path)])
+    assert code == 0 and err == ""
+    # d(198) = 12 theories of C_199
+    assert out.splitlines() == [f"theory {i}: ok" for i in range(12)]
 
 
 _TRIVIAL_BLOCKS = '"superclasses":[[[0,0,0]]],"character_classes":[[[0,0,0]]]'

@@ -5,7 +5,6 @@ import time
 import pytest
 
 from supercharacters import (
-    CountMismatchError,
     GroupSpec,
     Partition,
     Theory,
@@ -19,6 +18,7 @@ from supercharacters import (
     divisor_count,
     factor_pm1,
     invariant_subgroups,
+    is_odd_prime,
     minimal_theory,
     predicted_counts,
     theory_from_classes,
@@ -130,7 +130,7 @@ def test_c2_cubed_enumeration(c2cubed_records):
     assert sum(1 for r in recs if "minimal" in r.tags) == 1
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", sorted(EXPECTED_COUNTS))
 def test_cp_c2_c2_counts(p, records_by_p):
     recs, report = records_by_p[p]
     total, auto, direct, overlap, wedge = EXPECTED_COUNTS[p]
@@ -141,20 +141,46 @@ def test_cp_c2_c2_counts(p, records_by_p):
     assert len({canonical_key(r.theory) for r in recs}) == total
 
 
-# The first primes with k = 2 and l = 2 together (37; the first with l = 2 is
-# 19, as 18 = 2 * 3^2), k = 5 (97), l = 3 (109), l = 4 (163) and k = 6 (193),
-# the prime below 200 with the most theories (181), and DEFAULT_MAX_P.  Worked by hand from p - 1 = 2^k * 3^l * n:
-# (k, l, n) and (total, automorphic, direct, overlap, wedge) with
+# With EXPECTED_COUNTS, one prime for each shape (k, l, d(n)) of the closed
+# form up to DEFAULT_MAX_P (see test_every_closed_form_shape_is_enumerated).
+# Among them the first with l = 2 (19, as 18 = 2 * 3^2), k = 2 and l = 2
+# together (37), k = 5 (97), l = 3 (109), l = 4 (163) and k = 6 (193), the
+# prime below 200 with the most theories (181), and DEFAULT_MAX_P.  Worked by
+# hand from p - 1 = 2^k * 3^l * n: (k, l, n) and (total, automorphic, direct,
+# overlap, wedge) with
 #   total 3k*d(3^l n) + 2l*d(2^k n) + 30*d(p-1) + 13,
 #   automorphic 3k*d(3^l n) + 2l*d(2^k n) + 5*d(p-1),
 #   direct 11*d(p-1) + 6, overlap 5*d(p-1), wedge 19*d(p-1) + 6.
+# Each comment gives d(p-1), d(3^l n) and d(2^k n).
 LARGE_PRIMES = {
+    # 16 = 2^4: d(16) = 5, d(1) = 1, d(16) = 5
+    17: ((4, 0, 1), (175, 37, 61, 25, 101)),
+    # 18 = 2 3^2: d(18) = 6, d(9) = 3, d(2) = 2
+    19: ((1, 2, 1), (210, 47, 72, 30, 120)),
+    # 28 = 2^2 7: d(28) = 6, d(7) = 2, d(28) = 6
+    29: ((2, 0, 7), (205, 42, 72, 30, 120)),
+    # 30 = 2 3 5: d(30) = 8, d(15) = 4, d(10) = 4
+    31: ((1, 1, 5), (273, 60, 94, 40, 158)),
     # 36 = 2^2 3^2: d(36) = 9, d(9) = d(4) = 3
     37: ((2, 2, 1), (313, 75, 105, 45, 177)),
+    # 40 = 2^3 5: d(40) = 8, d(5) = 2, d(40) = 8
+    41: ((3, 0, 5), (271, 58, 94, 40, 158)),
+    # 60 = 2^2 3 5: d(60) = 12, d(15) = 4, d(20) = 6
+    61: ((2, 1, 5), (409, 96, 138, 60, 234)),
+    # 70 = 2 5 7: d(70) = 8, d(35) = 4, d(70) = 8
+    71: ((1, 0, 35), (265, 52, 94, 40, 158)),
+    # 72 = 2^3 3^2: d(72) = 12, d(9) = 3, d(8) = 4
+    73: ((3, 2, 1), (416, 103, 138, 60, 234)),
     # 96 = 2^5 3: d(96) = 12, d(3) = 2, d(32) = 6
     97: ((5, 1, 1), (415, 102, 138, 60, 234)),
+    # 100 = 2^2 5^2: d(100) = 9, d(25) = 3, d(100) = 9
+    101: ((2, 0, 25), (301, 63, 105, 45, 177)),
     # 108 = 2^2 3^3: d(108) = 12, d(27) = 4, d(4) = 3
     109: ((2, 3, 1), (415, 102, 138, 60, 234)),
+    # 112 = 2^4 7: d(112) = 10, d(7) = 2, d(112) = 10
+    113: ((4, 0, 7), (337, 74, 116, 50, 196)),
+    # 150 = 2 3 5^2: d(150) = 12, d(75) = 6, d(50) = 6
+    151: ((1, 1, 25), (403, 90, 138, 60, 234)),
     # 162 = 2 3^4: d(162) = 10, d(81) = 5, d(2) = 2
     163: ((1, 4, 1), (344, 81, 116, 50, 196)),
     # 180 = 2^2 3^2 5: d(180) = 18, d(45) = 6, d(20) = 6
@@ -164,8 +190,8 @@ LARGE_PRIMES = {
     # 198 = 2 3^2 11: d(198) = 12, d(99) = 6, d(22) = 4
     199: ((1, 2, 11), (407, 94, 138, 60, 234)),
 }
-# seconds; 37 took about 0.6 s on a 2-core host, and 15 s is the bound README
-# states next to --max-p 199
+# seconds; 37 took about 0.6 s on a 2-core host, and 15 s is the bound the
+# README states for count --p 199, at DEFAULT_MAX_P
 TIME_LIMITS = {37: 10.0, 199: 15.0}
 
 
@@ -186,6 +212,17 @@ def test_cp_c2_c2_closed_form_at_large_primes(p):
     assert len({canonical_key(r.theory) for r in recs}) == len(recs) == counts[0]
     if p in TIME_LIMITS:
         assert seconds <= TIME_LIMITS[p], f"p={p} took {seconds:.1f}s"
+
+
+def test_every_closed_form_shape_is_enumerated():
+    # d is multiplicative, so _formula depends on p only through (k, l, d(n))
+    def shape(p):
+        k, l, n = factor_pm1(p)
+        return k, l, divisor_count(n)
+
+    shapes = {shape(p) for p in range(3, DEFAULT_MAX_P + 1) if is_odd_prime(p)}
+    assert len(shapes) == 23
+    assert {shape(p) for p in (*EXPECTED_COUNTS, *LARGE_PRIMES)} == shapes
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -297,10 +334,9 @@ def test_prime_bounds():
     with pytest.raises(ValueError):
         all_scts_cp(9)
     with pytest.raises(ValueError):
-        all_scts_cp(211, max_p=199)
+        all_scts_cp(211)
     with pytest.raises(ValueError):
         all_scts_cp_c2(4)
-    assert CountMismatchError is not None
 
 
 def test_each_distinct_theory_is_verified_once(monkeypatch):

@@ -62,6 +62,10 @@ def test_prime_factories_need_an_odd_prime():
         for p in (1, 2, 9):
             with pytest.raises(ValueError, match="odd prime"):
                 factory(p)
+        # 7.0 would build factors (7.0, 2, 2); True is an int but no number
+        for p in (7.0, "7", True):
+            with pytest.raises(ValueError, match="p must be an integer"):
+                factory(p)
     assert GroupSpec.of((2,)).family == "C2"
 
 
