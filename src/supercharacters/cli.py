@@ -24,6 +24,7 @@ from .groups import GroupSpec, _NEEDS_P
 from .lattice import lattice_dot
 from .theories import (
     TheoryRecord,
+    _theory_line,
     canonical_key,
     dual,
     generators_to_json,
@@ -32,7 +33,6 @@ from .theories import (
     sort_key,
     theory_from_classes,
     theory_from_json,
-    theory_to_json,
     verify,
 )
 
@@ -91,9 +91,10 @@ def _read_records(path: str | None) -> list[TheoryRecord]:
 
 def _write_records(records, path: str | None) -> None:
     out, close = _open_out(path)
+    texts: dict = {}
     try:
         for rec in records:
-            out.write(json.dumps(theory_to_json(rec), separators=(",", ":")))
+            out.write(_theory_line(rec, texts))
             out.write("\n")
     finally:
         if close:

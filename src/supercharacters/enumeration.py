@@ -36,7 +36,15 @@ def divisor_count(n: int) -> int:
     """Number of positive divisors of n >= 1."""
     if n < 1:
         raise ValueError(f"divisor_count needs n >= 1, got {n}")
-    return sum(1 for d in range(1, n + 1) if n % d == 0)
+    count = 0
+    d = 1
+    # each divisor d <= sqrt(n) pairs with n // d, which is d itself only
+    # when d * d == n
+    while d * d <= n:
+        if n % d == 0:
+            count += 1 if d * d == n else 2
+        d += 1
+    return count
 
 
 def factor_pm1(p: int) -> tuple[int, int, int]:

@@ -2,36 +2,48 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import compress
+
 from .theories import TheoryRecord, sort_key
 
 
 def refinement_edges(theories) -> list[tuple[int, int]]:
     """Covering pairs (i, j): theory i refines theory j with nothing strictly
-    between; indices follow the canonical (block count, key) order.
+    between; indices follow the canonical (block count, key) order.  Raises
+    ValueError when the theories live on different groups."""
+    return _covers(sorted(theories, key=sort_key))
 
-    Each theory's class blocks are int bitmasks, and cell[x] is the mask of
-    the block holding x.  Theory i refines j (the relation of
-    theories.refines, taken over i != j) when every block mask m of i, with
-    least member x, has m & ~cell_j[x] == 0; a j with more blocks than i
-    cannot be refined by i and is skipped.  The pairs form int bitsets
-    up[i], and the covers of i are up[i] minus every up[k] with k in up[i].
-    Raises ValueError when the theories live on different groups."""
-    ts = sorted(theories, key=sort_key)
+
+# Elements per round of the pair test in _covers.
+_CHUNK = 64
+
+
+def _covers(ts) -> list[tuple[int, int]]:
+    """refinement_edges of theories already in canonical order.
+
+    Theory i refines j (the relation of theories.refines, taken over
+    i != j) exactly when the block of i holding x lies inside the block of
+    j holding x, for every element x.  With those blocks as bitmasks, one
+    field per element, packed into one int c per theory, that is
+    c_i & c_j == c_i.  The elements go in rounds of _CHUNK, one packed int
+    per theory and round, and each round keeps only the pairs that passed
+    the ones before, so a pair that fails early costs little and memory
+    stays at one round's ints.  A j with more blocks than i cannot be
+    refined by i, so only the prefix of theories with at most as many
+    blocks is a candidate.  The pairs form int bitsets up[i], and the
+    covers of i are up[i] minus every up[k] with k in up[i]."""
     if any(t.group != ts[0].group for t in ts):
         raise ValueError("theories live on different groups")
-    masks, cells = [], []
-    for t in ts:
-        ms = [sum(1 << x for x in b) for b in t.classes.blocks]
-        masks.append([(b[0], m) for b, m in zip(t.classes.blocks, ms)])
-        cells.append([ms[k] for k in t.classes.block_of])
-    up = []
-    for i, blocks in enumerate(masks):
-        bits = 0
-        for j, cell in enumerate(cells):
-            if j != i and len(masks[j]) <= len(blocks) and all(
-                    not m & ~cell[x] for x, m in blocks):
-                bits |= 1 << j
-        up.append(bits)
+    sizes = [len(t.classes) for t in ts]
+    cells = list(map(_cells, ts))
+    cands = [range(bisect_right(sizes, k)) for k in sizes]
+    for lo in range(0, len(cells[0]) if ts else 0, _CHUNK):
+        packed = [int.from_bytes(b"".join(c[lo:lo + _CHUNK]), "little") for c in cells]
+        for i, c in enumerate(packed):
+            pairs = map(c.__and__, map(packed.__getitem__, cands[i]))
+            cands[i] = list(compress(cands[i], map(c.__eq__, pairs)))
+    up = [sum(map((1).__lshift__, js)) & ~(1 << i) for i, js in enumerate(cands)]
     edges = []
     for i, bits in enumerate(up):
         above = 0
@@ -39,6 +51,15 @@ def refinement_edges(theories) -> list[tuple[int, int]]:
             above |= up[k]
         edges.extend((i, j) for j in _bits(bits & ~above))
     return edges
+
+
+def _cells(t) -> list[bytes]:
+    """For each element, the bitmask of the class block holding it, as
+    little-endian bytes of one width for the whole group."""
+    width = (t.group.order + 7) // 8
+    masks = [sum(map((1).__lshift__, b)).to_bytes(width, "little")
+             for b in t.classes.blocks]
+    return list(map(masks.__getitem__, t.classes.block_of))
 
 
 def _bits(mask: int):
@@ -66,7 +87,7 @@ def _color(tags: set[str]) -> str:
 def lattice_dot(records: list[TheoryRecord]) -> str:
     """DOT digraph of covering refinements, nodes colored by tags."""
     recs = sorted(records, key=lambda r: sort_key(r.theory))
-    edges = refinement_edges([r.theory for r in recs])
+    edges = _covers([r.theory for r in recs])
     lines = ["digraph refinement {", "  rankdir=BT;"]
     for i, rec in enumerate(recs):
         tags = ",".join(sorted(rec.tags))

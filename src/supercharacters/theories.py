@@ -10,8 +10,9 @@ equal and render identically.
 
 from __future__ import annotations
 
-from functools import cached_property
-from itertools import chain
+import json
+from functools import cached_property, partial
+from itertools import chain, islice, repeat
 from operator import itemgetter
 
 from .groups import GroupSpec, Subgroup, _Frozen, _set, _Value
@@ -450,16 +451,28 @@ def _partition_to_lists(g: GroupSpec, part: Partition) -> list:
 def _partition_from_lists(g: GroupSpec, data, what: str) -> Partition:
     """Read a partition stored as lists of exponent vectors.
 
-    Each vector is checked in one pass: a list of len(g.factors) entries
-    ("bad exponent vector" otherwise), every entry a plain int, and the
-    tuple a key of g's exponent-to-index map; a failed type test or a missed
-    key is "exponents out of range".  The type test, one comparison of the
-    entries' types with (int,) * width, comes first because True and 1.0
-    hash like 1 and would be found, and an unhashable entry would raise
-    TypeError."""
+    The whole partition is checked at once: every block a nonempty list,
+    every vector a list of len(g.factors) entries, every entry a plain int,
+    and every vector, as a tuple, a key of g's exponent-to-index map.  The
+    type test comes before the lookup because True and 1.0 hash like 1 and
+    would be found, and an unhashable entry would raise TypeError.  Only
+    when that check fails does the loop below run, vector by vector, to name
+    the first bad one: a block that is not a nonempty list, a vector that is
+    not a list of the right length ("bad exponent vector"), or one whose
+    type test fails or whose key is missed ("exponents out of range")."""
     if not isinstance(data, list):
         raise ValueError(f"{what} must be a list of blocks")
     index, width = g._index, len(g.factors)
+    if set(map(type, data)) == {list} and all(data):
+        vecs = list(chain.from_iterable(data))
+        if (set(map(type, vecs)) == {list} and set(map(len, vecs)) == {width}
+                and set(map(type, chain.from_iterable(vecs))) == {int}):
+            found = list(map(index.get, map(tuple, vecs)))
+            if None not in found:
+                # from_blocks sorts the blocks one after another, so each
+                # islice takes the next len(block) indices off one iterator
+                return Partition.from_blocks(
+                    map(islice, repeat(iter(found)), map(len, data)), g.order)
     ints = (int,) * width
     blocks = []
     for b in data:
@@ -488,6 +501,33 @@ def theory_to_json(rec: "TheoryRecord | Theory") -> dict:
         "tags": sorted(rec.tags),
         "provenance": rec.provenance,
     }
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _partition_text(part: Partition, elems: list[str]) -> str:
+    """_dumps(_partition_to_lists(g, part)), joined from elems."""
+    rows = map(",".join, map(partial(map, elems.__getitem__), part.blocks))
+    return "[[" + "],[".join(rows) + "]]"
+
+
+def _theory_line(rec: TheoryRecord, texts: dict) -> str:
+    """_dumps(theory_to_json(rec)), with the exponent lists joined from
+    text rendered once per group: texts, which the caller keeps across
+    calls, maps each group met to the JSON of its elements in index order.
+    theory_to_json itself still hands out fresh lists, which callers may
+    change."""
+    t = rec.theory
+    g = t.group
+    if g not in texts:
+        texts[g] = list(map(_dumps, g.elements))
+    elems = texts[g]
+    return (f'{{"group":{_dumps(group_to_json(g))},'
+            f'"superclasses":{_partition_text(t.classes, elems)},'
+            f'"character_classes":{_partition_text(t.charparts, elems)},'
+            f'"tags":{_dumps(sorted(rec.tags))},"provenance":{_dumps(rec.provenance)}}}')
 
 
 def theory_from_json(d) -> TheoryRecord:

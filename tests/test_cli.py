@@ -15,6 +15,7 @@ from supercharacters import (
     GroupSpec,
     Partition,
     Theory,
+    all_theories,
     aut_generating_subset,
     canonical_key,
     cli,
@@ -435,6 +436,80 @@ def test_enumerate_output_is_pinned(capsys, group, p):
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[(group, p)]
+
+
+# sha256 of `dual` and of `lattice --dot -` stdout on each group's
+# enumeration, recorded from the code before the stored-record path joined
+# its output from per-group element text and packed the refinement test.
+DUAL_SHA256 = {
+    ("c2cubed", None): "9d550353ebb217df5c97331ed43c1aea1b9010796bd4a44f533432811df29747",
+    ("cpc2c2", 13): "e446f81b2f5eae5aa933d8508e83f06b557cb1eb811a31c80ee99d37c0750fe7",
+}
+LATTICE_SHA256 = {
+    ("c2cubed", None): "12b273e38f58f5f6519ee7f7f024b8b7f02cd1f69920befe8ae80a5e75c3159b",
+    ("cpc2c2", 13): "456bec1bcb2b47bbdf51f494f0a2817accdff418c735feb5edefc5f81e34f7e9",
+}
+
+
+def _group_argv(group, p):
+    return ["--group", group] + ([] if p is None else ["--p", str(p)])
+
+
+@pytest.mark.parametrize("group,p", sorted(DUAL_SHA256, key=str))
+def test_dual_and_lattice_output_is_pinned(tmp_path, capsys, group, p):
+    path = tmp_path / "theories.jsonl"
+    assert cli.main(["enumerate", *_group_argv(group, p), "--out", str(path)]) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, ["dual", str(path)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DUAL_SHA256[(group, p)]
+    code, out, _ = run(capsys, ["lattice", str(path), "--dot", "-"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LATTICE_SHA256[(group, p)]
+
+
+@pytest.mark.parametrize("group,p", sorted(ENUMERATE_SHA256, key=str))
+def test_enumerated_records_round_trip(capsys, group, p):
+    # each line is theory_to_json's dict as compact JSON, and reads back as
+    # the record it was written from
+    code, out, _ = run(capsys, ["enumerate", *_group_argv(group, p)])
+    assert code == 0
+    lines = out.splitlines()
+    records = all_theories(GroupSpec.from_family(cli._FAMILIES[group], p))
+    assert len(lines) == len(records)
+    for line, rec in zip(lines, records):
+        assert line == json.dumps(theory_to_json(rec), separators=(",", ":"))
+        back = theory_from_json(json.loads(line))
+        assert back.theory == rec.theory
+        assert back.tags == rec.tags and back.provenance == rec.provenance
+
+
+def _mutate_all(obj) -> None:
+    """Change every list and dict nested in obj, innermost first."""
+    if isinstance(obj, list):
+        for x in obj:
+            _mutate_all(x)
+        obj.append(99)
+    elif isinstance(obj, dict):
+        for x in list(obj.values()):
+            _mutate_all(x)
+        obj["mutated"] = True
+
+
+def test_mutating_theory_to_json_leaves_enumerate_output(capsys):
+    # the writer joins cached per-group element text; theory_to_json must
+    # still hand out lists that share nothing with that cache or the records
+    pinned = [("cp", 3), ("klein", None), ("cpc2", 3), ("c2cubed", None), ("cpc2c2", 3)]
+    for group, p in pinned:
+        code, out, _ = run(capsys, ["enumerate", *_group_argv(group, p)])
+        assert code == 0
+        g = GroupSpec.from_family(cli._FAMILIES[group], p)
+        for rec in all_theories(g):
+            _mutate_all(theory_to_json(rec))
+    for group, p in pinned:
+        code, out, _ = run(capsys, ["enumerate", *_group_argv(group, p)])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[(group, p)]
 
 
 # sha256 of `classify` stdout on each group's enumeration, recorded from the

@@ -1,5 +1,6 @@
 """Family enumerators, tagging, and the closed-form counting identities."""
 
+import cProfile
 import time
 
 import pytest
@@ -44,6 +45,23 @@ EXPECTED_COUNTS = {
 @pytest.mark.parametrize("n,d", [(1, 1), (2, 2), (4, 3), (6, 4), (10, 4), (12, 6), (36, 9)])
 def test_divisor_count(n, d):
     assert divisor_count(n) == d
+
+
+def test_divisor_count_matches_brute_force():
+    for n in range(1, 2001):
+        assert divisor_count(n) == sum(1 for d in range(1, n + 1) if n % d == 0), n
+
+
+def test_predicted_counts_at_a_large_prime_is_fast():
+    # divisor_count pairs d with n // d: about 3,200 trial divisions at
+    # p = 10,000,019, not ten million, even under the profiler
+    profiler = cProfile.Profile()
+    start = time.process_time()
+    report = profiler.runcall(predicted_counts, 10_000_019)
+    assert time.process_time() - start < 0.5
+    # p - 1 = 2 * 7^2 * 67 * 1523: d(p - 1) = 24 and d(3^l * n) = 12
+    assert (report.k, report.l, report.n) == (1, 0, 5_000_009)
+    assert report.total == 3 * 12 + 30 * 24 + 13
 
 
 def test_divisor_count_rejects_nonpositive():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from supercharacters import GroupSpec, all_theories, refines
+from supercharacters import GroupSpec, all_theories, lattice, refines
 from supercharacters.lattice import _color, lattice_dot, refinement_edges
 from supercharacters.theories import sort_key
 
@@ -54,6 +54,33 @@ def test_edges_match_pairwise_refines(cp_c2_c2_13_theories):
     ts = sorted(cp_c2_c2_13_theories, key=sort_key)
     assert len(ts) == 211
     assert refinement_edges(ts) == _covers_by_refines(ts)
+
+
+def test_edges_in_rounds_of_elements(cp_c2_c2_13_theories, monkeypatch):
+    # 52 elements in rounds of 5: each round drops the pairs that fail on
+    # its elements, and the last round is short
+    monkeypatch.setattr(lattice, "_CHUNK", 5)
+    ts = sorted(cp_c2_c2_13_theories, key=sort_key)
+    assert refinement_edges(ts) == _covers_by_refines(ts)
+
+
+def test_edges_past_one_round():
+    ts = sorted((r.theory for r in all_theories(GroupSpec.cp_c2_c2(17))), key=sort_key)
+    assert ts[0].group.order > lattice._CHUNK
+    assert refinement_edges(ts) == _covers_by_refines(ts)
+
+
+def test_dot_sorts_once(monkeypatch):
+    records = all_theories(GroupSpec.cp_c2(5))
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return sort_key(t)
+
+    monkeypatch.setattr(lattice, "sort_key", counted)
+    lattice_dot(records)
+    assert len(calls) == len(records)
 
 
 def test_edges_with_a_duplicate_in_shuffled_order(cp_c2_c2_13_theories):

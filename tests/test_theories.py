@@ -251,7 +251,7 @@ def test_json_rejects_malformed(mutate):
         theory_from_json(d)
 
 
-@pytest.mark.parametrize("exps,message", [
+_MALFORMED_EXPONENTS = pytest.mark.parametrize("exps,message", [
     ([True, 0, 1], "exponents out of range in superclasses: [True, 0, 1]"),
     ([1.0, 0, 1], "exponents out of range in superclasses: [1.0, 0, 1]"),
     ([-1, 0, 1], "exponents out of range in superclasses: [-1, 0, 1]"),
@@ -265,11 +265,43 @@ def test_json_rejects_malformed(mutate):
     (None, "bad exponent vector None in superclasses"),
 ], ids=["true", "float", "negative", "too-large", "string", "list", "null",
         "object", "string-vector", "short-vector", "null-vector"])
+
+
+@_MALFORMED_EXPONENTS
 def test_json_rejects_malformed_exponents(exps, message):
     # bools and floats equal to an exponent hash like it, and lists and
     # objects are unhashable: each must be rejected before any lookup
     d = theory_to_json(maximal_theory(GroupSpec.cp_c2_c2(3)))
     d["superclasses"][1][0] = exps
+    with pytest.raises(ValueError) as info:
+        theory_from_json(d)
+    assert str(info.value) == message
+
+
+@_MALFORMED_EXPONENTS
+def test_json_names_a_bad_vector_in_the_last_block(exps, message):
+    # the whole-partition check fails only at the last vector read, and the
+    # message still names that vector and the partition
+    d = theory_to_json(minimal_theory(GroupSpec.cp_c2_c2(3)))
+    d["character_classes"][-1][-1] = exps
+    with pytest.raises(ValueError) as info:
+        theory_from_json(d)
+    assert str(info.value) == message.replace("superclasses", "character_classes")
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda d: d["superclasses"][1].__setitem__(0, (1, 0, 1)),
+     "bad exponent vector (1, 0, 1) in superclasses"),
+    (lambda d: d["superclasses"].append([]),
+     "superclasses blocks must be nonempty lists"),
+    (lambda d: d["superclasses"].__setitem__(1, tuple(d["superclasses"][1])),
+     "superclasses blocks must be nonempty lists"),
+    (lambda d: d.update(superclasses=[]), "blocks do not partition range(12)"),
+    (lambda d: d["superclasses"].append([[1, 0, 1]]), "blocks do not partition range(12)"),
+], ids=["tuple-vector", "empty-block", "tuple-block", "no-blocks", "repeated-vector"])
+def test_json_partition_messages(mutate, message):
+    d = theory_to_json(maximal_theory(GroupSpec.cp_c2_c2(3)))
+    mutate(d)
     with pytest.raises(ValueError) as info:
         theory_from_json(d)
     assert str(info.value) == message
