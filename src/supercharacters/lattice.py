@@ -28,8 +28,8 @@ def _covers(ts) -> list[tuple[int, int]]:
     field per element, packed into one int c per theory, that is
     c_i & c_j == c_i.  The elements go in rounds of _CHUNK, one packed int
     per theory and round, and each round keeps only the pairs that passed
-    the ones before, so a pair that fails early costs little and memory
-    stays at one round's ints.  A j with more blocks than i cannot be
+    the ones before, so a pair that fails early costs little, and only one
+    round's packed ints are held at a time.  A j with more blocks than i cannot be
     refined by i, so only the prefix of theories with at most as many
     blocks is a candidate.  The pairs form int bitsets up[i], and the
     covers of i are up[i] minus every up[k] with k in up[i]."""

@@ -517,8 +517,8 @@ def _theory_line(rec: TheoryRecord, texts: dict) -> str:
     """_dumps(theory_to_json(rec)), with the exponent lists joined from
     text rendered once per group: texts, which the caller keeps across
     calls, maps each group met to the JSON of its elements in index order.
-    theory_to_json itself still hands out fresh lists, which callers may
-    change."""
+    theory_to_json still builds its own exponent lists, so a caller that
+    changes them never reaches this text."""
     t = rec.theory
     g = t.group
     if g not in texts:
