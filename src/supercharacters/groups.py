@@ -246,47 +246,62 @@ class GroupSpec(_Frozen):
 
     def char_value(self, chi: Character, g: Element) -> "CycInt | int":
         """chi(g), a cyclotomic integer when the group has a p part, else +-1."""
-        key, = self.sigma_keys((self.index_of(chi),), (self.index_of(g),))
-        return self.sigma_value(key)
+        return self.sigma_value(self._key_table[self.index_of(chi)][self.index_of(g)])
 
     @cached_property
-    def _kernel(self) -> tuple:
-        """Factored character table, built on first use.  Index i splits into
-        its p exponent i >> d and its involution bits i & (2^d - 1), and
-        chi_c(x) = zeta_p^(a_c * a_x), negated when the bits of c and x share
-        an odd number of ones; `sign` holds that +-1 at (v_c << d) | v_x.
+    def _kernel(self) -> tuple[int, tuple[int, ...]]:
+        """(width, pos): the key encoding that both key tables and
+        sigma_value share.  A key holds one signed digit of `width` bits per
+        power zeta_p^t with t < p - 1, the coefficient that
+        CycInt.from_power_counts stores: the count at zeta_p^t less the
+        count at zeta_p^(p-1).  Two count vectors are the same element of
+        Z[zeta_p] exactly when they differ by a constant vector, so keys
+        are equal exactly when the values are.  pos[t] is the key of
+        zeta_p^t: the digit 1 at power t, and -1 at every power for
+        t = p - 1.  Without a p part, pos is (1,) and a key is its value.
 
-        Keys hold one signed digit of `width` bits per power of zeta_p;
-        power[t] is the digit 1 at power t (O(width * p^2) bits in all, 35 KB
-        at p = 199) and `ones` a 1 at every power."""
-        p, d, mask = self._split
-        sign = tuple(-1 if bin(u & w).count("1") % 2 else 1
-                     for u in range(mask + 1) for w in range(mask + 1))
+        A character moves each digit by at most 1, so a sum of at most 2n
+        characters keeps every digit below 2^(width-1) in absolute value,
+        where a signed digit is still read back exactly."""
         width = (4 * self.order).bit_length()
-        power = tuple(1 << (width * t) for t in range(p or 0))
-        return p, d, mask, sign, width, power, sum(power)
+        if self.p is None:
+            return width, (1,)
+        power = [1 << (width * t) for t in range(self.p - 1)]
+        return width, (*power, -sum(power))
+
+    def _key_rows(self, xs) -> tuple[tuple[int, ...], ...]:
+        """Per character index c, the key of chi_c at each index x in xs:
+        +-pos[a_c * a_x % p], the a being p exponents (index >> d), negated
+        when the involution bits of c and x share an odd number of ones
+        (without a p part both exponents are 0, and pos is (1,)).  Every
+        entry is an object of pos or of its negation, so a table costs one
+        reference per entry."""
+        p, d, mask = self._split
+        pos = self._kernel[1]
+        neg = tuple(-q for q in pos)
+        q = p or 1
+        return tuple(
+            tuple((neg if (c & x & mask).bit_count() & 1 else pos)[(c >> d) * (x >> d) % q]
+                  for x in xs)
+            for c in range(self.order))
 
     @cached_property
     def _lead_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Per character index c, the key of chi_c at each of the 2^(d+1)
-        lead indices x < 2 << d (p exponent 0 or 1): +-power[a_c * a_x % p],
-        normalised as sigma_keys normalises.  Normalising subtracts the
-        count at zeta_p^(p-1) times `ones`, which is linear, so a column sum
-        of these rows is already a normalised key.  The entries are shared
-        objects, so the table costs n * 2^(d+1) references."""
-        p, d, mask, sign, _, power, ones = self._kernel
-        pos = power[:-1] + (power[-1] - ones,)
-        neg = tuple(-q for q in pos)
-        return tuple(
-            tuple((pos if sign[(c & mask) << d | v] > 0 else neg)[(c >> d) * a % p]
-                  for a in (0, 1) for v in range(mask + 1))
-            for c in range(self.order))
+        """The key rows at the 2^(d+1) lead indices x < 2 << d, whose p
+        exponent is 0 or 1."""
+        return self._key_rows(range(2 << self.dim2))
+
+    @cached_property
+    def _key_table(self) -> tuple[tuple[int, ...], ...]:
+        """The character table as keys, n rows of n: built only when a sum
+        is taken at every element, never by the enumerator, which reads the
+        lead rows (at p = 199 this table holds 633,616 entries)."""
+        return self._key_rows(range(self.order))
 
     def lead_keys(self, chars) -> list[int]:
-        """sigma_keys(chars, range(2 << d)) for a group with a p part, summed
-        column by column from the cached lead rows."""
-        rows = self._lead_rows
-        return list(map(sum, zip(*map(rows.__getitem__, chars))))
+        """The keys of sigma_X at the 2^(d+1) lead indices, the first
+        2 << d entries of sigma_keys(chars): column sums of the lead rows."""
+        return _column_sums(self._lead_rows, chars)
 
     @cached_property
     def _lead_table(self) -> tuple[dict, dict, itertools.count]:
@@ -307,48 +322,20 @@ class GroupSpec(_Frozen):
             out = table[block] = tuple(map(ids.setdefault, self.lead_keys(block), fresh))
         return out
 
-    def sigma_keys(self, chars, xs) -> list[int]:
-        """Canonical keys of sigma_X(x), the sum of chi_c(x) over the character
-        indices c in X, at each element index x in xs; keys are equal exactly
-        when the values are.  The pairing is symmetric, so
-        sigma_keys(block, cs) also sums each chi_c over a block of elements.
-
-        For 2-groups the key is the value.  Otherwise it packs the power
-        counts (counts[t] copies of zeta_p^t) as signed digits, less the count
-        at zeta_p^(p-1): two count vectors are the same element of Z[zeta_p]
-        exactly when they differ by a constant vector, and what remains are
-        the coefficients CycInt.from_power_counts stores.  Each element costs
-        O(len(chars)) big-int additions.  Every count must stay below
-        2^(width-2) in absolute value, as a sum of at most n characters does."""
-        p, d, mask, sign, width, power, ones = self._kernel
-        if p is None:
-            totals = [sum(sign[(c << d) | v] for c in chars) for v in range(mask + 1)]
-            return [totals[x] for x in xs]
-        # per value of the involution bits of x: (p exponent, +-1) of each c
-        plans = [[(c >> d, sign[((c & mask) << d) | v]) for c in chars]
-                 for v in range(mask + 1)]
-        # adding half a digit below the top power makes the lower digits
-        # nonnegative, so the shift reads off the count at power p - 1
-        half = ones >> width << (width - 1)
-        top_bit = width * (p - 1)
-        out = []
-        for x in xs:
-            ax = x >> d
-            key = 0
-            for a, s in plans[x & mask]:
-                if s > 0:
-                    key += power[a * ax % p]
-                else:
-                    key -= power[a * ax % p]
-            out.append(key - ((key + half) >> top_bit) * ones)
-        return out
+    def sigma_keys(self, chars) -> list[int]:
+        """Keys of sigma_X(x), the sum of chi_c(x) over the character indices
+        c in X, at every element index x; keys are equal exactly when the
+        values are (see _kernel).  Column sums of the key table.  The
+        pairing is symmetric, so sigma_keys(block)[c] also sums chi_c over
+        a block of elements."""
+        return _column_sums(self._key_table, chars)
 
     def sigma_value(self, key: int) -> "CycInt | int":
         """The value a key from sigma_keys stands for."""
         p = self.p
         if p is None:
             return key
-        width = self._kernel[4]
+        width = self._kernel[0]
         base = 1 << width
         coeffs = []
         for _ in range(p - 1):
@@ -373,18 +360,12 @@ class GroupSpec(_Frozen):
         return tuple(r * a % p << d | v for a in range(p) for v in range(mask + 1))
 
     def annihilator(self, members) -> tuple[int, ...]:
-        """Indices of characters that are 1 on every listed element index."""
+        """Indices of characters that are 1 on every listed element index:
+        1 is the only value whose key is 1."""
         if isinstance(members, Subgroup):
             members = members.members
-        out = []
-        for c, chi in enumerate(self.elements):
-            for i in members:
-                sign, t = self.pairing_parts(chi, self.elements[i])
-                if sign != 1 or t != 0:
-                    break
-            else:
-                out.append(c)
-        return tuple(out)
+        return tuple(c for c, row in enumerate(self._key_table)
+                     if all(row[i] == 1 for i in members))
 
     # -- subgroups ----------------------------------------------------------
 
@@ -473,6 +454,12 @@ class GroupSpec(_Frozen):
         order, then by generator images.
         """
         return _cached_aut_subgroups(self)
+
+
+def _column_sums(rows, chars) -> list[int]:
+    """The sum of rows[c] over c in chars, column by column; zero keys when
+    chars is empty."""
+    return list(map(sum, zip(*map(rows.__getitem__, chars)))) or [0] * len(rows[0])
 
 
 def _primitive_root(p: int) -> int:

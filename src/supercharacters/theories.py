@@ -157,7 +157,7 @@ def verify(t: Theory) -> Violation | None:
         return None
     g = t.group
     for xi, x in enumerate(t.charparts.blocks):
-        bad = _first_break(g.sigma_keys(x, range(g.order)), t.classes)
+        bad = _first_break(g.sigma_keys(x), t.classes)
         if bad is not None:
             return Violation(
                 3,
@@ -333,7 +333,7 @@ def induced_character_partition(g: GroupSpec, classes: Partition) -> Partition:
     if perm is not None and _invariant(classes, perm):
         sigs = _signatures_by_multipliers(g, classes)
     else:
-        sigs = zip(*(g.sigma_keys(k, range(n)) for k in classes.blocks))
+        sigs = zip(*(g.sigma_keys(k) for k in classes.blocks))
     by_sig: dict[tuple, list[int]] = {}
     for c, sig in enumerate(sigs):
         by_sig.setdefault(sig, []).append(c)
@@ -372,7 +372,7 @@ def supercharacter_table(t: Theory):
     g = t.group
     rows = []
     for xi, x in enumerate(t.charparts.blocks):
-        keys = g.sigma_keys(x, range(g.order))
+        keys = g.sigma_keys(x)
         bad = _first_break(keys, t.classes)
         if bad is not None:
             raise ValueError(
@@ -491,6 +491,9 @@ def _partition_from_lists(g: GroupSpec, data, what: str) -> Partition:
 
 
 def theory_to_json(rec: "TheoryRecord | Theory") -> dict:
+    """The JSON record of a theory, sharing no list with rec: the
+    provenance, JSON data holding nested generator lists, is copied through
+    a JSON round trip."""
     if isinstance(rec, Theory):
         rec = TheoryRecord(rec)
     t = rec.theory
@@ -499,7 +502,7 @@ def theory_to_json(rec: "TheoryRecord | Theory") -> dict:
         "superclasses": _partition_to_lists(t.group, t.classes),
         "character_classes": _partition_to_lists(t.group, t.charparts),
         "tags": sorted(rec.tags),
-        "provenance": rec.provenance,
+        "provenance": json.loads(_dumps(rec.provenance)),
     }
 
 

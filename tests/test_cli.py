@@ -366,6 +366,20 @@ def test_round_trip_at_the_bound(tmp_path, capsys):
 
 
 _TRIVIAL_BLOCKS = '"superclasses":[[[0,0,0]]],"character_classes":[[[0,0,0]]]'
+_KLEIN_GROUP = '"group":{"family":"Klein"}'
+_KLEIN_CHARS = '"character_classes":[[[0,0]],[[1,0],[0,1],[1,1]]]'
+
+
+def _klein(superclasses="[[[0,0]],[[1,0],[0,1],[1,1]]]", extra=""):
+    """A record line of the Klein theory with two classes, with the given
+    superclasses text and extra fields."""
+    return ("{" + _KLEIN_GROUP + ',"superclasses":' + superclasses + ","
+            + _KLEIN_CHARS + extra + "}")
+
+
+def _cpc2c2(p_field):
+    """A record line of C_p x C_2 x C_2 whose group object ends in p_field."""
+    return '{"group":{"family":"CpC2C2"' + p_field + "}," + _TRIVIAL_BLOCKS + "}"
 
 
 @pytest.mark.parametrize("line,reason", [
@@ -396,15 +410,50 @@ _TRIVIAL_BLOCKS = '"superclasses":[[[0,0,0]]],"character_classes":[[[0,0,0]]]'
      "exponents out of range in superclasses: [1.0, 0]"),
     # json.loads raises RecursionError, not ValueError, on deep nesting
     ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+    ("[1,2]", "theory must be a JSON object"),
+    ('"x"', "theory must be a JSON object"),
+    ("null", "theory must be a JSON object"),
+    ("7", "theory must be a JSON object"),
+    (_klein()[:40], "Unterminated string"),
+    (_klein().replace(_KLEIN_GROUP, '"group":["Klein"]'), "group must be an object"),
+    (_klein().replace(_KLEIN_GROUP, '"group":{}'), "group must be an object"),
+    (_klein().replace(_KLEIN_GROUP, '"group":{"family":3}'), "group must be an object"),
+    (_klein().replace(_KLEIN_GROUP, '"group":{"family":"S3"}'), "unknown family 'S3'"),
+    ("{" + _KLEIN_GROUP + "," + _KLEIN_CHARS + "}", "superclasses must be a list"),
+    (_klein('{"a":1}'), "superclasses must be a list"),
+    (_klein("[[[0,0]],[],[[1,0],[0,1],[1,1]]]"), "blocks must be nonempty lists"),
+    (_klein("[[[0,0]],[[1],[0,1],[1,1]]]"), "bad exponent vector [1] in superclasses"),
+    (_klein("[[[0,0]],[[1,0],[1,0],[0,1],[1,1]]]"), "blocks do not partition range(4)"),
+    (_klein("[[[0,0]],[[1,0],[0,1]]]"), "blocks do not partition range(4)"),
+    (_klein("[[[0,0]],[[null,0],[0,1],[1,1]]]"), "exponents out of range in superclasses"),
+    (_klein("[[[0,0]],[[[1],0],[0,1],[1,1]]]"), "exponents out of range in superclasses"),
+    (_klein("[[[0,0]],[[-1,0],[0,1],[1,1]]]"), "exponents out of range in superclasses"),
+    (_klein(extra=',"tags":"x"'), "tags must be a list of strings"),
+    (_klein(extra=',"tags":[1]'), "tags must be a list of strings"),
+    (_klein(extra=',"provenance":{}'), "provenance must be a list"),
+    (_cpc2c2(',"p":3.0'), "p must be an integer, got 3.0"),
+    (_cpc2c2(""), "family CpC2C2 needs p"),
+    # json.loads reads NaN as a float
+    (_cpc2c2(',"p":NaN'), "p must be an integer, got nan"),
+    # past the interpreter's limit on the digits of an int read from text
+    (_klein("[[[0,0]],[[1" + "0" * 4999 + ",0],[0,1],[1,1]]]"), "Exceeds the limit"),
 ], ids=["string-p", "bool-p", "bool-exponent", "huge-p", "nonprime-p", "two-p", "klein-p",
-        "float-exponent", "deep-nesting"])
+        "float-exponent", "deep-nesting", "array-line", "string-line", "null-line",
+        "number-line", "truncated", "group-list", "group-empty", "family-int", "family-s3",
+        "no-superclasses", "dict-superclasses", "empty-block", "short-vector",
+        "duplicate-vector", "missing-vector", "null-exponent", "list-exponent",
+        "negative-exponent", "string-tags", "int-tags", "dict-provenance", "float-p",
+        "missing-p", "nan-p", "huge-exponent"])
 def test_hostile_records_exit_4(tmp_path, capsys, line, reason):
+    """Every command that reads records refuses a hostile line with exit 4,
+    one stderr line and nothing on stdout."""
     path = tmp_path / "hostile.jsonl"
     path.write_text(line + "\n")
-    code, out, err = run(capsys, ["verify", str(path)])
-    assert code == 4 and out == ""
-    assert err.startswith("error: line 1: ") and err.count("\n") == 1
-    assert reason in err
+    for argv in (["verify"], ["dual"], ["classify"], ["lattice", "--dot", "-"]):
+        code, out, err = run(capsys, [argv[0], str(path), *argv[1:]])
+        assert code == 4 and out == "", argv
+        assert err.startswith("error: line 1: ") and err.count("\n") == 1
+        assert reason in err
 
 
 # sha256 of `enumerate` stdout, recorded from the code before the shared
@@ -510,6 +559,22 @@ def test_mutating_theory_to_json_leaves_enumerate_output(capsys):
         code, out, _ = run(capsys, ["enumerate", *_group_argv(group, p)])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[(group, p)]
+
+
+def test_theory_to_json_copies_provenance():
+    # provenance entries hold nested generator lists: the dict must share
+    # none of them with the record, at any depth
+    g = GroupSpec.cp_c2_c2(3)
+    rec = next(r for r in all_theories(g)
+               if any(e["construction"] == "aut" for e in r.provenance))
+    before = json.loads(json.dumps(rec.provenance))
+    d = theory_to_json(rec)
+    assert d["provenance"] == rec.provenance
+    d["provenance"].append({"construction": "extra"})
+    entry = next(e for e in d["provenance"] if e["construction"] == "aut")
+    entry["generators"][0].append([9, 9, 9])
+    entry["generators"][0][0][0] = 99
+    assert rec.provenance == before
 
 
 # sha256 of `classify` stdout on each group's enumeration, recorded from the

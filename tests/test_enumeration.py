@@ -1,7 +1,11 @@
 """Family enumerators, tagging, and the closed-form counting identities."""
 
 import cProfile
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -385,6 +389,24 @@ def test_enumerator_derives_no_character_side(monkeypatch):
     enumeration._sub_theories.cache_clear()
     records, report = all_scts_cp_c2_c2(5)
     assert report.matches() and len(records) == 109
+
+
+def test_enumerator_builds_no_full_key_table():
+    # the enumerator reads only the lead rows; the n x n key table of a
+    # group with a p part (633,616 entries at p = 199) is left unbuilt.  A
+    # fresh process, since other tests build these tables.
+    code = (
+        "from supercharacters import GroupSpec\n"
+        "from supercharacters.enumeration import all_scts_cp_c2_c2\n"
+        "records, report = all_scts_cp_c2_c2(13)\n"
+        "assert report.matches()\n"
+        "assert '_lead_rows' in vars(GroupSpec.of((13, 2, 2)))\n"
+        "for f in ((13, 2, 2), (13, 2), (13,)):\n"
+        "    assert '_key_table' not in vars(GroupSpec.of(f)), f\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 def test_collector_rejects_a_wrong_character_partition():

@@ -318,9 +318,9 @@ def test_multiplier_perm_is_a_generating_power_map(g):
     assert len({pow(r, k, p) for k in range(p - 1)}) == p - 1
     # characters move the same way: chi_c(x^m) = chi_{perm[c]}(x)
     for c in range(g.order):
+        keys, moved = g.sigma_keys((c,)), g.sigma_keys((perm[c],))
         for x in range(g.order):
-            assert (g.sigma_keys((c,), (perm[x],))
-                    == g.sigma_keys((perm[c],), (x,)))
+            assert keys[perm[x]] == moved[x]
 
 
 def test_multiplier_perm_is_none_for_2_groups():
@@ -862,10 +862,11 @@ def test_annihilator_reverses_inclusion():
     GroupSpec.cp_c2_c2(7), GroupSpec.klein(), GroupSpec.c2_cubed(),
 ], ids=str)
 def test_sigma_keys_are_exact(g):
-    """The kernel's keys match character sums taken from pairing_parts."""
+    """The kernel's keys, over the full table and over the lead rows, match
+    character sums taken from pairing_parts; no characters sum to zero."""
     rng = random.Random(g.order)
-    n = g.order
-    for size in (1, 2, 3, n // 2, n - 1, n):
+    n, lead = g.order, 2 << g.dim2
+    for size in (0, 1, 2, 3, n // 2, n - 1, n):
         chars = rng.sample(range(n), size)
         values = []
         for x in range(n):
@@ -875,10 +876,15 @@ def test_sigma_keys_are_exact(g):
                 counts[t] += sign
             values.append(counts[0] if g.p is None
                           else CycInt.from_power_counts(g.p, counts))
-        keys = g.sigma_keys(chars, range(n))
+        keys = g.sigma_keys(chars)
         assert [g.sigma_value(k) for k in keys] == values
         # sigma_value is a function, so equal counts make it a bijection
         assert len(set(keys)) == len(set(values))
+        if not chars:
+            assert keys == [0] * n
+            assert g.lead_keys(chars) == [0] * lead
+        if g.p is not None:
+            assert [g.sigma_value(k) for k in g.lead_keys(chars)] == values[:lead]
 
 
 @pytest.mark.parametrize("g", [
@@ -899,7 +905,7 @@ def test_lead_keys_match_sigma_keys(g):
     blocks = [(0,), range(n), sorted(orbit)]
     blocks += [rng.sample(range(n), size) for size in (1, 2, 3, n // 2, n - 1)]
     for chars in blocks:
-        assert g.lead_keys(chars) == g.sigma_keys(chars, range(2 << d))
+        assert g.lead_keys(chars) == g.sigma_keys(chars)[:2 << d]
 
 
 @pytest.mark.parametrize("g", [
@@ -924,7 +930,7 @@ def test_lead_ids_intern_lead_keys(g):
         ids = g.lead_ids(chars)
         assert len(ids) == 2 << d
         assert g.lead_ids(chars) is ids
-        for key, i in zip(g.sigma_keys(chars, range(2 << d)), ids):
+        for key, i in zip(g.sigma_keys(chars)[:2 << d], ids):
             assert id_of_key.setdefault(key, i) == i
     # one key per id: equal ids mean equal keys
     assert len(set(id_of_key.values())) == len(id_of_key)
@@ -933,8 +939,9 @@ def test_lead_ids_intern_lead_keys(g):
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 199])
 def test_sigma_key_equality_is_value_equality(p):
     """Random signed multisets of powers of zeta_p, summed by the kernel of
-    C_p x C_2 at the element (1, 1): character (t, 0) gives +zeta^t there
-    and (t, 1) gives -zeta^t.  Keys are equal exactly when the values are."""
+    C_p x C_2 at the element (1, 1), a lead index: character (t, 0) gives
+    +zeta^t there and (t, 1) gives -zeta^t.  Keys are equal exactly when the
+    values are."""
     g = GroupSpec.cp_c2(p)
     at = g.index_of((1, 1))
     rng = random.Random(p)
@@ -958,7 +965,7 @@ def test_sigma_key_equality_is_value_equality(p):
         multisets.append(codes + [t + p for t in every_power] * 2)
         # most powers share one nonzero count
         multisets.append(codes[:2] + every_power * rng.choice([1, 3]))
-    keys = [g.sigma_keys([char(c) for c in codes], (at,))[0] for codes in multisets]
+    keys = [g.lead_keys([char(c) for c in codes])[at] for codes in multisets]
     values = [value(codes) for codes in multisets]
     assert [g.sigma_value(k) for k in keys] == values
     for i in range(len(multisets)):

@@ -335,7 +335,7 @@ def _full_loop_verify(t):
         )
     g = t.group
     for xi, x in enumerate(t.charparts.blocks):
-        keys = g.sigma_keys(x, range(g.order))
+        keys = g.sigma_keys(x)
         for k in t.classes.blocks:
             for h in k[1:]:
                 if keys[h] != keys[k[0]]:
@@ -350,7 +350,7 @@ def _full_loop_verify(t):
 def _full_loop_induced(g, classes):
     """induced_character_partition with every class sum at every character,
     as (partition, None) or (None, error text)."""
-    columns = [g.sigma_keys(b, range(g.order)) for b in classes.blocks]
+    columns = [g.sigma_keys(b) for b in classes.blocks]
     sigs = {}
     for c, sig in enumerate(zip(*columns)):
         sigs.setdefault(sig, []).append(c)
