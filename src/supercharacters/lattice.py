@@ -5,13 +5,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import compress
 
-from .theories import TheoryRecord, sort_key
+from .theories import TheoryRecord, canonical_key, sort_key
 
 
 def refinement_edges(theories) -> list[tuple[int, int]]:
     """Covering pairs (i, j): theory i refines theory j with nothing strictly
     between; indices follow the canonical (block count, key) order.  Raises
-    ValueError when the theories live on different groups."""
+    ValueError when the theories live on different groups, or when two of
+    them have the same classes."""
     return _covers(sorted(theories, key=sort_key))
 
 
@@ -35,6 +36,10 @@ def _covers(ts) -> list[tuple[int, int]]:
     covers of i are up[i] minus every up[k] with k in up[i]."""
     if any(t.group != ts[0].group for t in ts):
         raise ValueError("theories live on different groups")
+    # equal classes sort next to each other, and would refine each other
+    for t, u in zip(ts, ts[1:]):
+        if t.classes == u.classes:
+            raise ValueError(f"theory {canonical_key(t)} is repeated")
     sizes = [len(t.classes) for t in ts]
     cells = list(map(_cells, ts))
     cands = [range(bisect_right(sizes, k)) for k in sizes]

@@ -11,7 +11,7 @@ equal and render identically.
 from __future__ import annotations
 
 import json
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import chain, islice, repeat
 from operator import itemgetter
 
@@ -55,9 +55,6 @@ class Partition(_Frozen):
 
     def __len__(self) -> int:
         return len(self.blocks)
-
-    def __contains__(self, block) -> bool:
-        return tuple(sorted(block)) in set(self.blocks)
 
 
 class Theory(_Frozen):
@@ -136,33 +133,40 @@ def sort_key(t: Theory) -> tuple[int, str]:
 def verify(t: Theory) -> Violation | None:
     """Check the defining conditions; None when valid, else the first failure.
 
-    Condition 3 is read off the multipliers when they fix both partitions,
-    as Schur's multiplier theorem says they do for every theory of an
-    abelian group: the keys at the 2^(d+1) indices with p exponent 0 or 1
-    give every key, and one character block per multiplier orbit is checked
-    (see _constant_by_multipliers).  When a partition is not fixed, or that
-    check fails, the full loop runs over every character block at every
-    element, so the Violation returned is always the full loop's first."""
-    if (0,) not in t.classes.blocks:
+    Condition 3 walks the character blocks in order through _block_sums and
+    reports the first block whose sums are not constant on the class
+    blocks, at the first class block and member where they break.  When the
+    multipliers fix both partitions, as Schur's multiplier theorem says they
+    do for every theory of an abelian group, the walk stops after the blocks
+    holding a lead index (p exponent 0 or 1): those come first in block
+    order, and every other block is the image aX of one of them under a
+    unit a.  Its sums are sigma_{aX}(x) = sigma_X(a*x), constant on every
+    class block K when sigma_X is constant on aK, a class block too.  So the
+    Violation returned is always the first in block order."""
+    classes, chars = t.classes, t.charparts
+    if (0,) not in classes.blocks:
         return Violation(1, (0,), "identity is not a singleton class")
-    if (0,) not in t.charparts.blocks:
+    if (0,) not in chars.blocks:
         return Violation(1, (0,), "trivial character is not a singleton block")
-    if len(t.classes) != len(t.charparts):
+    if len(classes) != len(chars):
         return Violation(
             2,
-            (len(t.classes), len(t.charparts)),
-            f"{len(t.classes)} classes vs {len(t.charparts)} character blocks",
+            (len(classes), len(chars)),
+            f"{len(classes)} classes vs {len(chars)} character blocks",
         )
-    if _constant_by_multipliers(t):
-        return None
     g = t.group
-    for xi, x in enumerate(t.charparts.blocks):
-        bad = _first_break(g.sigma_keys(x), t.classes)
-        if bad is not None:
+    leaders = _leaders(classes)
+    fixed, sums = _block_sums(g, chars)
+    # _invariant(classes, perm), reusing the leader map
+    if fixed and _constant(list(map(classes.block_of.__getitem__, g.multiplier_perm)), leaders):
+        sums = islice(sums, max(chars.block_of[: 2 << g.dim2]) + 1)
+    for xi, keys in enumerate(sums):
+        if not _constant(keys, leaders):
+            k, h = _first_break(keys, classes)
             return Violation(
                 3,
-                (xi, *bad),
-                f"sigma of character block {xi} differs at elements {bad[0]} and {bad[1]}",
+                (xi, k, h),
+                f"sigma of character block {xi} differs at elements {k} and {h}",
             )
     return None
 
@@ -184,58 +188,59 @@ def _leaders(part: Partition) -> list[int]:
     return list(map(heads.__getitem__, part.block_of))
 
 
+def _constant(values: list, leaders: list[int]) -> bool:
+    """True when values, indexed by points, is constant on every block of
+    the partition whose leader map is leaders: when each value equals the
+    one at its block's least member."""
+    return values == list(map(values.__getitem__, leaders))
+
+
 def _invariant(part: Partition, perm) -> bool:
     """True when perm maps every block into one block, that is when the
-    block of perm[i] is the block of perm[leader of i] for every i; perm
-    being a bijection, it then maps the blocks onto the blocks."""
-    image = list(map(part.block_of.__getitem__, perm))
-    return image == list(map(image.__getitem__, _leaders(part)))
+    block of perm[i] is constant on every block; perm being a bijection,
+    it then maps the blocks onto the blocks."""
+    return _constant(list(map(part.block_of.__getitem__, perm)), _leaders(part))
 
 
-def _constant_by_multipliers(t: Theory) -> bool:
-    """True when both partitions are invariant under the multipliers and
-    every sigma_X is constant on every class block; False when a partition
-    is not invariant or some sigma_X is not constant.
+def _block_sums(g: GroupSpec, part: Partition):
+    """(fixed, sums): whether the multipliers fix part, and, lazily in block
+    order, sigma over each block at every index, as keys or as ids that are
+    equal exactly when the keys are.  The pairing is symmetric, so this
+    sums characters over a character block and elements over a class block.
 
     A unit a acts on index (e, v) as (a*e % p, v), on elements and on
-    characters alike, and chi_(b,w)(a*e, v) = chi_(a*b,w)(e, v).  So for
-    a != 0, sigma_X(a, v) = sigma_{aX}(1, v), and with the character
-    partition invariant aX is a block: the lead ids of the blocks
-    (GroupSpec.lead_ids) give all keys.  With the class partition invariant
-    too, the K^(a) are the class blocks, so "sigma_X is constant on every K"
-    carries over to every aX: one character block per orbit is checked.
-    Every block holds an index (0, w), and is then fixed by the units, or
-    an index (a, w) with a != 0, and is then in the orbit of the block of
-    (1, w), which is block_of[(1 << d) | w :: 1 << d].  Keys are constant
-    on the class blocks when each equals the key at its class's least
-    member."""
-    g = t.group
+    characters alike, and chi_(b,w)(a*e, v) = chi_(a*b,w)(e, v), so
+    sigma_X(a, v) = sigma_{aX}(1, v) for a != 0.  When the multipliers fix
+    part, aX is a block, so the lead ids of the blocks (GroupSpec.lead_ids,
+    read once per partition) give every entry: if X holds (b, w), aX is the
+    block of (a*b, w), which is X itself when b = 0.  Otherwise the sums
+    are GroupSpec.sigma_keys of the blocks, read off the full key table."""
     perm = g.multiplier_perm
-    if perm is None or not (_invariant(t.classes, perm) and _invariant(t.charparts, perm)):
-        return False
-    p, half = g.p, 1 << g.dim2
-    block_of = t.charparts.block_of
-    cols = list(map(g.lead_ids, t.charparts.blocks))
-    leaders = _leaders(t.classes)
-    tail = itemgetter(slice(half, None))
-    done: set[int] = set()
-    for w in range(half):
-        xi = block_of[w]
-        if xi not in done:
-            done.add(xi)
-            col = cols[xi]
-            keys = [*col[:half], *col[half:] * (p - 1)]
-            if keys != list(map(keys.__getitem__, leaders)):
-                return False
-    for w in range(half):
-        orbit = block_of[half | w :: half]
-        if orbit[0] not in done:
-            done.update(orbit)
-            keys = [*cols[orbit[0]][:half], *chain.from_iterable(
-                map(tail, map(cols.__getitem__, orbit)))]
-            if keys != list(map(keys.__getitem__, leaders)):
-                return False
-    return True
+    if perm is None or not _invariant(part, perm):
+        return False, map(g.sigma_keys, part.blocks)
+    p, d, mask = g._split
+    half = mask + 1
+    cols = list(map(g.lead_ids, part.blocks))
+    tails = list(map(itemgetter(slice(half, None)), cols))
+    block_of = part.block_of
+
+    def expand(col, least):
+        b = least >> d
+        if not b:
+            return [*col[:half], *col[half:] * (p - 1)]
+        # the blocks of (a, w) for a = 1 .. p - 1, then of (a*b, w)
+        orbit = block_of[half | least & mask :: half]
+        if b > 1:
+            orbit = _times(p, b)(orbit)
+        return [*col[:half], *chain.from_iterable(map(tails.__getitem__, orbit))]
+
+    return True, map(expand, cols, map(itemgetter(0), part.blocks))
+
+
+@lru_cache(maxsize=None)
+def _times(p: int, b: int) -> itemgetter:
+    """Reads a list indexed by a - 1, for a = 1 .. p - 1, at a*b % p - 1."""
+    return itemgetter(*[a * b % p - 1 for a in range(1, p)])
 
 
 def require_valid(t: Theory, what: str) -> Theory:
@@ -322,18 +327,12 @@ def induced_character_partition(g: GroupSpec, classes: Partition) -> Partition:
     For a convolution-closed class partition this yields the unique character
     partition completing it to a theory, with the same number of blocks.
 
-    When the multipliers fix the class partition, as Schur's multiplier
-    theorem says they do for every theory, the class sums are evaluated only
-    at the 2^(d+1) characters with p exponent 0 or 1: the pairing is
-    symmetric, so sigma_K(a, v) = sigma_{aK}(1, v) for a != 0, and aK is a
-    class block.  Otherwise every class sum is evaluated at every character.
-    Both give the same signatures, hence the same partition or error."""
+    The class sums come from _block_sums: read off the lead ids when the
+    multipliers fix the class partition, as Schur's multiplier theorem says
+    they do for every theory, else off the full key table.  Ids are equal
+    exactly when keys are, so both give the same partition or error."""
     n = g.order
-    perm = g.multiplier_perm
-    if perm is not None and _invariant(classes, perm):
-        sigs = _signatures_by_multipliers(g, classes)
-    else:
-        sigs = zip(*(g.sigma_keys(k) for k in classes.blocks))
+    sigs = zip(*_block_sums(g, classes)[1])
     by_sig: dict[tuple, list[int]] = {}
     for c, sig in enumerate(sigs):
         by_sig.setdefault(sig, []).append(c)
@@ -344,21 +343,6 @@ def induced_character_partition(g: GroupSpec, classes: Partition) -> Partition:
             "the class partition is not convolution-closed"
         )
     return part
-
-
-def _signatures_by_multipliers(g: GroupSpec, classes: Partition):
-    """The lead ids of every class sum at each character in index order,
-    for a class partition invariant under the multipliers; ids are equal
-    exactly when the keys are."""
-    p, d, mask = g._split
-    block_of = classes.block_of
-    lead = [(k[0] >> d, k[0] & mask) for k in classes.blocks]
-    cols = list(map(g.lead_ids, classes.blocks))
-    yield from zip(*(col[: mask + 1] for col in cols))
-    ones = [col[mask + 1 :] for col in cols]
-    for a in range(1, p):
-        # sigma_K(a, v) = sigma_{aK}(1, v)
-        yield from zip(*[ones[block_of[a * e % p << d | v]] for e, v in lead])
 
 
 def theory_from_classes(g: GroupSpec, classes: Partition) -> Theory:

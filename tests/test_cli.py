@@ -233,6 +233,22 @@ def test_lattice_rejects_mixed_groups(tmp_path, capsys):
     assert code == 4 and "exactly one group" in err
 
 
+def test_lattice_rejects_a_repeated_theory(tmp_path, capsys):
+    # a repeat used to give two nodes that cover each other and no edge
+    # from either to the maximal theory
+    path = tmp_path / "c2cubed.jsonl"
+    cli.main(["enumerate", "--group", "c2cubed", "--out", str(path)])
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:3] + lines[1:2]))
+    capsys.readouterr()
+    code, out, err = run(capsys, ["lattice", str(path), "--dot", "-"])
+    assert code == 4 and out == ""
+    assert err.splitlines() == ["error: theory 2.2.2:0|1,2,3,4,5,6|7 is repeated"]
+    path.write_text("".join(lines[:3]))
+    code, out, _ = run(capsys, ["lattice", str(path), "--dot", "-"])
+    assert code == 0 and out.endswith("  n1 -> n0;\n  n2 -> n0;\n}\n")
+
+
 def test_bad_inputs_exit_4(tmp_path, capsys):
     code, _, err = run(capsys, ["enumerate", "--group", "cp"])
     assert code == 4 and "--p is required" in err

