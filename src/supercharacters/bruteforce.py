@@ -132,19 +132,11 @@ def _search(g: GroupSpec, budget: int | None, emit) -> None:
         raise ValueError(
             f"|G| = {n} exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}; pass a budget"
         )
-    mt = g.mult_table
+    conv = g.convolve
     maps, orbits, orbit_of, plan = _orbit_plan(g)
     # the entries at m(t), m in U, of a list indexed by element
     along_orbit = [itemgetter(*(m[t] for m in maps)) for t in range(n)]
     nodes = 0
-
-    def conv(a, b) -> list[int]:
-        coeff = [0] * n
-        for x in a:
-            row = mt[x]
-            for y in b:
-                coeff[row[y]] += 1
-        return coeff
 
     def checker(blocks):
         """A test that a product is constant on each of the blocks."""

@@ -126,13 +126,19 @@ class CycInt:
         return self.coeffs[0]
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, CycInt) and other.p != self.p:
+            # Z[zeta_p] and Z[zeta_q] share only the rational integers
+            n = self.is_rational_integer()
+            return n is not None and n == other.is_rational_integer()
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self.coeffs == o.coeffs
 
     def __hash__(self) -> int:
-        return hash((self.p, self.coeffs))
+        """A rational integer hashes as its int, which it equals."""
+        n = self.is_rational_integer()
+        return hash((self.p, self.coeffs) if n is None else n)
 
     def __bool__(self) -> bool:
         return any(self.coeffs)

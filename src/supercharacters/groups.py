@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property, lru_cache
-from math import gcd
+from math import lcm, prod
 from operator import itemgetter
 
 from .cyclotomic import CycInt, is_odd_prime
@@ -174,10 +174,7 @@ class GroupSpec(_Frozen):
 
     @property
     def order(self) -> int:
-        n = 1
-        for f in self.factors:
-            n *= f
-        return n
+        return prod(self.factors)
 
     @cached_property
     def elements(self) -> tuple[tuple[int, ...], ...]:
@@ -222,13 +219,19 @@ class GroupSpec(_Frozen):
         n = self.order
         return tuple(tuple(self.mul_idx(i, j) for j in range(n)) for i in range(n))
 
+    def convolve(self, a, b) -> list[int]:
+        """The product of the sums of the element indices a and b in the
+        group algebra: entry x counts the pairs (i, j) in a x b with i j = x."""
+        table = self.mult_table
+        coeff = [0] * len(table)
+        for x in a:
+            row = table[x]
+            for y in b:
+                coeff[row[y]] += 1
+        return coeff
+
     def order_of_index(self, i: int) -> int:
-        exps = self.elements[i]
-        n = 1
-        for e, f in zip(exps, self.factors):
-            if e:
-                n = n * f // gcd(n, f)
-        return n
+        return lcm(*(f for e, f in zip(self.elements[i], self.factors) if e))
 
     # -- characters ---------------------------------------------------------
 
@@ -439,21 +442,43 @@ class GroupSpec(_Frozen):
             images.append(((0,) if self.p else ()) + tuple(row))
         return AutMap(self, tuple(images))
 
+    @lru_cache(maxsize=None)
     def aut_group(self) -> tuple["AutMap", ...]:
-        """Every automorphism: unit action on the p part times GL(d, 2)."""
-        return _cached_aut_group(self)
+        """Every automorphism: unit action on the p part times GL(d, 2),
+        listed unit by matrix, so in ascending order of generator images."""
+        units = [None] if self.p is None else range(1, self.p)
+        return tuple(self.aut_from_parts(u, m) for u in units for m in _gl2_matrices(self.dim2))
 
+    @lru_cache(maxsize=None)
     def subgroups_of_aut(self) -> tuple[tuple["AutMap", ...], ...]:
-        """All subgroups of Aut(G), each a multiplication-closed set of maps.
+        """All subgroups of Aut(G), each a multiplication-closed set of maps,
+        sorted by order, then by generator images.  Computed once per group.
 
-        The automorphism group is the direct product of the unit group of
-        the p part (trivial without one) and GL(d, 2).  aut_group() lists
-        unit u by matrix a, so with k = |GL(d, 2)| the product of (u, a) and
-        (v, b) has index (u*v % p - 1) * k + gl[a][b], gl being GL(d, 2)'s
-        product table; _subgroup_lattice runs on that table.  Sorted by
-        order, then by generator images.
-        """
-        return _cached_aut_subgroups(self)
+        Without p, Aut(G) is GL(d, 2), and _subgroup_lattice runs on its
+        product table.  With p, Aut(G) is U x GL(d, 2), U the units mod p,
+        with d <= 2.  A subgroup S projects onto <r^f> in U for a primitive
+        root r and some f dividing p - 1; let K be its part inside GL(d, 2).
+        For any (r^f, b) in S, S = <(r^f, b), K>, and only the coset bK of b
+        matters.  So each S is the closure, under the index arithmetic of
+        _aut_arithmetic, of (r^f, b) and K for some f, K in the lattice of
+        GL(d, 2) and one b per coset of K; every such closure is a subgroup,
+        and the set drops the repeats."""
+        maps, _, mul, e = _aut_arithmetic(self)
+        gl = _gl2_table(self.dim2)
+        kernels = _subgroup_lattice(gl).values()
+        found = set(kernels)
+        if self.p is not None:
+            p, k = self.p, len(gl)
+            units = [pow(_primitive_root(p), f, p) for f in range(1, p) if (p - 1) % f == 0]
+            # a matrix with unit 1 keeps its GL(d, 2) index, so K's members
+            # are indices of Aut(G) as they stand; b is the least of bK
+            for u, kernel in itertools.product(units, kernels):
+                for b in {min(gl[a][x] for x in kernel) for a in range(k)}:
+                    found.add(tuple(sorted(_close(mul, {e}, [(u - 1) * k + b, *kernel]))))
+        # aut_group() ascends by generator images, so sorting member indices
+        # sorts the subgroups by order, then by generator images
+        return tuple(tuple(maps[i] for i in members)
+                     for members in sorted(found, key=lambda m: (len(m), m)))
 
 
 def _column_sums(rows, chars) -> list[int]:
@@ -706,7 +731,7 @@ class AutMap(_Frozen):
 def close_aut_set(gens) -> tuple[AutMap, ...]:
     """Multiplicative closure of a set of automorphisms, sorted by generator
     images: _close on the indices of the maps in aut_group(), multiplied by
-    the index arithmetic of subgroups_of_aut()."""
+    the index arithmetic of _aut_arithmetic."""
     if not gens:
         raise ValueError("need at least one map to infer the group")
     g = gens[0].group
@@ -845,33 +870,6 @@ def _gl2_table(d: int) -> list[list[int]]:
     index = {c: i for i, c in enumerate(cols)}
     columns_of = [itemgetter(*c) for c in cols]
     return [[index[b(act)] for b in columns_of] for act in map(_span, cols)]
-
-
-@lru_cache(maxsize=None)
-def _cached_aut_group(g: GroupSpec) -> tuple[AutMap, ...]:
-    units = [None] if g.p is None else list(range(1, g.p))
-    return tuple(
-        g.aut_from_parts(u, m) for u in units for m in _gl2_matrices(g.dim2)
-    )
-
-
-@lru_cache(maxsize=None)
-def _cached_aut_subgroups(g: GroupSpec) -> tuple[tuple[AutMap, ...], ...]:
-    maps = g.aut_group()
-    table = gl = _gl2_table(g.dim2)
-    if g.p is not None:
-        p, k = g.p, len(gl)
-        # shifted[w][a] is row a of gl moved to the block of unit w; rows
-        # concatenate these lists, so the table shares their int objects
-        shifted = [None] + [[[(w - 1) * k + b for b in row] for row in gl]
-                            for w in range(1, p)]
-        table = [list(itertools.chain.from_iterable(shifted[u * v % p][a]
-                                                    for v in range(1, p)))
-                 for u in range(1, p) for a in range(k)]
-    # aut_group() ascends by generator images, so sorting member indices
-    # sorts the subgroups by order, then by generator images
-    lattice = sorted(_subgroup_lattice(table).values(), key=lambda m: (len(m), m))
-    return tuple(tuple(maps[i] for i in members) for members in lattice)
 
 
 @lru_cache(maxsize=None)

@@ -298,17 +298,10 @@ def verify_algebra(g: GroupSpec, classes: Partition) -> Violation | None:
     the product of any two block sums must be constant on every block."""
     if (0,) not in classes.blocks:
         return Violation(1, (0,), "identity is not a singleton class")
-    table = g.mult_table
-    n = g.order
     blocks = classes.blocks
     for i, bi in enumerate(blocks):
         for j in range(i, len(blocks)):
-            bj = blocks[j]
-            coeff = [0] * n
-            for x in bi:
-                row = table[x]
-                for y in bj:
-                    coeff[row[y]] += 1
+            coeff = g.convolve(bi, blocks[j])
             for k, bk in enumerate(blocks):
                 ref = coeff[bk[0]]
                 for h in bk[1:]:

@@ -17,6 +17,8 @@ from supercharacters import (
     canonical_key,
     direct_decompositions,
     direct_product,
+    divisor_count,
+    factor_pm1,
     from_automorphisms,
     induced_character_partition,
     maximal_theory,
@@ -29,7 +31,7 @@ from supercharacters import (
     wedge_decompositions,
 )
 from supercharacters import theories
-from supercharacters.groups import _pull_back
+from supercharacters.groups import _aut_arithmetic, _pull_back
 
 from golden import GOLDEN_ORBIT_THEORIES
 
@@ -309,10 +311,38 @@ def test_witness_index_matches_linear_search(
         assert found == len(records)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 19, 37])
+def test_automorphic_term_splits_into_three_goursat_classes(p):
+    # A subgroup S of Aut(G) = U x GL(2, 2) has m = |B| / |B0|, B its image
+    # in GL(2, 2) and B0 its part with unit 1 (m is 1, 2 or 3).  With
+    # p - 1 = 2^k 3^l n, the orbit theories given by some S with m = 1
+    # number 5 d(p-1), those given only with m = 2 number 3k d(3^l n) and
+    # those only with m = 3 number 2l d(2^k n): the three summands of the
+    # automorphic term, with nothing left over.
+    g = GroupSpec.cp_c2_c2(p)
+    index = _aut_arithmetic(g)[1]
+    ms_by_theory = {}
+    for sub in g.subgroups_of_aut():
+        idx = [index[a.gen_images] for a in sub]
+        image, kernel = {i % 6 for i in idx}, [i for i in idx if i // 6 == 0]
+        assert len(image) % len(kernel) == 0
+        t = from_automorphisms(g, aut_generating_subset(sub))
+        ms_by_theory.setdefault(t.classes.blocks, set()).add(len(image) // len(kernel))
+    k, l, n = factor_pm1(p)
+    d = divisor_count
+    classes = {1: 5 * d(p - 1), 2: 3 * k * d(3**l * n), 3: 2 * l * d(2**k * n)}
+    got = dict.fromkeys(classes, 0)
+    for ms in ms_by_theory.values():
+        # None, a key outside classes, stands for a theory in no class
+        label = 1 if 1 in ms else min(ms) if len(ms) == 1 else None
+        got[label] = got.get(label, 0) + 1
+    assert got == classes
+
+
 def test_lattice_and_witness_index_are_built_on_first_use():
     code = (
         "from supercharacters import constructions, groups\n"
-        "caches = (groups._gl2_table, groups._cached_aut_subgroups,"
+        "caches = (groups._gl2_table, groups.GroupSpec.subgroups_of_aut,"
         " constructions._witness_index)\n"
         "assert all(f.cache_info().currsize == 0 for f in caches)\n"
     )

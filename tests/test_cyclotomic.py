@@ -121,3 +121,14 @@ def test_hash_consistency():
     b = CycInt(5, (0, 0, 1, 1))
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+    # a rational value equals its int, so it hashes as that int
+    three = CycInt.from_int(5, 3)
+    assert three == 3 and hash(three) == hash(3)
+    assert len({three, 3}) == 1
+    assert {3: "x"}.get(three) == "x"
+    # then equal rational values of different moduli share a hash, and
+    # compare equal; other values of different moduli do not
+    assert CycInt.one(5) == CycInt.one(7) and len({CycInt.one(5), CycInt.one(7)}) == 1
+    assert CycInt.from_int(5, 2) != CycInt.from_int(7, 3)
+    assert CycInt.root_power(5, 1) != CycInt.root_power(7, 1)
+    assert CycInt.root_power(5, 1) != 1

@@ -14,6 +14,7 @@ from supercharacters import (
     aut_generating_subset,
     close_aut_set,
 )
+from supercharacters import groups
 from supercharacters.groups import _gl2_matrices, _gl2_table, _perm_table, _subgroup_lattice
 
 
@@ -614,18 +615,18 @@ def _exhaustive_subgroups(perms):
     GroupSpec.cp_c2_c2(7), GroupSpec.cp(13),
 ])
 def test_subgroups_of_aut_against_exhaustive_closure(g):
-    # the lattice over the arithmetic product table must agree with
-    # brute-force closure; the last two have automorphisms of order 6 and 12
+    # subgroups_of_aut() must agree with brute-force closure; the last two
+    # have automorphisms of order 6 and 12
     want = _exhaustive_subgroups([a.perm for a in g.aut_group()])
     got = {frozenset(m.perm for m in s) for s in g.subgroups_of_aut()}
     assert got == want
 
 
-@pytest.mark.parametrize("p", [3, 7, 13])
-def test_subgroup_lattice_agrees_with_goursat(p):
-    # subgroups_of_aut() runs the lattice on an arithmetic product table
-    # of Aut(G); running it on the composed permutations of the maps must
-    # give the same subgroups
+@pytest.mark.parametrize("p", [3, 7, 13, 19, 37])
+def test_subgroups_of_aut_match_lattice_over_composed_permutations(p):
+    # subgroups_of_aut() closes one generator over each subgroup of
+    # GL(2, 2); the lattice over the composed permutations of all the maps,
+    # which knows nothing of that split, must give the same subgroups
     g = GroupSpec.cp_c2_c2(p)
     perms = [a.perm for a in g.aut_group()]
     lattice = _subgroup_lattice(_perm_table(perms))
@@ -635,6 +636,22 @@ def test_subgroup_lattice_agrees_with_goursat(p):
     got = {frozenset(m.perm for m in s) for s in g.subgroups_of_aut()}
     assert len(want) == len(lattice)
     assert got == want
+
+
+def test_subgroups_of_aut_build_no_aut_product_table(monkeypatch):
+    # the lattice runs only on GL(2, 2) (6 rows), never on a product table
+    # of Aut(C_199 x C_2 x C_2), which has 1,188 rows
+    g = GroupSpec.cp_c2_c2(199)
+    rows = []
+
+    def counting_lattice(table):
+        rows.append(len(table))
+        return _subgroup_lattice(table)
+
+    monkeypatch.setattr(groups, "_subgroup_lattice", counting_lattice)
+    built = GroupSpec.subgroups_of_aut.__wrapped__(g)
+    assert rows and max(rows) <= 168
+    assert built == g.subgroups_of_aut()
 
 
 def _gl2_table_by_permutations(d):
