@@ -1,6 +1,14 @@
 """Complete enumeration of supercharacter theories per supported family, with
 the closed-form counts each run must reproduce.
 
+all_theories(g) is the one enumerator.  It collects the orbit theories of
+the subgroups of Aut(G), the direct products over complementary pairs, the
+wedges over proper nontrivial subgroups and the two extremes, and passes
+each distinct theory once through the verify gate of _Collector.  On the
+trivial group, C_2 and C_p the direct and wedge steps find nothing to
+combine.  (C_2)^3 runs no orbit step, so none of its records is tagged
+automorphic; its count is checked against the brute-force search instead.
+
 For G = C_p x C_2 x C_2 write p - 1 = 2^k * 3^l * n with gcd(n, 6) = 1 and
 d() for the divisor-count function.  Then the enumeration must produce
 
@@ -179,35 +187,6 @@ def _enumerate(g: GroupSpec, *adders) -> list[TheoryRecord]:
 _ALL_CONSTRUCTIONS = (_add_aut_theories, _add_direct_theories, _add_wedge_theories)
 
 
-def all_scts_cp(p: int) -> list[TheoryRecord]:
-    """Every theory of C_p; there are d(p-1), all from automorphism orbits."""
-    return _enumerate(GroupSpec.cp(p), _add_aut_theories)
-
-
-def all_scts_klein() -> list[TheoryRecord]:
-    """Every theory of C_2 x C_2; there are 5."""
-    return _enumerate(GroupSpec.klein(), *_ALL_CONSTRUCTIONS)
-
-
-def all_scts_cp_c2(p: int) -> list[TheoryRecord]:
-    """Every theory of C_p x C_2; there are 3*d(p-1) + 1, and the automorphic
-    ones are exactly the direct products."""
-    return _enumerate(GroupSpec.cp_c2(p), *_ALL_CONSTRUCTIONS)
-
-
-def all_scts_c2_cubed() -> list[TheoryRecord]:
-    """Every theory of (C_2)^3 from wedges, direct products, and the extremes;
-    the count is checked against the brute-force search."""
-    g = GroupSpec.c2_cubed()
-    records = _enumerate(g, _add_direct_theories, _add_wedge_theories)
-    oracle = brute_force_count(g)
-    if len(records) != oracle:
-        raise RuntimeError(
-            f"constructions give {len(records)} theories of (C_2)^3, search gives {oracle}"
-        )
-    return records
-
-
 def all_scts_cp_c2_c2(p: int) -> tuple[list[TheoryRecord], CountReport]:
     """Every theory of C_p x C_2 x C_2, with the count report; raises
     CountMismatchError when any actual count differs from its formula."""
@@ -234,23 +213,18 @@ def all_scts_cp_c2_c2(p: int) -> tuple[list[TheoryRecord], CountReport]:
 
 
 def all_theories(g: GroupSpec) -> list[TheoryRecord]:
-    """Dispatch to the enumerator for the family of g."""
-    fam = g.family
-    if fam == "Trivial":
-        rec = TheoryRecord(minimal_theory(g), {"minimal", "maximal"}, [])
-        return [rec]
-    if fam == "C2":
-        rec = TheoryRecord(minimal_theory(g), {"minimal", "maximal", "automorphic"},
-                           [{"construction": "minimal"}, {"construction": "maximal"}])
-        return [rec]
-    if fam == "Cp":
-        return all_scts_cp(g.p)
-    if fam == "Klein":
-        return all_scts_klein()
-    if fam == "CpC2":
-        return all_scts_cp_c2(g.p)
-    if fam == "C2cubed":
-        return all_scts_c2_cubed()
-    if fam == "CpC2C2":
+    """Every theory of g, each verified once at the gate, in sort_key order.
+    g is rebuilt from its family first, so a prime past DEFAULT_MAX_P is
+    refused here however the spec was made."""
+    g = GroupSpec.from_family(g.family, g.p)
+    if g.family == "CpC2C2":
         return all_scts_cp_c2_c2(g.p)[0]
-    raise ValueError(f"no enumerator for family {fam}")
+    if g.family != "C2cubed":
+        return _enumerate(g, *_ALL_CONSTRUCTIONS)
+    records = _enumerate(g, _add_direct_theories, _add_wedge_theories)
+    oracle = brute_force_count(g)
+    if len(records) != oracle:
+        raise RuntimeError(
+            f"constructions give {len(records)} theories of (C_2)^3, search gives {oracle}"
+        )
+    return records

@@ -564,13 +564,6 @@ class Subgroup(_Frozen):
     def order(self) -> int:
         return len(self.members)
 
-    def __contains__(self, i: int) -> bool:
-        return i in self._member_set
-
-    @cached_property
-    def _member_set(self) -> frozenset[int]:
-        return frozenset(self.members)
-
     def generator_exps(self) -> list[list[int]]:
         return [list(self.group.elements[i]) for i in self.generators]
 
@@ -720,26 +713,6 @@ class AutMap(_Frozen):
     def char_perm(self) -> tuple[int, ...]:
         """Index permutation of Irr(G) under chi -> chi o alpha^(-1)."""
         return tuple(_pull_back(self.inverse_perm, self.group, self.group))
-
-    def inverse(self) -> "AutMap":
-        g = self.group
-        # the preimages of the generators, indexed as in identity()
-        return AutMap(g, tuple(g.elements[self.inverse_perm[1 << k]]
-                               for k in reversed(range(len(g.factors)))))
-
-
-def close_aut_set(gens) -> tuple[AutMap, ...]:
-    """Multiplicative closure of a set of automorphisms, sorted by generator
-    images: _close on the indices of the maps in aut_group(), multiplied by
-    the index arithmetic of _aut_arithmetic."""
-    if not gens:
-        raise ValueError("need at least one map to infer the group")
-    g = gens[0].group
-    if any(a.group != g for a in gens):
-        raise ValueError("maps act on different groups")
-    maps, index, mul, e = _aut_arithmetic(g)
-    closure = _close(mul, {e}, [index[a.gen_images] for a in gens])
-    return tuple(maps[i] for i in sorted(closure))
 
 
 def _close(mul, have, gens) -> set:
@@ -895,7 +868,8 @@ def aut_generating_subset(subgroup: tuple[AutMap, ...]) -> tuple[AutMap, ...]:
     """A small generating subset of a multiplication-closed set of
     automorphisms: in ascending order of generator images, each map not in
     the closure of those before it, until that closure is the whole set.
-    Closes indices of aut_group() as close_aut_set does."""
+    _close runs on the indices of the maps in aut_group(), multiplied by the
+    index arithmetic of _aut_arithmetic."""
     if not subgroup:
         return ()
     maps, index, mul, e = _aut_arithmetic(subgroup[0].group)

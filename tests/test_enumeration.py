@@ -14,10 +14,6 @@ from supercharacters import (
     Partition,
     Theory,
     WedgeSpec,
-    all_scts_c2_cubed,
-    all_scts_cp,
-    all_scts_cp_c2,
-    all_scts_klein,
     all_theories,
     canonical_key,
     divisor_count,
@@ -106,7 +102,7 @@ def test_predicted_counts_frozen(p):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13])
 def test_cp_enumeration(p):
-    recs = all_scts_cp(p)
+    recs = all_theories(GroupSpec.cp(p))
     assert len(recs) == divisor_count(p - 1)
     assert all("automorphic" in r.tags for r in recs)
     assert any("minimal" in r.tags for r in recs)
@@ -114,7 +110,7 @@ def test_cp_enumeration(p):
 
 
 def test_klein_enumeration():
-    recs = all_scts_klein()
+    recs = all_theories(GroupSpec.klein())
     keys = [canonical_key(r.theory) for r in recs]
     assert keys == [
         "2.2:0|1,2,3", "2.2:0|1,2|3", "2.2:0|1,3|2", "2.2:0|1|2,3", "2.2:0|1|2|3",
@@ -343,9 +339,13 @@ def test_provenance_shapes(records_by_p):
 
 
 def test_all_theories_dispatch():
-    assert len(all_theories(GroupSpec.of(()))) == 1
-    c2 = all_theories(GroupSpec.of((2,)))
-    assert len(c2) == 1 and c2[0].tags == {"minimal", "maximal", "automorphic"}
+    # the trivial group and C_2 pass the gate like every other family: the
+    # identity orbit of the trivial Aut(G) gives their one theory
+    for factors in ((), (2,)):
+        rec, = all_theories(GroupSpec.of(factors))
+        assert rec.tags == {"minimal", "maximal", "automorphic"}
+        assert rec.provenance == [{"construction": "aut", "generators": []},
+                                  {"construction": "minimal"}, {"construction": "maximal"}]
     assert len(all_theories(GroupSpec.klein())) == 5
     assert len(all_theories(GroupSpec.cp(5))) == 3
     assert len(all_theories(GroupSpec.cp_c2(3))) == 7
@@ -354,11 +354,13 @@ def test_all_theories_dispatch():
 
 def test_prime_bounds():
     with pytest.raises(ValueError):
-        all_scts_cp(9)
+        GroupSpec.cp(9)
     with pytest.raises(ValueError):
-        all_scts_cp(211)
-    with pytest.raises(ValueError):
-        all_scts_cp_c2(4)
+        GroupSpec.cp_c2(4)
+    # GroupSpec.of takes any odd prime; all_theories applies the one p bound
+    for factors in ((211,), (211, 2), (211, 2, 2)):
+        with pytest.raises(ValueError, match="exceeds the bound"):
+            all_theories(GroupSpec.of(factors))
 
 
 def test_each_distinct_theory_is_verified_once(monkeypatch):
@@ -373,9 +375,9 @@ def test_each_distinct_theory_is_verified_once(monkeypatch):
     enumeration._sub_theories.cache_clear()
     records, _ = all_scts_cp_c2_c2(5)
     assert len(calls) == len(set(calls))
-    # every record of every enumerated group, and nothing else; C_2 and the
-    # trivial group have fixed records
-    sub_groups = (GroupSpec.cp_c2(5), GroupSpec.cp(5), GroupSpec.klein())
+    # every record of every enumerated group, and nothing else; the one
+    # theory of C_2 passes the gate too
+    sub_groups = (GroupSpec.cp_c2(5), GroupSpec.cp(5), GroupSpec.klein(), GroupSpec.of((2,)))
     assert len(calls) == len(records) + sum(len(all_theories(h)) for h in sub_groups)
 
 
