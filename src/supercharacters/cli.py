@@ -3,13 +3,15 @@
 Subcommands: count, enumerate, verify, dual, classify, oracle, lattice.
 Theories travel as JSON Lines, one record per line, ordered by (number of
 classes, canonical key).  Exit codes: 0 success, 2 verification failure,
-3 count mismatch, 4 bad input, 5 search budget exhausted.
+3 count mismatch, 4 bad input, 5 search budget exhausted, 141 stdout closed
+by its reader (as in `| head`; 128 + SIGPIPE, with no message).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 
@@ -41,6 +43,7 @@ EXIT_VERIFY = 2
 EXIT_COUNT = 3
 EXIT_INPUT = 4
 EXIT_BUDGET = 5
+EXIT_PIPE = 141
 
 _FAMILIES = {
     "cp": "Cp",
@@ -253,11 +256,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_stdout() -> None:
+    """Points the file descriptor of stdout at os.devnull, so that what is
+    still buffered for a closed pipe is dropped at exit instead of failing
+    there again; a stdout without a descriptor is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # written here, so that a reader gone before the last block is seen
+        # below and not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _drop_stdout()
+        return EXIT_PIPE
     except BudgetExhaustedError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET

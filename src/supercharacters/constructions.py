@@ -14,6 +14,7 @@ from .groups import (
     Subgroup,
     SubgroupEmbedding,
     _Frozen,
+    _aut_map,
     _pull_back,
     _set,
     aut_generating_subset,
@@ -165,7 +166,8 @@ def _add_aut_theories(col: _Collector, g: GroupSpec) -> dict[tuple, tuple[AutMap
     the first subgroup whose orbit theory has those blocks."""
     first: dict[tuple, tuple[AutMap, ...]] = {}
     for subgroup in g.subgroups_of_aut():
-        gens = aut_generating_subset(subgroup)
+        # only a generator the walk reports becomes an AutMap, once per index
+        gens = tuple(_aut_map(g, i) for i in aut_generating_subset(g, subgroup))
         t = from_automorphisms(g, gens)
         col.add(t, "automorphic", {
             "construction": "aut",

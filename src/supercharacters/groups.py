@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache
 from math import lcm, prod
-from operator import itemgetter
 
 from .cyclotomic import CycInt, is_odd_prime
 
@@ -67,7 +66,14 @@ class _Frozen(_Value):
     "Start-up" in the README)."""
 
     def __hash__(self):
-        return hash(self._astuple())
+        # kept in the instance __dict__ after the first call, as
+        # cached_property keeps its values; a field that cannot be hashed
+        # raises TypeError before anything is kept
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = hash(self._astuple())
+            return h
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -362,14 +368,6 @@ class GroupSpec(_Frozen):
         r = _primitive_root(p)
         return tuple(r * a % p << d | v for a in range(p) for v in range(mask + 1))
 
-    def annihilator(self, members) -> tuple[int, ...]:
-        """Indices of characters that are 1 on every listed element index:
-        1 is the only value whose key is 1."""
-        if isinstance(members, Subgroup):
-            members = members.members
-        return tuple(c for c, row in enumerate(self._key_table)
-                     if all(row[i] == 1 for i in members))
-
     # -- subgroups ----------------------------------------------------------
 
     def subgroup(self, member_indices) -> "Subgroup":
@@ -388,9 +386,6 @@ class GroupSpec(_Frozen):
         if extra:
             raise ValueError(f"not closed under products: generates index {min(extra)}")
         return Subgroup(self, members, tuple(gens))
-
-    def generated_subgroup(self, generator_indices) -> "Subgroup":
-        return self.subgroup(_close(self.mul_idx, {0}, generator_indices))
 
     @cached_property
     def all_subgroups(self) -> tuple["Subgroup", ...]:
@@ -445,14 +440,16 @@ class GroupSpec(_Frozen):
     @lru_cache(maxsize=None)
     def aut_group(self) -> tuple["AutMap", ...]:
         """Every automorphism: unit action on the p part times GL(d, 2),
-        listed unit by matrix, so in ascending order of generator images."""
-        units = [None] if self.p is None else range(1, self.p)
-        return tuple(self.aut_from_parts(u, m) for u in units for m in _gl2_matrices(self.dim2))
+        listed unit by matrix, so in ascending order of generator images.
+        Index i is the map _aut_map(self, i)."""
+        units = self.p - 1 if self.p else 1
+        return tuple(_aut_map(self, i) for i in range(units * len(_gl2_matrices(self.dim2))))
 
     @lru_cache(maxsize=None)
-    def subgroups_of_aut(self) -> tuple[tuple["AutMap", ...], ...]:
-        """All subgroups of Aut(G), each a multiplication-closed set of maps,
-        sorted by order, then by generator images.  Computed once per group.
+    def subgroups_of_aut(self) -> tuple[tuple[int, ...], ...]:
+        """All subgroups of Aut(G), each the ascending tuple of its members'
+        indices in aut_group(), sorted by order, then by members.  Computed
+        once per group, without building an AutMap.
 
         Without p, Aut(G) is GL(d, 2), and _subgroup_lattice runs on its
         product table.  With p, Aut(G) is U x GL(d, 2), U the units mod p,
@@ -463,7 +460,7 @@ class GroupSpec(_Frozen):
         _aut_arithmetic, of (r^f, b) and K for some f, K in the lattice of
         GL(d, 2) and one b per coset of K; every such closure is a subgroup,
         and the set drops the repeats."""
-        maps, _, mul, e = _aut_arithmetic(self)
+        mul, e = _aut_arithmetic(self)
         gl = _gl2_table(self.dim2)
         kernels = _subgroup_lattice(gl).values()
         found = set(kernels)
@@ -477,8 +474,7 @@ class GroupSpec(_Frozen):
                     found.add(tuple(sorted(_close(mul, {e}, [(u - 1) * k + b, *kernel]))))
         # aut_group() ascends by generator images, so sorting member indices
         # sorts the subgroups by order, then by generator images
-        return tuple(tuple(maps[i] for i in members)
-                     for members in sorted(found, key=lambda m: (len(m), m)))
+        return tuple(sorted(found, key=lambda m: (len(m), m)))
 
 
 def _column_sums(rows, chars) -> list[int]:
@@ -501,13 +497,15 @@ def _primitive_root(p: int) -> int:
 
 @lru_cache(maxsize=None)
 def _gl2_matrices(d: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Invertible d x d matrices over F_2 in lexicographic order."""
-    out = []
-    for bits in itertools.product((0, 1), repeat=d * d):
-        mat = tuple(bits[i * d : (i + 1) * d] for i in range(d))
-        if len(_f2_basis(int("".join(map(str, row)), 2) for row in mat)) == d:
-            out.append(mat)
-    return tuple(out)
+    """Invertible d x d matrices over F_2 in lexicographic order, built row
+    by row: each row, in ascending order, is a vector outside the span of
+    the rows before it, so no matrix is ever tested for rank."""
+    rows = [tuple(v >> k & 1 for k in reversed(range(d))) for v in range(1 << d)]
+    mats = [((), {0})]  # (rows so far, their span)
+    for _ in range(d):
+        mats = [(m + (rows[v],), span | {x ^ v for x in span})
+                for m, span in mats for v in range(1 << d) if v not in span]
+    return tuple(m for m, _ in mats)
 
 
 def _f2_basis(vectors) -> list[int]:
@@ -750,8 +748,11 @@ def _subgroup_lattice(table) -> dict[int, tuple[int, ...]]:
     order, so every subgroup is generated by such cyclic subgroups and every
     one is reached.  A join K = <H, x> adds right cosets H y until each
     coset representative times each generator stays inside (Dimino's
-    method), O(|K| + [K:H] * gens) table lookups; once K holds more than
-    half the group it is the group.
+    method).  The right cosets of H are numbered, with their bitmasks, once
+    per queued H, so a join tracks the numbers of the cosets it reaches and
+    ORs their masks at the end: n row lookups per queued H and one per
+    coset representative.  Once K holds more than half the group it is the
+    group.
 
     Unless the cyclic generators all commute, only one subgroup per
     conjugacy class is extended: each new join is queued, and its orbit
@@ -771,25 +772,39 @@ def _subgroup_lattice(table) -> dict[int, tuple[int, ...]]:
         if x != e and _is_prime_power(mask.bit_count()):
             cyclic.setdefault(mask, x)
     conjugations = _conjugations(table, e, list(cyclic.values()))
+    bits = [1 << y for y in range(n)]
     found = {1 << e: (e,)}
     queue = [(1 << e, ())]
     for h, gens in queue:
+        joins = [x for c, x in cyclic.items() if c & ~h]
+        if not joins:
+            continue
         members = found[h]
-        for c, x in cyclic.items():
-            if not c & ~h:
-                continue
+        # right coset H y is number cid[y], with bitmask coset_mask[cid[y]]:
+        # its members are distinct, so the sum of their bits is their OR
+        cid: list = [None] * n
+        coset_mask = []
+        for y in range(n):
+            if cid[y] is None:
+                coset = [table[z][y] for z in members]
+                for w in coset:
+                    cid[w] = len(coset_mask)
+                coset_mask.append(sum(map(bits.__getitem__, coset)))
+        for x in joins:
             k_gens = gens + (x,)
-            k, reps = h, [e]
+            reached, reps = {cid[e]}, [e]
             for r in reps:
+                row = table[r]
                 for s in k_gens:
-                    y = table[r][s]
-                    if not k >> y & 1:
+                    y = row[s]
+                    if cid[y] not in reached:
+                        reached.add(cid[y])
                         reps.append(y)
-                        for z in members:
-                            k |= 1 << table[z][y]
                 if 2 * len(members) * len(reps) > n:
                     k = (1 << n) - 1
                     break
+            else:
+                k = sum(map(coset_mask.__getitem__, reached))
             if k in found:
                 continue
             found[k] = tuple(i for i in range(n) if k >> i & 1)
@@ -797,11 +812,11 @@ def _subgroup_lattice(table) -> dict[int, tuple[int, ...]]:
             orbit = [k]
             for m in orbit:
                 for conj in conjugations:
-                    image = sorted(conj[y] for y in found[m])
-                    mask = sum(1 << y for y in image)
-                    if mask not in found:
-                        found[mask] = tuple(image)
-                        orbit.append(mask)
+                    image = sorted(map(conj.__getitem__, found[m]))
+                    image_mask = sum(map(bits.__getitem__, image))
+                    if image_mask not in found:
+                        found[image_mask] = tuple(image)
+                        orbit.append(image_mask)
     return found
 
 
@@ -831,54 +846,75 @@ def _is_prime_power(n: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _gl2_table(d: int) -> list[list[int]]:
-    """The int product table of GL(d, 2), indexed as in _gl2_matrices.  A
-    matrix is held as its d columns, each a vector index with the first
-    coordinate at the top bit; it maps vector v to the XOR of the columns
-    its coordinates select, so its action on all vectors is the _span of
-    its columns, and column k of a b is that action of a at column k of b."""
+    """The int product table of GL(d, 2), indexed as in _gl2_matrices:
+    entry [a][b] is the index of a b.  A matrix is held as its d columns,
+    each a vector index with the first coordinate at the top bit.  With E_ij
+    the matrix unit (i != j), a (1 + E_ij) is a with column i added to
+    column j, and these transvections generate GL(d, 2).  So the table is
+    built by columns from the identity's: for c = b t with t a
+    transvection, column c is column b mapped through right multiplication
+    by t, one C-level map each; zip turns the columns into rows."""
     if d < 2:
         return [[0]]  # GL(0, 2) and GL(1, 2) are trivial
     cols = [tuple(sum(row[k] << (d - 1 - r) for r, row in enumerate(m)) for k in range(d))
             for m in _gl2_matrices(d)]
     index = {c: i for i, c in enumerate(cols)}
-    columns_of = [itemgetter(*c) for c in cols]
-    return [[index[b(act)] for b in columns_of] for act in map(_span, cols)]
+    right = [[index[c[:j] + (c[j] ^ c[i],) + c[j + 1:]] for c in cols]
+             for i in range(d) for j in range(d) if i != j]
+    e = index[tuple(1 << (d - 1 - k) for k in range(d))]
+    column: list = [None] * len(cols)
+    column[e] = list(range(len(cols)))
+    queue = [e]
+    for b in queue:
+        for t in right:
+            c = t[b]
+            if column[c] is None:
+                column[c] = list(map(t.__getitem__, column[b]))
+                queue.append(c)
+    return list(map(list, zip(*column)))
 
 
 @lru_cache(maxsize=None)
 def _aut_arithmetic(g: GroupSpec) -> tuple:
-    """(aut_group(), generator images -> index in it, product of indices,
-    index of the identity).  With k = |GL(d, 2)|, index (u - 1) * k + a
-    stands for unit u and matrix a, so (u, a)(v, b) has index
-    (u*v % p - 1) * k + gl[a][b]."""
-    maps = g.aut_group()
-    index = {m.gen_images: i for i, m in enumerate(maps)}
-    e = index[AutMap.identity(g).gen_images]
-    gl = _gl2_table(g.dim2)
+    """(product of indices of aut_group(), index of the identity).  With
+    k = |GL(d, 2)|, index (u - 1) * k + a stands for unit u and matrix a,
+    so (u, a)(v, b) has index (u*v % p - 1) * k + gl[a][b]; the identity
+    is unit 1 with the identity matrix."""
+    d = g.dim2
+    e = _gl2_matrices(d).index(tuple(tuple(int(r == c) for c in range(d)) for r in range(d)))
+    gl = _gl2_table(d)
     if g.p is None:
-        return maps, index, lambda i, j: gl[i][j], e
+        return lambda i, j: gl[i][j], e
     p, k = g.p, len(gl)
 
     def mul(i: int, j: int) -> int:
         return ((i // k + 1) * (j // k + 1) % p - 1) * k + gl[i % k][j % k]
-    return maps, index, mul, e
+    return mul, e
 
 
-def aut_generating_subset(subgroup: tuple[AutMap, ...]) -> tuple[AutMap, ...]:
-    """A small generating subset of a multiplication-closed set of
-    automorphisms: in ascending order of generator images, each map not in
-    the closure of those before it, until that closure is the whole set.
-    _close runs on the indices of the maps in aut_group(), multiplied by the
-    index arithmetic of _aut_arithmetic."""
-    if not subgroup:
-        return ()
-    maps, index, mul, e = _aut_arithmetic(subgroup[0].group)
+@lru_cache(maxsize=None)
+def _aut_map(g: GroupSpec, i: int) -> AutMap:
+    """The automorphism at index i of aut_group(): unit i // k + 1 and
+    matrix i % k of _gl2_matrices, k = |GL(d, 2)|; built once per index."""
+    mats = _gl2_matrices(g.dim2)
+    u, a = divmod(i, len(mats))
+    return g.aut_from_parts(u + 1, mats[a])
+
+
+def aut_generating_subset(g: GroupSpec, subgroup: tuple[int, ...]) -> tuple[int, ...]:
+    """A small generating subset of a subgroup of Aut(G), both given by the
+    indices of their members in aut_group(), as subgroups_of_aut() lists
+    them: in ascending order of index, so of generator images, each member
+    not in the closure of those before it, until that closure is the whole
+    subgroup.  _close runs on the indices, multiplied by the index
+    arithmetic of _aut_arithmetic; no AutMap is built."""
+    mul, e = _aut_arithmetic(g)
     gens: list[int] = []
     have = {e}
-    for i in sorted(index[a.gen_images] for a in subgroup):
+    for i in sorted(subgroup):
         if len(have) == len(subgroup):
             break
         if i not in have:
             gens.append(i)
             have = _close(mul, have, gens)
-    return tuple(maps[i] for i in gens)
+    return tuple(gens)

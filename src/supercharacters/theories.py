@@ -70,6 +70,14 @@ class Theory(_Frozen):
         _set(self, "classes", classes)
         _set(self, "charparts", charparts)
 
+    @cached_property
+    def _invariant_subgroups(self) -> tuple[Subgroup, ...]:
+        """invariant_subgroups(self), computed once per theory: classify
+        reads it for both the direct and the wedge decompositions."""
+        blocks, block_of = self.classes.blocks, self.classes.block_of
+        return tuple(h for h in self.group.all_subgroups
+                     if sum(len(blocks[b]) for b in {block_of[i] for i in h.members}) == h.order)
+
 
 class Violation(_Frozen):
     """Which defining condition failed, with a minimal witness."""
@@ -361,13 +369,7 @@ def supercharacter_table(t: Theory):
 
 def invariant_subgroups(t: Theory) -> list[Subgroup]:
     """Subgroups that are unions of class blocks, smallest first."""
-    out = []
-    block_of = t.classes.block_of
-    for h in t.group.all_subgroups:
-        covered = sum(len(t.classes.blocks[b]) for b in {block_of[i] for i in h.members})
-        if covered == h.order:
-            out.append(h)
-    return out
+    return list(t._invariant_subgroups)
 
 
 def restriction(t: Theory, n: Subgroup) -> Theory:

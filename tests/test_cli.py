@@ -170,7 +170,9 @@ def test_classify_verifies_each_class_partition_once(tmp_path, capsys, monkeypat
     g = GroupSpec.cp_c2_c2(3)
     path = tmp_path / "theories.jsonl"
     assert cli.main(["enumerate", "--group", "cpc2c2", "--p", "3", "--out", str(path)]) == 0
-    orbit_keys = {canonical_key(from_automorphisms(g, aut_generating_subset(s)))
+    auts = g.aut_group()
+    orbit_keys = {canonical_key(from_automorphisms(
+                      g, [auts[i] for i in aut_generating_subset(g, s)]))
                   for s in g.subgroups_of_aut()}
     records = [theory_from_json(json.loads(line)) for line in path.read_text().splitlines()]
     others = sum(canonical_key(rec.theory) not in orbit_keys for rec in records)
@@ -188,6 +190,64 @@ def test_classify_verifies_each_class_partition_once(tmp_path, capsys, monkeypat
     code, _, _ = run(capsys, ["classify", str(path)])
     assert code == 0
     assert len(calls) == len(orbit_keys) + others
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError,
+    and its descriptor is a file the test can read back."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv", [["enumerate", "--group", "klein"],
+                                  ["count", "--p", "3"]])
+def test_closed_stdout_exits_141_without_a_message(tmp_path, capsys, monkeypatch, argv):
+    # as in `supercharacters enumerate ... | head -1`: not bad input (exit 4)
+    # and no traceback, but 128 + SIGPIPE with nothing on stderr; the
+    # descriptor of stdout then points at os.devnull, so what is still
+    # buffered is dropped at exit
+    path = tmp_path / "stdout"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        assert cli.main(argv) == cli.EXIT_PIPE == 141
+        os.write(fd, b"dropped")
+    finally:
+        os.close(fd)
+    assert path.read_bytes() == b""
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_exits_141_in_a_child():
+    # a pipe whose read end is closed before the child starts, so every
+    # write fails with EPIPE, also the flush of the last block at exit
+    r, w = os.pipe()
+    os.close(r)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "supercharacters.cli", "enumerate",
+                               "--group", "klein"], stdout=w, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_stdout_without_a_descriptor_still_exits_141(capsys, monkeypatch):
+    class NoDescriptor(_ClosedPipe):
+        def fileno(self):
+            raise io.UnsupportedOperation("fileno")
+
+    monkeypatch.setattr(sys, "stdout", NoDescriptor(None))
+    assert cli.main(["enumerate", "--group", "klein"]) == cli.EXIT_PIPE
+    assert capsys.readouterr().err == ""
 
 
 def test_oracle_output(tmp_path, capsys):

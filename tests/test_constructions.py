@@ -30,8 +30,8 @@ from supercharacters import (
     wedge,
     wedge_decompositions,
 )
-from supercharacters import theories
-from supercharacters.groups import _aut_arithmetic, _pull_back
+from supercharacters import constructions, groups, theories
+from supercharacters.groups import AutMap, _pull_back
 
 from golden import GOLDEN_ORBIT_THEORIES
 
@@ -292,9 +292,10 @@ def test_witness_index_matches_linear_search(
         "c2cubed": c2cubed_records,
     }[which]
     g = records[0].theory.group
+    auts = g.aut_group()
     candidates = []
     for sub in g.subgroups_of_aut():
-        gens = aut_generating_subset(sub)
+        gens = tuple(auts[i] for i in aut_generating_subset(g, sub))
         t = from_automorphisms(g, gens)
         assert verify(t) is None
         candidates.append((canonical_key(t), gens))
@@ -320,13 +321,14 @@ def test_automorphic_term_splits_into_three_goursat_classes(p):
     # those only with m = 3 number 2l d(2^k n): the three summands of the
     # automorphic term, with nothing left over.
     g = GroupSpec.cp_c2_c2(p)
-    index = _aut_arithmetic(g)[1]
+    auts = g.aut_group()
     ms_by_theory = {}
     for sub in g.subgroups_of_aut():
-        idx = [index[a.gen_images] for a in sub]
-        image, kernel = {i % 6 for i in idx}, [i for i in idx if i // 6 == 0]
+        # index 6 * (u - 1) + a stands for unit u and matrix a of GL(2, 2)
+        assert all(auts[i].gen_images[0][0] == i // 6 + 1 for i in sub)
+        image, kernel = {i % 6 for i in sub}, [i for i in sub if i // 6 == 0]
         assert len(image) % len(kernel) == 0
-        t = from_automorphisms(g, aut_generating_subset(sub))
+        t = from_automorphisms(g, [auts[i] for i in aut_generating_subset(g, sub)])
         ms_by_theory.setdefault(t.classes.blocks, set()).add(len(image) // len(kernel))
     k, l, n = factor_pm1(p)
     d = divisor_count
@@ -339,11 +341,35 @@ def test_automorphic_term_splits_into_three_goursat_classes(p):
     assert got == classes
 
 
+def test_witness_index_builds_an_aut_map_only_per_reported_generator(monkeypatch):
+    # the walk closes tuples of aut_group() indices; an AutMap is built only
+    # for a generator the walk reports, and once, not for each of the 168
+    # automorphisms of (C_2)^3
+    g = GroupSpec.c2_cubed()
+    built = []
+    init = AutMap.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(AutMap, "__init__", counting_init)
+    groups._aut_map.cache_clear()
+    constructions._witness_index.cache_clear()
+    index = constructions._witness_index(g)
+    n_built = len(built)
+    reported = {i for sub in g.subgroups_of_aut() for i in aut_generating_subset(g, sub)}
+    assert len(index) == 100
+    assert len(set(built)) == n_built == len(reported) < len(g.aut_group())
+    auts = g.aut_group()
+    assert {a for gens in index.values() for a in gens} <= {auts[i] for i in reported}
+
+
 def test_lattice_and_witness_index_are_built_on_first_use():
     code = (
         "from supercharacters import constructions, groups\n"
         "caches = (groups._gl2_table, groups.GroupSpec.subgroups_of_aut,"
-        " constructions._witness_index)\n"
+        " groups._aut_map, constructions._witness_index)\n"
         "assert all(f.cache_info().currsize == 0 for f in caches)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))

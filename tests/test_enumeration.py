@@ -31,6 +31,8 @@ from supercharacters.enumeration import _Collector, all_scts_cp_c2_c2
 from supercharacters.groups import DEFAULT_MAX_P
 from supercharacters.theories import sort_key
 
+from subgroup_helpers import generated_subgroup
+
 # per-prime (total, automorphic, direct, overlap, wedge), worked out by hand
 # from the closed forms before the enumerators existed
 EXPECTED_COUNTS = {
@@ -296,7 +298,7 @@ def test_wedge_subgroups_nest(p, records_by_p):
     by_members = {h.members: set(h.members) for h in g.all_subgroups}
     for r in recs:
         used = [
-            set(g.generated_subgroup([g.index_of(e) for e in prov["N"]]).members)
+            set(generated_subgroup(g, [g.index_of(e) for e in prov["N"]]).members)
             for prov in r.provenance
             if prov.get("construction") == "wedge"
         ]

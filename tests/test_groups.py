@@ -16,6 +16,8 @@ from supercharacters import (
 from supercharacters import groups
 from supercharacters.groups import _gl2_matrices, _gl2_table, _perm_table, _subgroup_lattice
 
+from subgroup_helpers import annihilator, generated_subgroup
+
 
 def test_family_construction():
     assert GroupSpec.cp(5).factors == (5,)
@@ -173,7 +175,7 @@ def test_subgroup_counts(g, count):
             assert g.mult_table[x].index(0) in members
             for y in s.members:
                 assert g.mul_idx(x, y) in members
-        assert set(g.generated_subgroup(s.generators).members) == members
+        assert set(generated_subgroup(g, s.generators).members) == members
 
 
 def test_subgroup_validation():
@@ -364,7 +366,7 @@ def test_quotient_families():
     a = g.subgroup(tuple(g.index_of((i, 0, 0)) for i in range(3)))
     b = g.subgroup((0, g.index_of((0, 1, 0))))
     klein = g.subgroup(sorted(g.index_of((0, j, k)) for j in range(2) for k in range(2)))
-    big = g.generated_subgroup((g.index_of((1, 0, 0)), g.index_of((0, 1, 0))))
+    big = generated_subgroup(g, (g.index_of((1, 0, 0)), g.index_of((0, 1, 0))))
     assert g.quotient(a).group.factors == (2, 2)
     assert g.quotient(b).group.factors == (3, 2)
     assert g.quotient(klein).group.factors == (3,)
@@ -536,14 +538,17 @@ def test_char_perms_are_pinned(family):
 def test_aut_generating_subset():
     for g in (GroupSpec.klein(), GroupSpec.c2_cubed(), GroupSpec.cp(13),
               GroupSpec.cp_c2(7), GroupSpec.cp_c2_c2(3), GroupSpec.cp_c2_c2(7)):
+        auts = g.aut_group()
         for sub in g.subgroups_of_aut():
-            gens = aut_generating_subset(sub)
-            perms = [m.perm for m in gens]
-            assert _perm_closure(perms, g.order) == {m.perm for m in sub}
+            gens = aut_generating_subset(g, sub)
+            assert set(gens) <= set(sub)
+            maps = [auts[i] for i in gens]
+            perms = [m.perm for m in maps]
+            assert _perm_closure(perms, g.order) == {auts[i].perm for i in sub}
             # greedy in ascending order of generator images: each generator
             # is new to the closure of those before it
-            assert [m.gen_images for m in gens] == sorted(m.gen_images for m in gens)
-            for i, a in enumerate(gens):
+            assert [m.gen_images for m in maps] == sorted(m.gen_images for m in maps)
+            for i, a in enumerate(maps):
                 assert a.perm not in _perm_closure(perms[:i], g.order)
             if len(sub) == 1:
                 assert gens == ()
@@ -560,11 +565,14 @@ def test_aut_generating_subset():
 def test_subgroups_of_aut_counts(g, count):
     subs = g.subgroups_of_aut()
     assert len(subs) == count
+    auts = g.aut_group()
     for s in subs:
-        perms = {m.perm for m in s}
+        # ascending indices into aut_group()
+        assert list(s) == sorted(set(s)) and all(0 <= i < len(auts) for i in s)
+        perms = {auts[i].perm for i in s}
         for x in s:
             for y in s:
-                assert tuple(x.perm[i] for i in y.perm) in perms
+                assert tuple(auts[x].perm[i] for i in auts[y].perm) in perms
 
 
 def _perm_closure(gens, n):
@@ -604,8 +612,9 @@ def _exhaustive_subgroups(perms):
 def test_subgroups_of_aut_against_exhaustive_closure(g):
     # subgroups_of_aut() must agree with brute-force closure; the last two
     # have automorphisms of order 6 and 12
-    want = _exhaustive_subgroups([a.perm for a in g.aut_group()])
-    got = {frozenset(m.perm for m in s) for s in g.subgroups_of_aut()}
+    auts = g.aut_group()
+    want = _exhaustive_subgroups([a.perm for a in auts])
+    got = {frozenset(auts[i].perm for i in s) for s in g.subgroups_of_aut()}
     assert got == want
 
 
@@ -620,25 +629,54 @@ def test_subgroups_of_aut_match_lattice_over_composed_permutations(p):
     for mask, members in lattice.items():
         assert mask == sum(1 << i for i in members)
     want = {frozenset(perms[i] for i in members) for members in lattice.values()}
-    got = {frozenset(m.perm for m in s) for s in g.subgroups_of_aut()}
+    got = {frozenset(perms[i] for i in s) for s in g.subgroups_of_aut()}
     assert len(want) == len(lattice)
     assert got == want
+    # the lattice is indexed as aut_group() is, so the member tuples agree
+    assert set(lattice.values()) == set(g.subgroups_of_aut())
 
 
 def test_subgroups_of_aut_build_no_aut_product_table(monkeypatch):
     # the lattice runs only on GL(2, 2) (6 rows), never on a product table
-    # of Aut(C_199 x C_2 x C_2), which has 1,188 rows
+    # of Aut(C_199 x C_2 x C_2), which has 1,188 rows, and no AutMap is built
     g = GroupSpec.cp_c2_c2(199)
-    rows = []
+    rows, maps = [], []
 
     def counting_lattice(table):
         rows.append(len(table))
         return _subgroup_lattice(table)
 
+    init = AutMap.__init__
+
+    def counting_init(self, *args):
+        maps.append(args)
+        init(self, *args)
+
     monkeypatch.setattr(groups, "_subgroup_lattice", counting_lattice)
+    monkeypatch.setattr(AutMap, "__init__", counting_init)
     built = GroupSpec.subgroups_of_aut.__wrapped__(g)
     assert rows and max(rows) <= 168
+    assert maps == []
     assert built == g.subgroups_of_aut()
+    assert all(isinstance(i, int) for s in built for i in s)
+
+
+def _gl2_matrices_by_rank(d):
+    """_gl2_matrices as it read before it built the matrices row by row:
+    every 0/1 matrix in lexicographic order, kept when its rows are
+    independent."""
+    out = []
+    for bits in itertools.product((0, 1), repeat=d * d):
+        mat = tuple(bits[i * d : (i + 1) * d] for i in range(d))
+        if len(groups._f2_basis(int("".join(map(str, row)), 2) for row in mat)) == d:
+            out.append(mat)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_gl2_matrices_match_the_rank_sieve(d):
+    assert _gl2_matrices(d) == _gl2_matrices_by_rank(d)
+    assert len(_gl2_matrices(d)) == [1, 1, 6, 168][d]
 
 
 def _gl2_table_by_permutations(d):
@@ -780,6 +818,9 @@ def test_gl32_lattice_extends_one_subgroup_per_class():
     assert _subgroup_lattice(reduced) == _lattice_without_conjugation(plain)
     reduced_lookups, plain_lookups = reduced.lookups, plain.lookups
     assert 3 * reduced_lookups < plain_lookups
+    # each join ORs in whole cosets from masks computed once per queued
+    # subgroup: 81,645 lookups when each coset was built member by member
+    assert reduced_lookups <= 30_000
 
 
 def test_gl32_lattice_order_histogram():
@@ -813,14 +854,15 @@ def test_closure_keeps_greedy_generators():
                     want.append(i)
                     generated = product_closure(generated | {i})
             assert h.generators == tuple(want)
-            assert g.generated_subgroup(h.generators).members == h.members
+            assert generated_subgroup(g, h.generators).members == h.members
 
 
 def test_orbit_counts_match_on_both_sides():
     g = GroupSpec.cp_c2_c2(3)
+    auts = g.aut_group()
     for sub in g.subgroups_of_aut():
-        elem_orbits = _orbit_count([a.perm for a in sub], g.order)
-        char_orbits = _orbit_count([a.char_perm for a in sub], g.order)
+        elem_orbits = _orbit_count([auts[i].perm for i in sub], g.order)
+        char_orbits = _orbit_count([auts[i].char_perm for i in sub], g.order)
         assert elem_orbits == char_orbits
 
 
@@ -843,7 +885,7 @@ def _orbit_count(perms, n):
 def test_annihilator():
     g = GroupSpec.cp_c2_c2(5)
     for s in g.all_subgroups:
-        ann = g.annihilator(s)
+        ann = annihilator(g, s)
         assert len(ann) * s.order == g.order
         for ci in ann:
             chi = g.character(g.elements[ci])
@@ -858,7 +900,7 @@ def test_annihilator_reverses_inclusion():
     for s in subs:
         for t in subs:
             if set(s.members) <= set(t.members):
-                assert set(g.annihilator(t)) <= set(g.annihilator(s))
+                assert set(annihilator(g, t)) <= set(annihilator(g, s))
 
 
 @pytest.mark.parametrize("g", [

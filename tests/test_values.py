@@ -98,6 +98,24 @@ def test_equal_objects_hash_equal(cls, fields, values):
     assert hash(a) == hash(tuple(getattr(a, f) for f in fields))
 
 
+@pytest.mark.parametrize("cls,fields,values", HASHED, ids=_ids(HASHED))
+def test_hash_is_kept_after_the_first_call(cls, fields, values):
+    a, b = _pair(cls, fields, values)
+    first = hash(a)
+    assert vars(a)["_hash"] == first == hash(a)
+    # a kept hash is no field: equality, repr and the other instance are as before
+    assert "_hash" not in vars(b) and a == b and hash(b) == first
+    assert "_hash" not in repr(a)
+
+
+def test_count_report_stays_unhashable_on_every_call():
+    report = predicted_counts(5)
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            hash(report)
+    assert "_hash" not in vars(report)
+
+
 def test_every_value_class_is_covered():
     found, stack = set(), [groups._Value]
     while stack:
