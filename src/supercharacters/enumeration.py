@@ -6,8 +6,7 @@ the subgroups of Aut(G), the direct products over complementary pairs, the
 wedges over proper nontrivial subgroups and the two extremes, and passes
 each distinct theory once through the verify gate of _Collector.  On the
 trivial group, C_2 and C_p the direct and wedge steps find nothing to
-combine.  (C_2)^3 runs no orbit step, so none of its records is tagged
-automorphic; its count is checked against the brute-force search instead.
+combine.
 
 For G = C_p x C_2 x C_2 write p - 1 = 2^k * 3^l * n with gcd(n, 6) = 1 and
 d() for the divisor-count function.  Then the enumeration must produce
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .bruteforce import brute_force_count
 from .constructions import WedgeSpec, _add_aut_theories, direct_product, wedge
 from .groups import GroupSpec, _Frozen, _set
 from .cyclotomic import is_odd_prime
@@ -173,24 +171,22 @@ def _add_wedge_theories(col: _Collector, g: GroupSpec) -> None:
                 })
 
 
-def _enumerate(g: GroupSpec, *adders) -> list[TheoryRecord]:
-    """The distinct theories of g that the constructions in adders and the
-    two extremes give, each verified once, in all_theories order."""
+def _enumerate(g: GroupSpec) -> list[TheoryRecord]:
+    """The distinct theories of g that the three constructions and the two
+    extremes give, each verified once, in all_theories order."""
     col = _Collector()
-    for add in adders:
-        add(col, g)
+    _add_aut_theories(col, g)
+    _add_direct_theories(col, g)
+    _add_wedge_theories(col, g)
     col.add(minimal_theory(g), None, {"construction": "minimal"})
     col.add(maximal_theory(g), None, {"construction": "maximal"})
     return col.finish()
 
 
-_ALL_CONSTRUCTIONS = (_add_aut_theories, _add_direct_theories, _add_wedge_theories)
-
-
 def all_scts_cp_c2_c2(p: int) -> tuple[list[TheoryRecord], CountReport]:
     """Every theory of C_p x C_2 x C_2, with the count report; raises
     CountMismatchError when any actual count differs from its formula."""
-    records = _enumerate(GroupSpec.cp_c2_c2(p), *_ALL_CONSTRUCTIONS)
+    records = _enumerate(GroupSpec.cp_c2_c2(p))
 
     k, l, n = factor_pm1(p)
     counts = {
@@ -219,12 +215,4 @@ def all_theories(g: GroupSpec) -> list[TheoryRecord]:
     g = GroupSpec.from_family(g.family, g.p)
     if g.family == "CpC2C2":
         return all_scts_cp_c2_c2(g.p)[0]
-    if g.family != "C2cubed":
-        return _enumerate(g, *_ALL_CONSTRUCTIONS)
-    records = _enumerate(g, _add_direct_theories, _add_wedge_theories)
-    oracle = brute_force_count(g)
-    if len(records) != oracle:
-        raise RuntimeError(
-            f"constructions give {len(records)} theories of (C_2)^3, search gives {oracle}"
-        )
-    return records
+    return _enumerate(g)

@@ -668,19 +668,6 @@ class AutMap(_Frozen):
         if len(_f2_basis(self._bit_images)) != g.dim2:
             raise ValueError("generator images do not define a bijection")
 
-    @classmethod
-    def identity(cls, g: GroupSpec) -> "AutMap":
-        # generator k of n has index 1 << (n - 1 - k), the first at the top bit
-        return cls(g, tuple(g.elements[1 << k] for k in reversed(range(len(g.factors)))))
-
-    def apply_exps(self, exps) -> tuple[int, ...]:
-        g = self.group
-        out = [0] * len(g.factors)
-        for e, img in zip(exps, self.gen_images):
-            if e:
-                out = [x + e * y for x, y in zip(out, img)]
-        return g.reduce(out)
-
     @property
     def _bit_images(self) -> list[int]:
         """Indices of the images of the involution generators."""

@@ -1,8 +1,8 @@
-"""Subgroup and annihilator helpers that only the tests use, built on the
-package's one subgroup form (GroupSpec.subgroup), its one closure routine
-(_close) and its character key table."""
+"""Subgroup, annihilator and automorphism helpers that only the tests use,
+built on the package's one subgroup form (GroupSpec.subgroup), its one
+closure routine (_close), its character key table and AutMap."""
 
-from supercharacters.groups import Subgroup, _close
+from supercharacters.groups import AutMap, Subgroup, _close
 
 
 def generated_subgroup(g, generator_indices) -> Subgroup:
@@ -17,3 +17,20 @@ def annihilator(g, members) -> tuple[int, ...]:
     if isinstance(members, Subgroup):
         members = members.members
     return tuple(c for c, row in enumerate(g._key_table) if all(row[i] == 1 for i in members))
+
+
+def identity_aut(g) -> AutMap:
+    """The identity automorphism of g: generator k of n has index
+    1 << (n - 1 - k), the first at the top bit."""
+    return AutMap(g, tuple(g.elements[1 << k] for k in reversed(range(len(g.factors)))))
+
+
+def apply_exps(a: AutMap, exps) -> tuple[int, ...]:
+    """The image under a of the element with exponent vector exps, by
+    exponent arithmetic on the generator images."""
+    g = a.group
+    out = [0] * len(g.factors)
+    for e, img in zip(exps, a.gen_images):
+        if e:
+            out = [x + e * y for x, y in zip(out, img)]
+    return g.reduce(out)

@@ -551,7 +551,10 @@ ENUMERATE_SHA256 = {
     ("cpc2c2", 11): "42bb5c2a0895aa4392557f18c07f77676ad6c760968a1e0d893a385a0479e263",
     ("cpc2c2", 13): "a2eef60355fa9a6558afb676343e3be22d3e279a36ce47ff21fd9fac5237e075",
     ("klein", None): "845a4acf3c44fd9995399939f15c5e036a1f33e150f9a7daa477ae0d881a0ef9",
-    ("c2cubed", None): "a6414583ad950d79cb4bdd8b2ac4ea47e0e1d8a8471e201351464ee5fcb3c5b1",
+    # re-recorded when (C_2)^3 gained the Aut(G) orbit step: each record
+    # gained the automorphic tag and its aut provenance, and nothing else
+    # changed (test_c2cubed_enumeration_changed_only_in_tags_and_provenance)
+    ("c2cubed", None): "d63c080ce8492ccfaf054b958e16b1143895a7ffc565616d817528619189a765",
 }
 
 
@@ -563,6 +566,36 @@ def test_enumerate_output_is_pinned(capsys, group, p):
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[(group, p)]
 
 
+# sha256 of `enumerate --group c2cubed` stdout with "tags" and "provenance"
+# dropped from each record, one compact JSON line each, recorded from the code
+# that ran the blind search in place of the orbit step on (C_2)^3
+C2CUBED_THEORIES_SHA256 = "30f90b1400ba453ad07b12641b4883a4b2add8b5e792b8ca89d68726d964f84e"
+
+
+def test_c2cubed_enumeration_changed_only_in_tags_and_provenance(capsys):
+    # the same theories in the same order as before the orbit step
+    code, out, _ = run(capsys, ["enumerate", "--group", "c2cubed"])
+    assert code == 0
+    stripped = []
+    for line in out.splitlines():
+        rec = json.loads(line)
+        del rec["tags"], rec["provenance"]
+        stripped.append(json.dumps(rec, separators=(",", ":")) + "\n")
+    assert hashlib.sha256("".join(stripped).encode()).hexdigest() == C2CUBED_THEORIES_SHA256
+
+
+@pytest.mark.parametrize("g", [
+    *(GroupSpec.from_family(cli._FAMILIES[group], p)
+      for group, p in sorted(ENUMERATE_SHA256, key=str)),
+    GroupSpec.of(()), GroupSpec.of((2,)),
+], ids=str)
+def test_enumerated_tags_match_classify(g):
+    # every family runs the same constructions, so the enumerator tags each
+    # theory with exactly the constructions classify finds a witness for
+    for rec in all_theories(g):
+        assert rec.tags == cli._classify_one(rec.theory)[0], canonical_key(rec.theory)
+
+
 # sha256 of `dual` and of `lattice --dot -` stdout on each group's
 # enumeration, recorded from the code before the stored-record path joined
 # its output from per-group element text and packed the refinement test.
@@ -571,7 +604,8 @@ DUAL_SHA256 = {
     ("cpc2c2", 13): "e446f81b2f5eae5aa933d8508e83f06b557cb1eb811a31c80ee99d37c0750fe7",
 }
 LATTICE_SHA256 = {
-    ("c2cubed", None): "12b273e38f58f5f6519ee7f7f024b8b7f02cd1f69920befe8ae80a5e75c3159b",
+    # re-recorded with ENUMERATE_SHA256's c2cubed entry: node labels carry tags
+    ("c2cubed", None): "afa9f57ee884dd2bc4ff3fcef22d6ad997b8fbbbe33db5521f2e94823df89ffd",
     ("cpc2c2", 13): "456bec1bcb2b47bbdf51f494f0a2817accdff418c735feb5edefc5f81e34f7e9",
 }
 

@@ -26,7 +26,7 @@ from supercharacters import (
     verify,
     wedge,
 )
-from supercharacters import enumeration, theories
+from supercharacters import bruteforce, enumeration, theories
 from supercharacters.enumeration import _Collector, all_scts_cp_c2_c2
 from supercharacters.groups import DEFAULT_MAX_P
 from supercharacters.theories import sort_key
@@ -148,6 +148,20 @@ def test_c2_cubed_enumeration(c2cubed_records):
     assert len({canonical_key(r.theory) for r in recs}) == 100
     assert sum(1 for r in recs if "maximal" in r.tags) == 1
     assert sum(1 for r in recs if "minimal" in r.tags) == 1
+    # the orbit step reaches every theory of (C_2)^3
+    assert sum(1 for r in recs if "automorphic" in r.tags) == 100
+    assert sum(1 for r in recs if "direct" in r.tags) == 50
+    assert sum(1 for r in recs if "wedge" in r.tags) == 49
+    assert sum(1 for r in recs if {"direct", "automorphic"} <= r.tags) == 50
+
+
+def test_c2_cubed_enumeration_runs_no_search(monkeypatch, c2cubed_records):
+    def refuse(*args):
+        raise AssertionError("the enumerator ran the blind search")
+
+    monkeypatch.setattr(bruteforce, "_search", refuse)
+    recs = all_theories(GroupSpec.c2_cubed())
+    assert [r.theory for r in recs] == [r.theory for r in c2cubed_records]
 
 
 @pytest.mark.parametrize("p", sorted(EXPECTED_COUNTS))
