@@ -36,12 +36,12 @@ for g in [
     print(f"{g.family:>8} (order {g.order:>2}): search found {len(searched):>3}, "
           f"constructions found {len(constructed):>3} -> {status}  [{elapsed:.2f}s]")
 
-# Beyond order 44 the number of partitions explodes, so exhaustive search
+# Beyond order 100 the search can take more than a second, so exhaustive search
 # demands an explicit node budget.  Without one the oracle refuses outright; with one
 # it raises once the budget runs dry, reporting how far it got.  One node
 # places a block together with its images under the power maps x -> x^m; the
-# full search of C13xC2xC2 takes 404 of them.
-g = GroupSpec.cp_c2_c2(13)
+# full search of C29xC2xC2 (order 116) takes 398 of them.
+g = GroupSpec.cp_c2_c2(29)
 try:
     brute_force_count(g)
 except ValueError as e:

@@ -46,7 +46,9 @@ from operator import itemgetter
 from .groups import GroupSpec, _perm_table, _subgroup_lattice
 from .theories import Partition, Theory, sort_key, theory_from_classes
 
-EXHAUSTIVE_LIMIT = 44
+# every group up to this order is searched in under 1 s of CPU without a
+# budget (see the oracle entry of the README)
+EXHAUSTIVE_LIMIT = 100
 
 
 class BudgetExhaustedError(Exception):

@@ -94,10 +94,9 @@ def _read_records(path: str | None) -> list[TheoryRecord]:
 
 def _write_records(records, path: str | None) -> None:
     out, close = _open_out(path)
-    texts: dict = {}
     try:
         for rec in records:
-            out.write(_theory_line(rec, texts))
+            out.write(_theory_line(rec))
             out.write("\n")
     finally:
         if close:

@@ -16,7 +16,6 @@ from .groups import (
     _Frozen,
     _aut_map,
     _pull_back,
-    _set,
     aut_generating_subset,
 )
 from .theories import (
@@ -109,11 +108,6 @@ class WedgeSpec(_Frozen):
     theory on the quotient by it."""
 
     _fields = ("n", "inner", "outer")
-
-    def __init__(self, n: Subgroup, inner: Theory, outer: Theory):
-        _set(self, "n", n)
-        _set(self, "inner", inner)
-        _set(self, "outer", outer)
 
 
 def wedge(ws: WedgeSpec) -> Theory:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .constructions import WedgeSpec, _add_aut_theories, direct_product, wedge
-from .groups import GroupSpec, _Frozen, _set
+from .groups import GroupSpec, _Frozen
 from .cyclotomic import is_odd_prime
 from .theories import (
     TheoryRecord,
@@ -74,20 +74,6 @@ class CountReport(_Frozen):
 
     _fields = ("p", "k", "l", "n", "total", "automorphic", "direct", "overlap", "wedge",
                "maximal", "predicted")
-
-    def __init__(self, p: int, k: int, l: int, n: int, total: int, automorphic: int,
-                 direct: int, overlap: int, wedge: int, maximal: int, predicted: dict):
-        _set(self, "p", p)
-        _set(self, "k", k)
-        _set(self, "l", l)
-        _set(self, "n", n)
-        _set(self, "total", total)
-        _set(self, "automorphic", automorphic)
-        _set(self, "direct", direct)
-        _set(self, "overlap", overlap)
-        _set(self, "wedge", wedge)
-        _set(self, "maximal", maximal)
-        _set(self, "predicted", predicted)
 
     def to_json(self) -> dict:
         """Every field in constructor order, the predicted counts copied."""

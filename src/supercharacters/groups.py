@@ -58,12 +58,30 @@ class _Value:
 
 class _Frozen(_Value):
     """Base of the immutable value classes, hashed by their field tuple.
-    Each class writes out its own __init__, which sets the fields with
-    _set; assigning or deleting an attribute raises AttributeError.
-    cached_property still works, since it writes to the instance __dict__.
-    No methods are generated when the module loads, which would cost an
-    exec per class and the import of inspect and ast in every CLI call (see
-    "Start-up" in the README)."""
+    The one __init__ takes the fields named in _fields, by position or by
+    keyword, and sets them with _set; a class that checks its arguments
+    calls it last.  Assigning or deleting an attribute raises
+    AttributeError.  cached_property still works, since it writes to the
+    instance __dict__.  No methods are generated when the module loads,
+    which would cost an exec per class and the import of inspect and ast in
+    every CLI call (see "Start-up" in the README)."""
+
+    def __init__(self, *args, **kwargs):
+        fields, given = self._fields, len(args)
+        if kwargs or given != len(fields):
+            name = type(self).__name__
+            if given > len(fields):
+                raise TypeError(f"{name}() takes {len(fields)} fields, got {given} positionally")
+            for f in kwargs:
+                if f not in fields or fields.index(f) < given:
+                    raise TypeError(f"{name}() got a repeated or unknown field {f!r}")
+            missing = [f for f in fields[given:] if f not in kwargs]
+            if missing:
+                raise TypeError(f"{name}() is missing fields {missing}")
+            args += tuple(map(kwargs.__getitem__, fields[given:]))
+        # set in field order, so the instances of a class share one key layout
+        for f, value in zip(fields, args):
+            _set(self, f, value)
 
     def __hash__(self):
         # kept in the instance __dict__ after the first call, as
@@ -87,9 +105,6 @@ class _ExponentVector(_Frozen):
 
     _fields = ("exps",)
 
-    def __init__(self, exps: tuple[int, ...]):
-        _set(self, "exps", exps)
-
 
 class Element(_ExponentVector):
     """A group element as a reduced exponent vector."""
@@ -112,7 +127,7 @@ class GroupSpec(_Frozen):
             raise ValueError(f"odd factor must be a leading odd prime, got {factors}")
         if len(factors) - len(odd) > (2 if odd else 3):
             raise ValueError(f"unsupported factor shape {factors}")
-        _set(self, "factors", factors)
+        super().__init__(factors)
 
     @classmethod
     @lru_cache(maxsize=None)
@@ -553,11 +568,6 @@ class Subgroup(_Frozen):
 
     _fields = ("group", "members", "generators")
 
-    def __init__(self, group: GroupSpec, members: tuple[int, ...], generators: tuple[int, ...]):
-        _set(self, "group", group)
-        _set(self, "members", members)
-        _set(self, "generators", generators)
-
     @property
     def order(self) -> int:
         return len(self.members)
@@ -571,11 +581,6 @@ class SubgroupEmbedding(_Frozen):
 
     _fields = ("parent", "group", "to_parent")
 
-    def __init__(self, parent: GroupSpec, group: GroupSpec, to_parent: tuple[int, ...]):
-        _set(self, "parent", parent)
-        _set(self, "group", group)
-        _set(self, "to_parent", to_parent)
-
     @cached_property
     def from_parent(self) -> dict[int, int]:
         return {g: i for i, g in enumerate(self.to_parent)}
@@ -585,11 +590,6 @@ class QuotientMap(_Frozen):
     """A quotient group together with the index projection from the source."""
 
     _fields = ("source", "group", "projection")
-
-    def __init__(self, source: GroupSpec, group: GroupSpec, projection: tuple[int, ...]):
-        _set(self, "source", source)
-        _set(self, "group", group)
-        _set(self, "projection", projection)
 
     @cached_property
     def fibers(self) -> tuple[tuple[int, ...], ...]:
@@ -657,8 +657,7 @@ class AutMap(_Frozen):
         for img in gen_images:
             if len(img) != len(g.factors):
                 raise ValueError("image has wrong exponent length")
-        _set(self, "group", g)
-        _set(self, "gen_images", tuple(g.reduce(img) for img in gen_images))
+        super().__init__(g, tuple(g.reduce(img) for img in gen_images))
         for img, f in zip(self.gen_images, g.factors):
             if g.order_of_index(g._index[img]) != f:
                 raise ValueError(f"image {img} does not have order {f}")

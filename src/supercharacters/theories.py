@@ -15,17 +15,13 @@ from functools import cached_property, lru_cache, partial
 from itertools import chain, islice, repeat
 from operator import itemgetter
 
-from .groups import GroupSpec, Subgroup, _Frozen, _set, _Value
+from .groups import GroupSpec, Subgroup, _Frozen, _Value
 
 
 class Partition(_Frozen):
     """A set partition of range(size) in canonical block order."""
 
     _fields = ("size", "blocks")
-
-    def __init__(self, size: int, blocks: tuple[tuple[int, ...], ...]):
-        _set(self, "size", size)
-        _set(self, "blocks", blocks)
 
     @classmethod
     def from_blocks(cls, blocks, size: int) -> "Partition":
@@ -66,9 +62,7 @@ class Theory(_Frozen):
         n = group.order
         if classes.size != n or charparts.size != n:
             raise ValueError("partition sizes do not match the group order")
-        _set(self, "group", group)
-        _set(self, "classes", classes)
-        _set(self, "charparts", charparts)
+        super().__init__(group, classes, charparts)
 
     @cached_property
     def _invariant_subgroups(self) -> tuple[Subgroup, ...]:
@@ -83,11 +77,6 @@ class Violation(_Frozen):
     """Which defining condition failed, with a minimal witness."""
 
     _fields = ("condition", "witness", "message")
-
-    def __init__(self, condition: int, witness: tuple, message: str):
-        _set(self, "condition", condition)
-        _set(self, "witness", witness)
-        _set(self, "message", message)
 
 
 class TheoryRecord(_Value):
@@ -489,23 +478,26 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _partition_text(part: Partition, elems: list[str]) -> str:
+def _partition_text(part: Partition, elems: tuple[str, ...]) -> str:
     """_dumps(_partition_to_lists(g, part)), joined from elems."""
     rows = map(",".join, map(partial(map, elems.__getitem__), part.blocks))
     return "[[" + "],[".join(rows) + "]]"
 
 
-def _theory_line(rec: TheoryRecord, texts: dict) -> str:
-    """_dumps(theory_to_json(rec)), with the exponent lists joined from
-    text rendered once per group: texts, which the caller keeps across
-    calls, maps each group met to the JSON of its elements in index order.
-    theory_to_json still builds its own exponent lists, so a caller that
-    changes them never reaches this text."""
+@lru_cache(maxsize=None)
+def _element_texts(g: GroupSpec) -> tuple[str, ...]:
+    """The JSON of each element of g, in index order."""
+    return tuple(map(_dumps, g.elements))
+
+
+def _theory_line(rec: TheoryRecord) -> str:
+    """_dumps(theory_to_json(rec)), with the exponent lists joined from the
+    element text of _element_texts, rendered once per group.  theory_to_json
+    still builds its own exponent lists, so a caller that changes them never
+    reaches this text."""
     t = rec.theory
     g = t.group
-    if g not in texts:
-        texts[g] = list(map(_dumps, g.elements))
-    elems = texts[g]
+    elems = _element_texts(g)
     return (f'{{"group":{_dumps(group_to_json(g))},'
             f'"superclasses":{_partition_text(t.classes, elems)},'
             f'"character_classes":{_partition_text(t.charparts, elems)},'

@@ -16,7 +16,7 @@ from supercharacters import (
     verify,
     verify_algebra,
 )
-from supercharacters.bruteforce import _search
+from supercharacters.bruteforce import EXHAUSTIVE_LIMIT, _search
 
 
 @pytest.mark.parametrize("g,count", [
@@ -92,9 +92,10 @@ def test_search_is_deterministic():
 
 def test_large_group_requires_budget():
     with pytest.raises(ValueError):
-        brute_force_count(GroupSpec.cp_c2_c2(13))
-    # order 20 is inside the exhaustive limit
+        brute_force_count(GroupSpec.cp_c2_c2(29))
+    # order 20 is searched without a budget; the limit lies between orders 52 and 116
     assert brute_force_count(GroupSpec.cp_c2_c2(5)) == 109
+    assert GroupSpec.cp_c2_c2(13).order <= EXHAUSTIVE_LIMIT < GroupSpec.cp_c2_c2(29).order
 
 
 def test_budget_exhaustion():

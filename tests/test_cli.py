@@ -260,9 +260,9 @@ def test_oracle_output(tmp_path, capsys):
 
 
 def test_oracle_budget_codes(capsys):
-    code, _, err = run(capsys, ["oracle", "--group", "cpc2c2", "--p", "13"])
+    code, _, err = run(capsys, ["oracle", "--group", "cpc2c2", "--p", "29"])
     assert code == 4 and "budget" in err
-    code, _, err = run(capsys, ["oracle", "--group", "cpc2c2", "--p", "13", "--budget", "20"])
+    code, _, err = run(capsys, ["oracle", "--group", "cpc2c2", "--p", "29", "--budget", "20"])
     assert code == 5 and "budget exhausted" in err
     for budget in ("0", "-1"):
         code, _, err = run(capsys, ["oracle", "--group", "klein", "--budget", budget])

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import supercharacters
 from supercharacters import (
     AutMap,
     Character,
@@ -80,6 +81,33 @@ def test_constructors_and_fieldwise_equality(cls, fields, values):
     assert a == b and not a != b
     assert all(getattr(a, f) == v for f, v in zip(fields, values()))
     assert a != object() and a != values()
+    # keywords in reverse order, and the first field by position, the rest by keyword
+    first, *rest = values()
+    assert cls(**dict(reversed(list(zip(fields, values()))))) == a
+    assert cls(first, **dict(zip(fields[1:], rest))) == a
+
+
+@pytest.mark.parametrize("cls,fields,values", CASES, ids=_ids(CASES))
+def test_constructors_refuse_missing_extra_repeated_and_unknown_fields(cls, fields, values):
+    # a TheoryRecord's tags and provenance default to empty
+    required = fields[:1] if cls is TheoryRecord else fields
+    for f in required:
+        with pytest.raises(TypeError):
+            cls(**{k: v for k, v in zip(fields, values()) if k != f})
+    with pytest.raises(TypeError):
+        cls(*values(), None)
+    with pytest.raises(TypeError):
+        cls(*values(), **{fields[0]: values()[0]})
+    with pytest.raises(TypeError):
+        cls(*values(), unknown=None)
+    with pytest.raises(TypeError):
+        cls(**dict(zip(fields, values())), unknown=None)
+
+
+def test_only_checking_classes_write_their_own_constructor():
+    # every other value class takes _Frozen's constructor, read from _fields
+    own = {c[0] for c in CASES if "__init__" in vars(c[0])}
+    assert own == {GroupSpec, Theory, AutMap, TheoryRecord}
 
 
 @pytest.mark.parametrize("cls,fields,values", CASES, ids=_ids(CASES))
@@ -124,6 +152,13 @@ def test_every_value_class_is_covered():
             if not sub.__name__.startswith("_"):
                 found.add(sub)
     assert found == {c[0] for c in CASES}
+
+
+def test_exported_value_classes_are_the_cases():
+    # a value class exported later must join CASES, and so every check here
+    exported = {getattr(supercharacters, name) for name in supercharacters.__all__}
+    value_classes = {c for c in exported if isinstance(c, type) and issubclass(c, groups._Value)}
+    assert value_classes == {c[0] for c in CASES}
 
 
 @pytest.mark.parametrize("cls,fields,values", FROZEN, ids=_ids(FROZEN))
