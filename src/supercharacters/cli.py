@@ -70,9 +70,11 @@ def _group_from_args(args) -> GroupSpec:
 
 
 def _open_out(path: str | None):
+    """stdout for no path or "-", else the file opened for writing; either
+    one as a context manager, and only the file is closed on exit."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        return nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
 
 
 def _read_records(path: str | None) -> list[TheoryRecord]:
@@ -93,14 +95,10 @@ def _read_records(path: str | None) -> list[TheoryRecord]:
 
 
 def _write_records(records, path: str | None) -> None:
-    out, close = _open_out(path)
-    try:
+    with _open_out(path) as out:
         for rec in records:
             out.write(_theory_line(rec))
             out.write("\n")
-    finally:
-        if close:
-            out.close()
 
 
 def _cmd_count(args) -> int:
@@ -203,12 +201,8 @@ def _cmd_lattice(args) -> int:
     if len(groups) != 1:
         raise ValueError("lattice needs records from exactly one group")
     text = lattice_dot(records)
-    out, close = _open_out(args.dot)
-    try:
+    with _open_out(args.dot) as out:
         out.write(text)
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 

@@ -1,5 +1,6 @@
-"""Complete enumeration of supercharacter theories per supported family, with
-the closed-form counts each run must reproduce.
+"""Complete enumeration of supercharacter theories per supported family, and
+the closed-form counts of C_p x C_2 x C_2 that all_scts_cp_c2_c2 checks it
+against.
 
 all_theories(g) is the one enumerator.  It collects the orbit theories of
 the subgroups of Aut(G), the direct products over complementary pairs, the
@@ -9,7 +10,7 @@ trivial group, C_2 and C_p the direct and wedge steps find nothing to
 combine.
 
 For G = C_p x C_2 x C_2 write p - 1 = 2^k * 3^l * n with gcd(n, 6) = 1 and
-d() for the divisor-count function.  Then the enumeration must produce
+d() for the divisor-count function.  Then all_theories must produce
 
     total       = 3k*d(3^l*n) + 2l*d(2^k*n) + 30*d(p-1) + 13
     automorphic = 3k*d(3^l*n) + 2l*d(2^k*n) + 5*d(p-1)
@@ -157,22 +158,10 @@ def _add_wedge_theories(col: _Collector, g: GroupSpec) -> None:
                 })
 
 
-def _enumerate(g: GroupSpec) -> list[TheoryRecord]:
-    """The distinct theories of g that the three constructions and the two
-    extremes give, each verified once, in all_theories order."""
-    col = _Collector()
-    _add_aut_theories(col, g)
-    _add_direct_theories(col, g)
-    _add_wedge_theories(col, g)
-    col.add(minimal_theory(g), None, {"construction": "minimal"})
-    col.add(maximal_theory(g), None, {"construction": "maximal"})
-    return col.finish()
-
-
 def all_scts_cp_c2_c2(p: int) -> tuple[list[TheoryRecord], CountReport]:
     """Every theory of C_p x C_2 x C_2, with the count report; raises
     CountMismatchError when any actual count differs from its formula."""
-    records = _enumerate(GroupSpec.cp_c2_c2(p))
+    records = all_theories(GroupSpec.cp_c2_c2(p))
 
     k, l, n = factor_pm1(p)
     counts = {
@@ -195,10 +184,15 @@ def all_scts_cp_c2_c2(p: int) -> tuple[list[TheoryRecord], CountReport]:
 
 
 def all_theories(g: GroupSpec) -> list[TheoryRecord]:
-    """Every theory of g, each verified once at the gate, in sort_key order.
-    g is rebuilt from its family first, so a prime past DEFAULT_MAX_P is
-    refused here however the spec was made."""
+    """Every theory of g that the three constructions and the two extremes
+    give, each verified once at the gate, in sort_key order.  g is rebuilt
+    from its family first, so a prime past DEFAULT_MAX_P is refused here
+    however the spec was made."""
     g = GroupSpec.from_family(g.family, g.p)
-    if g.family == "CpC2C2":
-        return all_scts_cp_c2_c2(g.p)[0]
-    return _enumerate(g)
+    col = _Collector()
+    _add_aut_theories(col, g)
+    _add_direct_theories(col, g)
+    _add_wedge_theories(col, g)
+    col.add(minimal_theory(g), None, {"construction": "minimal"})
+    col.add(maximal_theory(g), None, {"construction": "maximal"})
+    return col.finish()

@@ -389,12 +389,7 @@ class GroupSpec(_Frozen):
         members = tuple(sorted(set(member_indices)))
         if 0 not in members:
             raise ValueError("a subgroup must contain the identity")
-        gens: list[int] = []
-        generated = {0}
-        for i in members:
-            if i not in generated:
-                gens.append(i)
-                generated = _close(self.mul_idx, generated, gens)
+        gens, generated = _generate(self.mul_idx, {0}, members)
         # the greedy generators generate a subgroup holding every member, so
         # it equals the member set exactly when that set is closed
         extra = generated.difference(members)
@@ -627,11 +622,7 @@ def _quotient(g: GroupSpec, members: tuple[int, ...]) -> QuotientMap:
     p, d, mask = g._split
     space = [i for i in members if i <= mask]
     p_survives = p is not None and len(space) == len(members)
-    gens, span = [], set(space)
-    for v in range(mask + 1):
-        if v not in span:
-            gens.append(v)
-            span |= {x ^ v for x in span}
+    gens = _generate(int.__xor__, space, range(mask + 1))[0]
     coset = [0] * (mask + 1)
     for t, x in enumerate(_span(gens)):
         for w in space:
@@ -715,6 +706,19 @@ def _close(mul, have, gens) -> set:
                 out.add(z)
                 queue.append(z)
     return out
+
+
+def _generate(mul, have, xs) -> tuple[list, set]:
+    """The greedy generators of xs over the subgroup `have`: each x of xs, in
+    order, that the closure of have under those before it does not reach;
+    returned with the closure under all of them, which holds every x."""
+    gens: list = []
+    have = set(have)
+    for x in xs:
+        if x not in have:
+            gens.append(x)
+            have = _close(mul, have, gens)
+    return gens, have
 
 
 def _perm_table(perms) -> list[list[int]]:
@@ -812,12 +816,7 @@ def _conjugations(table, e: int, gens: list[int]) -> list[list[int]]:
     if all(table[x][y] == table[y][x] for x in gens for y in gens):
         return []
     out = []
-    reached, chosen = {e}, []
-    for x in gens:
-        if x in reached:
-            continue
-        chosen.append(x)
-        reached = _close(lambda y, s: table[y][s], reached, chosen)
+    for x in _generate(lambda y, s: table[y][s], {e}, gens)[0]:
         inv = table[x].index(e)
         out.append([table[table[x][y]][inv] for y in range(len(table))])
     return out
@@ -891,16 +890,8 @@ def aut_generating_subset(g: GroupSpec, subgroup: tuple[int, ...]) -> tuple[int,
     """A small generating subset of a subgroup of Aut(G), both given by the
     indices of their members in aut_group(), as subgroups_of_aut() lists
     them: in ascending order of index, so of generator images, each member
-    not in the closure of those before it, until that closure is the whole
-    subgroup.  _close runs on the indices, multiplied by the index
-    arithmetic of _aut_arithmetic; no AutMap is built."""
+    not in the closure of those before it.  _generate runs on the indices,
+    multiplied by the index arithmetic of _aut_arithmetic; no AutMap is
+    built."""
     mul, e = _aut_arithmetic(g)
-    gens: list[int] = []
-    have = {e}
-    for i in sorted(subgroup):
-        if len(have) == len(subgroup):
-            break
-        if i not in have:
-            gens.append(i)
-            have = _close(mul, have, gens)
-    return tuple(gens)
+    return tuple(_generate(mul, {e}, sorted(subgroup))[0])

@@ -281,8 +281,9 @@ class _Collector:
             self.by_blocks[t.classes.blocks] = rec
         if tag:
             rec.tags.add(tag)
-        if prov not in rec.provenance:
-            rec.provenance.append(prov)
+        # each entry names one Aut(G) subgroup, one factor pair, one wedge
+        # or one extreme, so an entry never comes twice
+        rec.provenance.append(prov)
 
     def finish(self) -> list[TheoryRecord]:
         for rec in self.by_blocks.values():

@@ -566,6 +566,20 @@ def test_enumerate_output_is_pinned(capsys, group, p):
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[(group, p)]
 
 
+def test_enumerate_does_not_check_the_closed_form(capsys, monkeypatch):
+    # count and all_scts_cp_c2_c2 check the enumeration against the closed
+    # form; enumerate writes the theories whatever the formula says
+    real_formula = enumeration._formula
+    monkeypatch.setattr(enumeration, "_formula",
+                        lambda p: {**real_formula(p), "total": real_formula(p)["total"] + 1})
+    code, out, _ = run(capsys, ["enumerate", "--group", "cpc2c2", "--p", "3"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[("cpc2c2", 3)]
+    code, out, err = run(capsys, ["count", "--p", "3"])
+    assert code == 3 and out == ""
+    assert err == "error: count mismatch at p=3: total: predicted 77, got 76\n"
+
+
 # sha256 of `enumerate --group c2cubed` stdout with "tags" and "provenance"
 # dropped from each record, one compact JSON line each, recorded from the code
 # that ran the blind search in place of the orbit step on (C_2)^3
@@ -594,6 +608,16 @@ def test_enumerated_tags_match_classify(g):
     # theory with exactly the constructions classify finds a witness for
     for rec in all_theories(g):
         assert rec.tags == cli._classify_one(rec.theory)[0], canonical_key(rec.theory)
+
+
+def test_no_provenance_entry_repeats():
+    # the collector appends each entry unchecked: an Aut(G) subgroup, a factor
+    # pair with its factor keys, a wedge (N, inner, outer) or an extreme names
+    # one theory once
+    for group, p in sorted(ENUMERATE_SHA256, key=str):
+        for rec in all_theories(GroupSpec.from_family(cli._FAMILIES[group], p)):
+            entries = [json.dumps(e, sort_keys=True) for e in rec.provenance]
+            assert len(set(entries)) == len(entries), (group, p, canonical_key(rec.theory))
 
 
 # sha256 of `dual` and of `lattice --dot -` stdout on each group's

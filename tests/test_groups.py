@@ -1,10 +1,12 @@
 """Group models, characters, subgroup machinery, and automorphism actions."""
 
+import ast
 import hashlib
 import itertools
 import random
 import re
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -1043,3 +1045,13 @@ def test_sigma_key_equality_is_value_equality(p):
         for j in range(i):
             assert (keys[i] == keys[j]) == (values[i] == values[j])
     assert len(set(keys)) < len({tuple(sorted(m)) for m in multisets})
+
+
+def test_only_generate_and_the_aut_lattice_call_close():
+    # _generate holds the one greedy generating loop; subgroups_of_aut closes
+    # each (r^f, b) with its K in one call
+    tree = ast.parse(Path(groups.__file__).read_text(encoding="utf-8"))
+    callers = {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+               for c in ast.walk(f)
+               if isinstance(c, ast.Call) and getattr(c.func, "id", None) == "_close"}
+    assert callers == {"_generate", "subgroups_of_aut"}
