@@ -35,22 +35,17 @@ print("conjugate of zeta + 2*zeta^2 =", (zeta + 2 * zeta * zeta).conjugate())
 # Now the groups.  C_5 x C_2 x C_2 has elements written as exponent vectors
 # (i, j, k); its characters use the same vectors, paired by
 #   chi_(m,n,o)(g_(i,j,k)) = zeta^(m*i) * (-1)^(n*j + o*k).
+# char_value takes both as exponent tuples.
 g = GroupSpec.cp_c2_c2(5)
-chi = g.character((2, 1, 0))
+chi = (2, 1, 0)
 for exps in [(1, 0, 0), (0, 1, 0), (1, 1, 1)]:
-    print(f"chi_(2,1,0) at {exps} =", g.char_value(chi, g.element(exps)))
+    print(f"chi_(2,1,0) at {exps} =", g.char_value(chi, exps))
 
 # Characters are orthogonal: summing chi * conj(psi) over the group gives
 # |G| when chi == psi and 0 otherwise.  With exact arithmetic the test is
 # equality, not closeness.
-psi = g.character((2, 1, 0))
-other = g.character((1, 0, 1))
-dot_same = sum(
-    g.char_value(chi, g.element(e)) * g.char_value(psi, g.element(e)).conjugate()
-    for e in g.elements
-)
-dot_diff = sum(
-    g.char_value(chi, g.element(e)) * g.char_value(other, g.element(e)).conjugate()
-    for e in g.elements
-)
+psi = (2, 1, 0)
+other = (1, 0, 1)
+dot_same = sum(g.char_value(chi, e) * g.char_value(psi, e).conjugate() for e in g.elements)
+dot_diff = sum(g.char_value(chi, e) * g.char_value(other, e).conjugate() for e in g.elements)
 print("inner product with itself:", dot_same, "  with a different character:", dot_diff)

@@ -11,7 +11,6 @@ only build), and then asks the library to recognize them.
 
 from supercharacters import (
     GroupSpec,
-    WedgeSpec,
     automorphism_witness,
     direct_decompositions,
     direct_product,
@@ -57,12 +56,11 @@ print("\ndirect product of coarse C5 with fine Klein, class sizes:",
 # unions of N-cosets.  Wedges are exactly the theories that are blind to
 # anything finer than N outside of N.
 n = next(h for h in g.all_subgroups if h.order == 10)
-ws = WedgeSpec(
+t_wedge = wedge(
     n,
     minimal_theory(g.subgroup_embedding(n).group),
     maximal_theory(g.quotient(n).group),
 )
-t_wedge = wedge(ws)
 assert verify(t_wedge) is None
 print("\nwedge over an order-10 subgroup, class sizes:",
       [len(b) for b in t_wedge.classes.blocks])

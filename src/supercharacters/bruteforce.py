@@ -126,7 +126,10 @@ def _orbit_plan(g: GroupSpec):
     return maps, orbits, orbit_of, plan
 
 
-def _search(g: GroupSpec, budget: int | None, emit) -> None:
+def _search(g: GroupSpec, budget: int | None, emit) -> int:
+    """Calls emit with the class blocks of every theory found, and returns
+    how many there were; raises BudgetExhaustedError with the nodes and
+    the theories found so far once the budget runs out."""
     n = g.order
     if budget is not None and budget < 1:
         raise ValueError(f"search budget must be at least 1, got {budget}")
@@ -138,7 +141,7 @@ def _search(g: GroupSpec, budget: int | None, emit) -> None:
     maps, orbits, orbit_of, plan = _orbit_plan(g)
     # the entries at m(t), m in U, of a list indexed by element
     along_orbit = [itemgetter(*(m[t] for m in maps)) for t in range(n)]
-    nodes = 0
+    nodes = found = 0
 
     def checker(blocks):
         """A test that a product is constant on each of the blocks."""
@@ -212,8 +215,9 @@ def _search(g: GroupSpec, budget: int | None, emit) -> None:
         return out
 
     def recurse(free: int, cell_of: list[int], blocks: list) -> None:
-        nonlocal nodes
+        nonlocal nodes, found
         if not free:
+            found += 1
             emit([(0,)] + blocks)
             return
         s = (free & -free).bit_length() - 1
@@ -231,26 +235,18 @@ def _search(g: GroupSpec, budget: int | None, emit) -> None:
                 continue
             nodes += 1
             if budget is not None and nodes > budget:
-                raise BudgetExhaustedError(nodes, -1)
+                raise BudgetExhaustedError(nodes, found)
             rest = free & ~placed
             recurse(rest, refine(cell_of, rest, products + [square]), blocks + [block] + images)
 
     everything = (1 << n) - 2
     recurse(everything, [everything] * n, [])
+    return found
 
 
 def brute_force_count(g: GroupSpec, budget: int | None = None) -> int:
     """Number of supercharacter theories found by exhaustive search."""
-    found = [0]
-
-    def emit(_blocks):
-        found[0] += 1
-
-    try:
-        _search(g, budget, emit)
-    except BudgetExhaustedError as e:
-        raise BudgetExhaustedError(e.nodes, found[0]) from None
-    return found[0]
+    return _search(g, budget, lambda _blocks: None)
 
 
 def brute_force_enumerate(g: GroupSpec, budget: int | None = None) -> list[Theory]:
@@ -260,9 +256,6 @@ def brute_force_enumerate(g: GroupSpec, budget: int | None = None) -> list[Theor
     def emit(blocks):
         partitions.append(Partition.from_blocks(blocks, g.order))
 
-    try:
-        _search(g, budget, emit)
-    except BudgetExhaustedError as e:
-        raise BudgetExhaustedError(e.nodes, len(partitions)) from None
+    _search(g, budget, emit)
     theories = [theory_from_classes(g, part) for part in partitions]
     return sorted(theories, key=sort_key)

@@ -13,7 +13,6 @@ from .groups import (
     GroupSpec,
     Subgroup,
     SubgroupEmbedding,
-    _Frozen,
     _aut_map,
     _pull_back,
     aut_generating_subset,
@@ -70,7 +69,8 @@ def _product_tables(
     by restriction.  Row x of the first table lists the index in G of x*y
     for every index y of H2, row x of the second the character of G that
     restricts to x and y; built once per pair, tuples because every caller
-    shares them."""
+    shares them.  g is part of the cache key because an embedding does not
+    name the group it embeds into."""
     elems = tuple(tuple(g.mul_idx(a, b) for b in e2.to_parent) for a in e1.to_parent)
     chars = [[0] * e2.group.order for _ in range(e1.group.order)]
     r1, r2 = (_pull_back(e.to_parent, e.group, g) for e in (e1, e2))
@@ -103,31 +103,25 @@ def direct_product(t1: Theory, t2: Theory, h1: Subgroup, h2: Subgroup) -> Theory
                   _products(chars, t1.charparts, t2.charparts))
 
 
-class WedgeSpec(_Frozen):
-    """A wedge datum: a proper nontrivial subgroup, a theory on it, and a
-    theory on the quotient by it."""
-
-    _fields = ("n", "inner", "outer")
-
-
-def wedge(ws: WedgeSpec) -> Theory:
-    """Classes inside the subgroup come from the inner theory; outside it they
-    are preimages of the nonidentity classes of the outer quotient theory.
-    The character side is built from inflation and restriction
+def wedge(n: Subgroup, inner: Theory, outer: Theory) -> Theory:
+    """The wedge over the proper nontrivial subgroup n of the theory inner on
+    n and the theory outer on the quotient by n.  Classes inside n come from
+    inner; outside it they are preimages of the nonidentity classes of
+    outer.  The character side is built from inflation and restriction
     (character_side_wedge), not derived from the classes."""
-    g = ws.n.group
-    if not 1 < ws.n.order < g.order:
+    g = n.group
+    if not 1 < n.order < g.order:
         raise ValueError("wedge needs a proper nontrivial subgroup")
-    emb = g.subgroup_embedding(ws.n)
-    q = g.quotient(ws.n)
-    if ws.inner.group != emb.group or ws.outer.group != q.group:
+    emb = g.subgroup_embedding(n)
+    q = g.quotient(n)
+    if inner.group != emb.group or outer.group != q.group:
         raise ValueError("inner/outer theories do not match the subgroup and quotient")
     to_parent, fibers = emb.to_parent.__getitem__, q.fibers.__getitem__
-    blocks = [map(to_parent, b) for b in ws.inner.classes.blocks]
+    blocks = [map(to_parent, b) for b in inner.classes.blocks]
     blocks += [chain.from_iterable(map(fibers, b))
-               for b in ws.outer.classes.blocks if b != (0,)]
+               for b in outer.classes.blocks if b != (0,)]
     classes = Partition.from_blocks(blocks, g.order)
-    return Theory(g, classes, character_side_wedge(ws))
+    return Theory(g, classes, character_side_wedge(n, inner, outer))
 
 
 @lru_cache(maxsize=None)
@@ -143,15 +137,16 @@ def _wedge_char_maps(n: Subgroup) -> tuple[tuple[int, ...], tuple[tuple[int, ...
     return tuple(infl), tuple(map(tuple, fiber))
 
 
-def character_side_wedge(ws: WedgeSpec) -> Partition:
-    """The wedge's character partition built directly: inflations of the outer
-    character blocks, plus unions of restriction fibers over each nontrivial
-    inner character block (the characters of G/N are those trivial on N)."""
-    infl, fiber = (m.__getitem__ for m in _wedge_char_maps(ws.n))
-    blocks = [map(infl, b) for b in ws.outer.charparts.blocks]
+def character_side_wedge(n: Subgroup, inner: Theory, outer: Theory) -> Partition:
+    """The character partition of wedge(n, inner, outer) built directly:
+    inflations of the outer character blocks, plus unions of restriction
+    fibers over each nontrivial inner character block (the characters of
+    G/N are those trivial on N)."""
+    infl, fiber = (m.__getitem__ for m in _wedge_char_maps(n))
+    blocks = [map(infl, b) for b in outer.charparts.blocks]
     blocks += [chain.from_iterable(map(fiber, b))
-               for b in ws.inner.charparts.blocks if b != (0,)]
-    return Partition.from_blocks(blocks, ws.n.group.order)
+               for b in inner.charparts.blocks if b != (0,)]
+    return Partition.from_blocks(blocks, n.group.order)
 
 
 def _add_aut_theories(col: _Collector, g: GroupSpec) -> dict[tuple, tuple[AutMap, ...]]:
@@ -163,7 +158,7 @@ def _add_aut_theories(col: _Collector, g: GroupSpec) -> dict[tuple, tuple[AutMap
         # only a generator the walk reports becomes an AutMap, once per index
         gens = tuple(_aut_map(g, i) for i in aut_generating_subset(g, subgroup))
         t = from_automorphisms(g, gens)
-        col.add(t, "automorphic", {
+        col.add(t, {
             "construction": "aut",
             "generators": generators_to_json(gens),
         })

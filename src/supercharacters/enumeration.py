@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .constructions import WedgeSpec, _add_aut_theories, direct_product, wedge
+from .constructions import _add_aut_theories, direct_product, wedge
 from .groups import GroupSpec, _Frozen
 from .cyclotomic import is_odd_prime
 from .theories import (
@@ -134,7 +134,7 @@ def _add_direct_theories(col: _Collector, g: GroupSpec) -> None:
         for t1, key1 in _sub_theories(e1.group):
             for t2, key2 in _sub_theories(e2.group):
                 t = direct_product(t1, t2, h1, h2)
-                col.add(t, "direct", {
+                col.add(t, {
                     "construction": "direct",
                     "pair": [h1.generator_exps(), h2.generator_exps()],
                     "factors": [key1, key2],
@@ -149,8 +149,8 @@ def _add_wedge_theories(col: _Collector, g: GroupSpec) -> None:
         quot = g.quotient(n)
         for ti, key_i in _sub_theories(emb.group):
             for to, key_o in _sub_theories(quot.group):
-                t = wedge(WedgeSpec(n, ti, to))
-                col.add(t, "wedge", {
+                t = wedge(n, ti, to)
+                col.add(t, {
                     "construction": "wedge",
                     "N": n.generator_exps(),
                     "inner": key_i,
@@ -193,6 +193,6 @@ def all_theories(g: GroupSpec) -> list[TheoryRecord]:
     _add_aut_theories(col, g)
     _add_direct_theories(col, g)
     _add_wedge_theories(col, g)
-    col.add(minimal_theory(g), None, {"construction": "minimal"})
-    col.add(maximal_theory(g), None, {"construction": "maximal"})
+    col.add(minimal_theory(g), {"construction": "minimal"})
+    col.add(maximal_theory(g), {"construction": "maximal"})
     return col.finish()

@@ -84,34 +84,15 @@ class _Frozen(_Value):
             _set(self, f, value)
 
     def __hash__(self):
-        # kept in the instance __dict__ after the first call, as
-        # cached_property keeps its values; a field that cannot be hashed
-        # raises TypeError before anything is kept
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = self.__dict__["_hash"] = hash(self._astuple())
-            return h
+        # not kept in the instance: on CPython 3.11 the first write to an
+        # instance __dict__ makes every later field read slower
+        return hash(self._astuple())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-class _ExponentVector(_Frozen):
-    """An exponent vector; equal only to one of the same class."""
-
-    _fields = ("exps",)
-
-
-class Element(_ExponentVector):
-    """A group element as a reduced exponent vector."""
-
-
-class Character(_ExponentVector):
-    """An irreducible character as a reduced exponent vector."""
 
 
 class GroupSpec(_Frozen):
@@ -211,14 +192,8 @@ class GroupSpec(_Frozen):
             raise ValueError(f"expected {len(self.factors)} exponents, got {len(exps)}")
         return tuple(e % f for e, f in zip(exps, self.factors))
 
-    def element(self, exps) -> Element:
-        return Element(self.reduce(exps))
-
-    def character(self, exps) -> Character:
-        return Character(self.reduce(exps))
-
-    def index_of(self, x) -> int:
-        exps = x.exps if isinstance(x, (Element, Character)) else tuple(x)
+    def index_of(self, exps) -> int:
+        """The index of an element or character given by an exponent sequence."""
         return self._index[self.reduce(exps)]
 
     @cached_property
@@ -268,8 +243,9 @@ class GroupSpec(_Frozen):
                 t = (c * g) % f
         return (-1 if s % 2 else 1, t)
 
-    def char_value(self, chi: Character, g: Element) -> "CycInt | int":
-        """chi(g), a cyclotomic integer when the group has a p part, else +-1."""
+    def char_value(self, chi, g) -> "CycInt | int":
+        """chi(g) for exponent sequences chi and g, a cyclotomic integer when
+        the group has a p part, else +-1."""
         return self.sigma_value(self._key_table[self.index_of(chi)][self.index_of(g)])
 
     @cached_property
@@ -572,9 +548,10 @@ class Subgroup(_Frozen):
 
 
 class SubgroupEmbedding(_Frozen):
-    """A subgroup rebuilt as a standalone group plus the index maps in and out."""
+    """A subgroup rebuilt as a standalone group plus the index maps in and out
+    of the group that g.subgroup_embedding was called on."""
 
-    _fields = ("parent", "group", "to_parent")
+    _fields = ("group", "to_parent")
 
     @cached_property
     def from_parent(self) -> dict[int, int]:
@@ -582,9 +559,10 @@ class SubgroupEmbedding(_Frozen):
 
 
 class QuotientMap(_Frozen):
-    """A quotient group together with the index projection from the source."""
+    """A quotient group together with the index projection from the group
+    that g.quotient was called on."""
 
-    _fields = ("source", "group", "projection")
+    _fields = ("group", "projection")
 
     @cached_property
     def fibers(self) -> tuple[tuple[int, ...], ...]:
@@ -609,7 +587,7 @@ def _embedding(g: GroupSpec, members: tuple[int, ...]) -> SubgroupEmbedding:
     to_parent = tuple(a << d | v for a in range(p if has_p else 1) for v in _span(basis))
     if sorted(to_parent) != list(members):
         raise ValueError("embedding does not cover the subgroup")
-    return SubgroupEmbedding(g, sub, to_parent)
+    return SubgroupEmbedding(sub, to_parent)
 
 
 @lru_cache(maxsize=None)
@@ -633,7 +611,7 @@ def _quotient(g: GroupSpec, members: tuple[int, ...]) -> QuotientMap:
         projection = tuple(a << k | t for a in range(p) for t in coset)
     else:
         projection = tuple(coset) * (p or 1)
-    return QuotientMap(g, q_spec, projection)
+    return QuotientMap(q_spec, projection)
 
 
 class AutMap(_Frozen):

@@ -248,13 +248,14 @@ def require_valid(t: Theory, what: str) -> Theory:
     return t
 
 
-# What a construction's candidates are called when they fail verification.
+# Per provenance construction: what its candidates are called when they fail
+# verification, and the tag they carry.
 _BUILT_BY = {
-    "aut": "orbit theory",
-    "direct": "direct product",
-    "wedge": "wedge",
-    "minimal": "minimal theory",
-    "maximal": "maximal theory",
+    "aut": ("orbit theory", "automorphic"),
+    "direct": ("direct product", "direct"),
+    "wedge": ("wedge", "wedge"),
+    "minimal": ("minimal theory", None),
+    "maximal": ("maximal theory", None),
 }
 
 
@@ -272,10 +273,13 @@ class _Collector:
     def __init__(self):
         self.by_blocks: dict[tuple, TheoryRecord] = {}
 
-    def add(self, t: Theory, tag: str | None, prov: dict) -> None:
+    def add(self, t: Theory, prov: dict) -> None:
+        """Records t with its provenance entry and the tag that the entry's
+        construction gives, if any."""
+        what, tag = _BUILT_BY[prov["construction"]]
         rec = self.by_blocks.get(t.classes.blocks)
         if rec is None or rec.theory.charparts != t.charparts:
-            require_valid(t, _BUILT_BY[prov["construction"]])
+            require_valid(t, what)
         if rec is None:
             rec = TheoryRecord(t)
             self.by_blocks[t.classes.blocks] = rec

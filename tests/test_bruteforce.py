@@ -107,6 +107,20 @@ def test_budget_exhaustion():
         brute_force_count(GroupSpec.cp_c2_c2(5), budget=50)
 
 
+def test_budget_exhaustion_reports_what_the_search_emitted():
+    g = GroupSpec.cp_c2_c2(5)
+    emitted = []
+    raised = []
+    for search in (lambda: _search(g, 50, emitted.append),
+                   lambda: brute_force_count(g, budget=50),
+                   lambda: brute_force_enumerate(g, budget=50)):
+        with pytest.raises(BudgetExhaustedError) as info:
+            search()
+        raised.append((info.value.nodes, info.value.found))
+    assert 0 < len(emitted) < 109
+    assert raised == [(51, len(emitted))] * 3
+
+
 @pytest.mark.parametrize("budget", [0, -1])
 def test_budget_below_one_is_refused(budget):
     for search in (brute_force_count, brute_force_enumerate):

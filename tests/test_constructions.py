@@ -10,7 +10,6 @@ import pytest
 from supercharacters import (
     GroupSpec,
     Partition,
-    WedgeSpec,
     all_theories,
     aut_generating_subset,
     automorphism_witness,
@@ -124,7 +123,7 @@ def test_wedge_of_minimals_is_not_minimal():
     g = GroupSpec.cp_c2_c2(3)
     n = next(h for h in g.all_subgroups if h.order == 6)
     emb, quot = g.subgroup_embedding(n), g.quotient(n)
-    t = wedge(WedgeSpec(n, minimal_theory(emb.group), minimal_theory(quot.group)))
+    t = wedge(n, minimal_theory(emb.group), minimal_theory(quot.group))
     assert verify(t) is None
     assert len(t.classes) == 7
     sizes = sorted(len(b) for b in t.classes.blocks)
@@ -137,14 +136,14 @@ def test_wedge_needs_proper_nontrivial_subgroup():
     full = next(h for h in g.all_subgroups if h.order == g.order)
     emb, styles = g.subgroup_embedding(full), g.quotient(full)
     with pytest.raises(ValueError):
-        wedge(WedgeSpec(full, minimal_theory(emb.group), minimal_theory(styles.group)))
+        wedge(full, minimal_theory(emb.group), minimal_theory(styles.group))
 
 
 def test_wedge_rejects_mismatched_theories():
     g = GroupSpec.cp_c2_c2(3)
     n = next(h for h in g.all_subgroups if h.order == 6)
     with pytest.raises(ValueError):
-        wedge(WedgeSpec(n, minimal_theory(GroupSpec.cp(3)), minimal_theory(GroupSpec.klein())))
+        wedge(n, minimal_theory(GroupSpec.cp(3)), minimal_theory(GroupSpec.klein()))
 
 
 def test_character_side_formula_matches_derived_side():
@@ -159,7 +158,7 @@ def test_character_side_formula_matches_derived_side():
         emb, quot = g.subgroup_embedding(n), g.quotient(n)
         for r1 in all_theories(emb.group):
             for r2 in all_theories(quot.group):
-                t = wedge(WedgeSpec(n, r1.theory, r2.theory))
+                t = wedge(n, r1.theory, r2.theory)
                 assert verify(t) is None
                 assert t.charparts == induced_character_partition(g, t.classes)
                 checked += 1
@@ -195,7 +194,7 @@ def test_wedge_charparts_shape():
     n = next(h for h in g.all_subgroups if h.order == 4)
     emb, quot = g.subgroup_embedding(n), g.quotient(n)
     inner, outer = maximal_theory(emb.group), maximal_theory(quot.group)
-    t = wedge(WedgeSpec(n, inner, outer))
+    t = wedge(n, inner, outer)
     assert verify(t) is None
     sizes = sorted(len(b) for b in t.charparts.blocks)
     assert sizes == sorted([1, 4, 3 * 5])
@@ -251,7 +250,7 @@ def test_wedge_decompositions_of_wedge_contain_its_subgroup():
     g = GroupSpec.cp_c2_c2(3)
     n = next(h for h in g.all_subgroups if h.order == 6)
     emb, quot = g.subgroup_embedding(n), g.quotient(n)
-    t = wedge(WedgeSpec(n, minimal_theory(emb.group), minimal_theory(quot.group)))
+    t = wedge(n, minimal_theory(emb.group), minimal_theory(quot.group))
     assert verify(t) is None
     assert n.members in {h.members for h in wedge_decompositions(t)}
 
@@ -269,7 +268,7 @@ def test_constructions_do_not_verify(monkeypatch):
     direct_product(maximal_theory(e1.group), minimal_theory(e2.group), h1, h2)
     n = next(h for h in g.all_subgroups if h.order == 10)
     emb, quot = g.subgroup_embedding(n), g.quotient(n)
-    wedge(WedgeSpec(n, minimal_theory(emb.group), maximal_theory(quot.group)))
+    wedge(n, minimal_theory(emb.group), maximal_theory(quot.group))
 
 
 def _linear_witness(t, candidates):

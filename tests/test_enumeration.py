@@ -13,7 +13,6 @@ from supercharacters import (
     GroupSpec,
     Partition,
     Theory,
-    WedgeSpec,
     all_theories,
     canonical_key,
     divisor_count,
@@ -432,14 +431,17 @@ def test_collector_rejects_a_wrong_character_partition():
     good = theory_from_classes(g, Partition.from_blocks([(0,), (1, 4), (2, 3)], 5))
     wrong = Theory(g, good.classes, Partition.from_blocks([(0,), (1, 2), (3, 4)], 5))
     with pytest.raises(RuntimeError, match="wedge fails verification"):
-        _Collector().add(wrong, "wedge", {"construction": "wedge"})
+        _Collector().add(wrong, {"construction": "wedge"})
     col = _Collector()
-    col.add(good, "automorphic", {"construction": "aut"})
+    col.add(good, {"construction": "aut"})
     with pytest.raises(RuntimeError, match="direct product fails verification"):
-        col.add(wrong, "direct", {"construction": "direct"})
-    col.add(good, "wedge", {"construction": "wedge"})
+        col.add(wrong, {"construction": "direct"})
+    col.add(good, {"construction": "wedge"})
+    # the tag is read from the provenance entry; an extreme's entry adds none
+    col.add(good, {"construction": "minimal"})
     rec, = col.finish()
     assert rec.theory == good and rec.tags == {"automorphic", "wedge"}
+    assert [e["construction"] for e in rec.provenance] == ["aut", "wedge", "minimal"]
 
 
 def test_collector_rejects_a_bad_wedge():
@@ -448,19 +450,18 @@ def test_collector_rejects_a_bad_wedge():
     g = GroupSpec.cp_c2_c2(3)
     n = next(h for h in g.all_subgroups if h.order == 6)
     emb, quot = g.subgroup_embedding(n), g.quotient(n)
-    ws = WedgeSpec(n, minimal_theory(emb.group), minimal_theory(quot.group))
-    good = wedge(ws)
+    good = wedge(n, minimal_theory(emb.group), minimal_theory(quot.group))
     assert verify(good) is None
     other = next(r.theory.charparts for r in all_theories(g)
                  if len(r.theory.charparts) == len(good.charparts)
                  and r.theory.charparts != good.charparts)
     bad = Theory(g, good.classes, other)
     with pytest.raises(RuntimeError, match="wedge fails verification"):
-        _Collector().add(bad, "wedge", {"construction": "wedge"})
+        _Collector().add(bad, {"construction": "wedge"})
     col = _Collector()
-    col.add(good, "wedge", {"construction": "wedge"})
+    col.add(good, {"construction": "wedge"})
     with pytest.raises(RuntimeError, match="wedge fails verification"):
-        col.add(bad, "wedge", {"construction": "wedge"})
+        col.add(bad, {"construction": "wedge"})
 
 
 def test_all_theories_returns_fresh_records():

@@ -120,21 +120,23 @@ def test_element_orders():
 
 def test_character_values():
     g = GroupSpec.cp_c2_c2(5)
-    chi = g.character((1, 0, 0))
-    assert g.char_value(chi, g.element((1, 0, 0))) == CycInt.root_power(5, 1)
-    assert g.char_value(chi, g.element((0, 1, 0))) == CycInt.one(5)
-    sign_char = g.character((0, 0, 1))
-    assert g.char_value(sign_char, g.element((0, 0, 1))) == CycInt.from_int(5, -1)
-    assert g.char_value(sign_char, g.element((0, 1, 0))) == CycInt.one(5)
-    mixed = g.character((2, 1, 0))
-    assert g.char_value(mixed, g.element((1, 1, 1))) == -CycInt.root_power(5, 2)
+    chi = (1, 0, 0)
+    assert g.char_value(chi, (1, 0, 0)) == CycInt.root_power(5, 1)
+    assert g.char_value(chi, (0, 1, 0)) == CycInt.one(5)
+    sign_char = (0, 0, 1)
+    assert g.char_value(sign_char, (0, 0, 1)) == CycInt.from_int(5, -1)
+    assert g.char_value(sign_char, (0, 1, 0)) == CycInt.one(5)
+    mixed = (2, 1, 0)
+    assert g.char_value(mixed, (1, 1, 1)) == -CycInt.root_power(5, 2)
+    # exponents are reduced first, as in index_of
+    assert g.char_value((7, 3, -2), (6, -1, 1)) == -CycInt.root_power(5, 2)
 
 
 def test_character_values_are_ints_without_p_part():
     g = GroupSpec.klein()
     for ce in g.elements:
         for ge in g.elements:
-            v = g.char_value(g.character(ce), g.element(ge))
+            v = g.char_value(ce, ge)
             assert isinstance(v, int) and v in (-1, 1)
 
 
@@ -142,11 +144,10 @@ def test_character_values_are_ints_without_p_part():
 def test_character_orthogonality(g):
     for ci in range(g.order):
         for cj in range(g.order):
-            chi = g.character(g.elements[ci])
-            psi = g.character(g.elements[cj])
+            chi = g.elements[ci]
+            psi = g.elements[cj]
             total = 0
-            for ge in g.elements:
-                e = g.element(ge)
+            for e in g.elements:
                 total = total + g.char_value(chi, e) * _conj(g.char_value(psi, e))
             want = g.order if ci == cj else 0
             if isinstance(total, int):
@@ -421,10 +422,10 @@ def test_aut_character_compatibility():
     for a in rng.sample(auts, 8):
         for _ in range(25):
             ci, gi = rng.randrange(g.order), rng.randrange(g.order)
-            chi = g.character(g.elements[ci])
-            moved = g.character(g.elements[a.char_perm[ci]])
-            elem = g.element(g.elements[gi])
-            pulled = g.element(g.elements[a.inverse_perm[gi]])
+            chi = g.elements[ci]
+            moved = g.elements[a.char_perm[ci]]
+            elem = g.elements[gi]
+            pulled = g.elements[a.inverse_perm[gi]]
             assert g.char_value(moved, elem) == g.char_value(chi, pulled)
 
 
@@ -915,9 +916,9 @@ def test_annihilator():
         ann = annihilator(g, s)
         assert len(ann) * s.order == g.order
         for ci in ann:
-            chi = g.character(g.elements[ci])
+            chi = g.elements[ci]
             for gi in s.members:
-                v = g.char_value(chi, g.element(g.elements[gi]))
+                v = g.char_value(chi, g.elements[gi])
                 assert (v == 1) if isinstance(v, int) else (v == CycInt.one(5))
 
 
