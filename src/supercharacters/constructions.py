@@ -1,6 +1,9 @@
 """Three ways to build supercharacter theories: orbits of a set of
 automorphisms, direct products across a complementary pair of subgroups, and
-wedges over a proper nontrivial subgroup."""
+wedges over a proper nontrivial subgroup.  Nothing here verifies a theory;
+the enumerator's gate does.  What classify reads, the orbit-class witness
+index and the direct and wedge decompositions, needs class partitions
+only."""
 
 from __future__ import annotations
 
@@ -17,13 +20,7 @@ from .groups import (
     _pull_back,
     aut_generating_subset,
 )
-from .theories import (
-    Partition,
-    Theory,
-    _Collector,
-    generators_to_json,
-    invariant_subgroups,
-)
+from .theories import Partition, Theory, invariant_subgroups
 
 
 def _orbit_partition(n: int, perms) -> Partition:
@@ -149,29 +146,24 @@ def character_side_wedge(n: Subgroup, inner: Theory, outer: Theory) -> Partition
     return Partition.from_blocks(blocks, n.group.order)
 
 
-def _add_aut_theories(col: _Collector, g: GroupSpec) -> dict[tuple, tuple[AutMap, ...]]:
-    """Adds the orbit theory of every subgroup of Aut(G) to col, in
-    subgroups_of_aut() order; returns, per class blocks, the generators of
-    the first subgroup whose orbit theory has those blocks."""
-    first: dict[tuple, tuple[AutMap, ...]] = {}
+def _aut_subgroup_gens(g: GroupSpec):
+    """Yields the generators of each subgroup of Aut(G), in subgroups_of_aut()
+    order; only a generator the walk reports becomes an AutMap, once per
+    index."""
     for subgroup in g.subgroups_of_aut():
-        # only a generator the walk reports becomes an AutMap, once per index
-        gens = tuple(_aut_map(g, i) for i in aut_generating_subset(g, subgroup))
-        t = from_automorphisms(g, gens)
-        col.add(t, {
-            "construction": "aut",
-            "generators": generators_to_json(gens),
-        })
-        first.setdefault(t.classes.blocks, gens)
-    return first
+        yield tuple(_aut_map(g, i) for i in aut_generating_subset(g, subgroup))
 
 
 @lru_cache(maxsize=None)
 def _witness_index(g: GroupSpec) -> MappingProxyType:
-    """Class blocks -> generators of the first subgroup of Aut(G) whose orbit
-    theory has them; built once per group on first use, through the
-    enumerator's walk and gate."""
-    return MappingProxyType(_add_aut_theories(_Collector(), g))
+    """Class blocks -> generators of the first subgroup of Aut(G) whose
+    orbits on elements are those blocks; built once per group on first use.
+    Only the class side is built: the orbits of any subgroup of Aut(G) are
+    the classes of a theory, which the enumerator verifies at its gate."""
+    first: dict[tuple, tuple[AutMap, ...]] = {}
+    for gens in _aut_subgroup_gens(g):
+        first.setdefault(_orbit_partition(g.order, [a.perm for a in gens]).blocks, gens)
+    return MappingProxyType(first)
 
 
 def automorphism_witness(t: Theory) -> tuple[AutMap, ...] | None:

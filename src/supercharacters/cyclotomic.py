@@ -26,10 +26,11 @@ class CycInt:
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p: int, coeffs: tuple[int, ...]):
-        if not is_odd_prime(p):
-            raise ValueError(f"p must be an odd prime, got {p}")
+        # the count first: a huge p with few coefficients never reaches trial division
         if len(coeffs) != p - 1:
             raise ValueError(f"need {p - 1} coefficients for p={p}, got {len(coeffs)}")
+        if not is_odd_prime(p):
+            raise ValueError(f"p must be an odd prime, got {p}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "coeffs", tuple(coeffs))
 

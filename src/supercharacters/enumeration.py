@@ -5,9 +5,10 @@ against.
 all_theories(g) is the one enumerator.  It collects the orbit theories of
 the subgroups of Aut(G), the direct products over complementary pairs, the
 wedges over proper nontrivial subgroups and the two extremes, and passes
-each distinct theory once through the verify gate of _Collector.  On the
-trivial group, C_2 and C_p the direct and wedge steps find nothing to
-combine.
+each distinct theory once through the verify gate of _Collector.  The gate
+is defined here and built only by all_theories; the constructions verify
+nothing.  On the trivial group, C_2 and C_p the direct and wedge steps find
+nothing to combine.
 
 For G = C_p x C_2 x C_2 write p - 1 = 2^k * 3^l * n with gcd(n, 6) = 1 and
 d() for the divisor-count function.  Then all_theories must produce
@@ -26,16 +27,19 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .constructions import _add_aut_theories, direct_product, wedge
+from .constructions import _aut_subgroup_gens, direct_product, from_automorphisms, wedge
 from .groups import GroupSpec, _Frozen
 from .cyclotomic import is_odd_prime
 from .theories import (
     TheoryRecord,
     Theory,
-    _Collector,
     canonical_key,
+    generators_to_json,
     maximal_theory,
     minimal_theory,
+    require_valid,
+    shape_tags,
+    sort_key,
 )
 
 
@@ -121,11 +125,66 @@ def predicted_counts(p: int) -> CountReport:
     return CountReport(p, k, l, n, **f, predicted=f)
 
 
+# Per provenance construction: what its candidates are called when they fail
+# verification, and the tag they carry.
+_BUILT_BY = {
+    "aut": ("orbit theory", "automorphic"),
+    "direct": ("direct product", "direct"),
+    "wedge": ("wedge", "wedge"),
+    "minimal": ("minimal theory", None),
+    "maximal": ("maximal theory", None),
+}
+
+
+class _Collector:
+    """Deduplicates theories by their class blocks, merging tags and
+    witnesses; the canonical key is rendered only for the distinct theories,
+    to sort them at finish.  A collector holds the theories of one group.
+
+    This is the one verification gate, since the constructions verify
+    nothing: a candidate is verified when its class blocks are new, or when
+    its character partition differs from the one recorded for them.  The
+    classes of a theory determine its character partition, so such a second
+    partition fails verification and raises."""
+
+    def __init__(self):
+        self.by_blocks: dict[tuple, TheoryRecord] = {}
+
+    def add(self, t: Theory, prov: dict) -> None:
+        """Records t with its provenance entry and the tag that the entry's
+        construction gives, if any."""
+        what, tag = _BUILT_BY[prov["construction"]]
+        rec = self.by_blocks.get(t.classes.blocks)
+        if rec is None or rec.theory.charparts != t.charparts:
+            require_valid(t, what)
+        if rec is None:
+            rec = TheoryRecord(t)
+            self.by_blocks[t.classes.blocks] = rec
+        if tag:
+            rec.tags.add(tag)
+        # each entry names one Aut(G) subgroup, one factor pair, one wedge
+        # or one extreme, so an entry never comes twice
+        rec.provenance.append(prov)
+
+    def finish(self) -> list[TheoryRecord]:
+        for rec in self.by_blocks.values():
+            rec.tags |= shape_tags(rec.theory)
+        return sorted(self.by_blocks.values(), key=lambda r: sort_key(r.theory))
+
+
 @lru_cache(maxsize=None)
 def _sub_theories(g: GroupSpec) -> tuple[tuple[Theory, str], ...]:
     """Every theory of a subgroup or quotient with its canonical key, in
     all_theories order; enumerated once per group and never mutated."""
     return tuple((r.theory, canonical_key(r.theory)) for r in all_theories(g))
+
+
+def _add_aut_theories(col: _Collector, g: GroupSpec) -> None:
+    for gens in _aut_subgroup_gens(g):
+        col.add(from_automorphisms(g, gens), {
+            "construction": "aut",
+            "generators": generators_to_json(gens),
+        })
 
 
 def _add_direct_theories(col: _Collector, g: GroupSpec) -> None:
@@ -185,10 +244,7 @@ def all_scts_cp_c2_c2(p: int) -> tuple[list[TheoryRecord], CountReport]:
 
 def all_theories(g: GroupSpec) -> list[TheoryRecord]:
     """Every theory of g that the three constructions and the two extremes
-    give, each verified once at the gate, in sort_key order.  g is rebuilt
-    from its family first, so a prime past DEFAULT_MAX_P is refused here
-    however the spec was made."""
-    g = GroupSpec.from_family(g.family, g.p)
+    give, each verified once at the gate, in sort_key order."""
     col = _Collector()
     _add_aut_theories(col, g)
     _add_direct_theories(col, g)

@@ -16,7 +16,7 @@ from math import lcm, prod
 
 from .cyclotomic import CycInt, is_odd_prime
 
-# the largest p that from_family accepts, for the CLI, JSONL records and the
+# the largest p that GroupSpec accepts, for the CLI, JSONL records and the
 # enumerators alike
 DEFAULT_MAX_P = 199
 
@@ -104,6 +104,9 @@ class GroupSpec(_Frozen):
         odd = [f for f in factors if f != 2]
         if len(odd) > 1:
             raise ValueError(f"at most one odd factor is supported, got {factors}")
+        # the bound before primality, so a huge factor never reaches trial division
+        if odd and odd[0] > DEFAULT_MAX_P:
+            raise ValueError(f"p={odd[0]} exceeds the bound {DEFAULT_MAX_P}")
         if odd and (not is_odd_prime(odd[0]) or factors[0] != odd[0]):
             raise ValueError(f"odd factor must be a leading odd prime, got {factors}")
         if len(factors) - len(odd) > (2 if odd else 3):

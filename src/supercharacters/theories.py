@@ -248,53 +248,6 @@ def require_valid(t: Theory, what: str) -> Theory:
     return t
 
 
-# Per provenance construction: what its candidates are called when they fail
-# verification, and the tag they carry.
-_BUILT_BY = {
-    "aut": ("orbit theory", "automorphic"),
-    "direct": ("direct product", "direct"),
-    "wedge": ("wedge", "wedge"),
-    "minimal": ("minimal theory", None),
-    "maximal": ("maximal theory", None),
-}
-
-
-class _Collector:
-    """Deduplicates theories by their class blocks, merging tags and
-    witnesses; the canonical key is rendered only for the distinct theories,
-    to sort them at finish.  A collector holds the theories of one group.
-
-    This is the one verification gate, since the constructions verify
-    nothing: a candidate is verified when its class blocks are new, or when
-    its character partition differs from the one recorded for them.  The
-    classes of a theory determine its character partition, so such a second
-    partition fails verification and raises."""
-
-    def __init__(self):
-        self.by_blocks: dict[tuple, TheoryRecord] = {}
-
-    def add(self, t: Theory, prov: dict) -> None:
-        """Records t with its provenance entry and the tag that the entry's
-        construction gives, if any."""
-        what, tag = _BUILT_BY[prov["construction"]]
-        rec = self.by_blocks.get(t.classes.blocks)
-        if rec is None or rec.theory.charparts != t.charparts:
-            require_valid(t, what)
-        if rec is None:
-            rec = TheoryRecord(t)
-            self.by_blocks[t.classes.blocks] = rec
-        if tag:
-            rec.tags.add(tag)
-        # each entry names one Aut(G) subgroup, one factor pair, one wedge
-        # or one extreme, so an entry never comes twice
-        rec.provenance.append(prov)
-
-    def finish(self) -> list[TheoryRecord]:
-        for rec in self.by_blocks.values():
-            rec.tags |= shape_tags(rec.theory)
-        return sorted(self.by_blocks.values(), key=lambda r: sort_key(r.theory))
-
-
 def verify_algebra(g: GroupSpec, classes: Partition) -> Violation | None:
     """Check that the span of the class sums is closed under convolution:
     the product of any two block sums must be constant on every block."""

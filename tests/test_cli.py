@@ -164,9 +164,9 @@ def test_classify_matches_enumeration_tags(tmp_path, capsys):
 
 
 def test_classify_verifies_each_class_partition_once(tmp_path, capsys, monkeypatch):
-    # the witness index verifies each distinct orbit theory once; an
-    # automorphic record has the classes of one, so only the other records
-    # are completed and verified at the class-partition gate
+    # the witness index builds only orbit partitions and verifies nothing;
+    # an automorphic record has the classes of one, so only the other
+    # records are completed and verified at the class-partition gate
     g = GroupSpec.cp_c2_c2(3)
     path = tmp_path / "theories.jsonl"
     assert cli.main(["enumerate", "--group", "cpc2c2", "--p", "3", "--out", str(path)]) == 0
@@ -189,7 +189,7 @@ def test_classify_verifies_each_class_partition_once(tmp_path, capsys, monkeypat
     capsys.readouterr()
     code, _, _ = run(capsys, ["classify", str(path)])
     assert code == 0
-    assert len(calls) == len(orbit_keys) + others
+    assert len(calls) == others
 
 
 class _ClosedPipe(io.StringIO):
@@ -608,6 +608,24 @@ def test_enumerated_tags_match_classify(g):
     # theory with exactly the constructions classify finds a witness for
     for rec in all_theories(g):
         assert rec.tags == cli._classify_one(rec.theory)[0], canonical_key(rec.theory)
+
+
+@pytest.mark.parametrize("g", [
+    *(GroupSpec.from_family(cli._FAMILIES[group], p)
+      for group, p in sorted(ENUMERATE_SHA256, key=str)),
+    GroupSpec.of(()), GroupSpec.of((2,)),
+], ids=str)
+def test_witness_index_is_the_gated_orbit_theories(g):
+    # the index builds orbit partitions outside the gate: its keys are the
+    # classes of exactly the records the enumerator tags automorphic, and
+    # each value is the generator list of that record's first aut entry
+    auts = {rec.theory.classes.blocks: rec for rec in all_theories(g)
+            if "automorphic" in rec.tags}
+    index = constructions._witness_index(g)
+    assert set(index) == set(auts)
+    for blocks, gens in index.items():
+        first = next(e for e in auts[blocks].provenance if e["construction"] == "aut")
+        assert theories.generators_to_json(gens) == first["generators"]
 
 
 def test_no_provenance_entry_repeats():

@@ -10,6 +10,7 @@ import pytest
 from supercharacters import (
     GroupSpec,
     Partition,
+    Theory,
     all_theories,
     aut_generating_subset,
     automorphism_witness,
@@ -362,6 +363,20 @@ def test_witness_index_builds_an_aut_map_only_per_reported_generator(monkeypatch
     assert len(set(built)) == n_built == len(reported) < len(g.aut_group())
     auts = g.aut_group()
     assert {a for gens in index.values() for a in gens} <= {auts[i] for i in reported}
+
+
+def test_witness_index_builds_only_the_class_side(monkeypatch):
+    # classify reads class blocks and generators; every orbit theory is
+    # verified at the enumerator's gate, so the index verifies nothing
+    def refuse(*args):
+        raise AssertionError("the witness index left the class side")
+
+    monkeypatch.setattr(theories, "verify", refuse)
+    monkeypatch.setattr(AutMap, "char_perm", property(refuse))
+    monkeypatch.setattr(Theory, "__init__", refuse)
+    for g in (GroupSpec.c2_cubed(), GroupSpec.cp_c2_c2(5)):
+        constructions._witness_index.cache_clear()
+        assert len(constructions._witness_index(g)) > 1
 
 
 def test_lattice_and_witness_index_are_built_on_first_use():

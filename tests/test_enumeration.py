@@ -1,5 +1,6 @@
 """Family enumerators, tagging, and the closed-form counting identities."""
 
+import ast
 import cProfile
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from supercharacters import (
+    CycInt,
     GroupSpec,
     Partition,
     Theory,
@@ -25,7 +27,7 @@ from supercharacters import (
     verify,
     wedge,
 )
-from supercharacters import bruteforce, enumeration, theories
+from supercharacters import bruteforce, cyclotomic, enumeration, groups, theories
 from supercharacters.enumeration import _Collector, all_scts_cp_c2_c2
 from supercharacters.groups import DEFAULT_MAX_P
 from supercharacters.theories import sort_key
@@ -372,10 +374,59 @@ def test_prime_bounds():
         GroupSpec.cp(9)
     with pytest.raises(ValueError):
         GroupSpec.cp_c2(4)
-    # GroupSpec.of takes any odd prime; all_theories applies the one p bound
+    # GroupSpec refuses an odd factor past the one p bound, however it is made
     for factors in ((211,), (211, 2), (211, 2, 2)):
         with pytest.raises(ValueError, match="exceeds the bound"):
             all_theories(GroupSpec.of(factors))
+
+
+def test_bound_is_checked_before_any_trial_division(monkeypatch):
+    def no_trial_division(p):
+        raise AssertionError(f"trial division reached for p={p}")
+
+    monkeypatch.setattr(groups, "is_odd_prime", no_trial_division)
+    monkeypatch.setattr(cyclotomic, "is_odd_prime", no_trial_division)
+    with pytest.raises(ValueError, match="exceeds the bound 199"):
+        GroupSpec.of((2**61 - 1, 2, 2))
+    with pytest.raises(ValueError, match="exceeds the bound 199"):
+        GroupSpec((10**30 + 57,))
+    with pytest.raises(ValueError, match="coefficients"):
+        CycInt(2**61 - 1, ())
+
+
+def _identifiers(tree) -> set[str]:
+    """Every name a module defines, imports, assigns or reads."""
+    out = set()
+    for n in ast.walk(tree):
+        out |= {getattr(n, "id", None), getattr(n, "attr", None)}
+        if isinstance(n, (ast.ClassDef, ast.FunctionDef)):
+            out.add(n.name)
+        elif isinstance(n, ast.ImportFrom):
+            out |= {a.name for a in n.names}
+    return out
+
+
+def test_gate_has_one_home():
+    # the gate is defined in enumeration and constructed only by
+    # all_theories, which takes its group as given; no other module names it
+    src = Path(enumeration.__file__).parent
+    trees = {f.stem: ast.parse(f.read_text()) for f in src.glob("*.py")}
+    for name, tree in trees.items():
+        if name != "enumeration":
+            assert not {"_Collector", "_BUILT_BY"} & _identifiers(tree), name
+    tree = trees["enumeration"]
+    top = {n.name for n in tree.body if isinstance(n, (ast.ClassDef, ast.FunctionDef))}
+    top |= {t.id for n in tree.body if isinstance(n, ast.Assign) for t in n.targets}
+    assert {"_Collector", "_BUILT_BY"} <= top
+    body = next(n for n in tree.body
+                if isinstance(n, ast.FunctionDef) and n.name == "all_theories")
+
+    def builds(node):
+        return sum(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_Collector"
+                   for n in ast.walk(node))
+
+    assert builds(tree) == builds(body) == 1
+    assert "from_family" not in _identifiers(body)
 
 
 def test_each_distinct_theory_is_verified_once(monkeypatch):
