@@ -22,7 +22,7 @@ from .constructions import (
     wedge_decompositions,
 )
 from .enumeration import CountMismatchError, all_scts_cp_c2_c2, all_theories
-from .groups import GroupSpec, _NEEDS_P
+from .groups import GroupSpec, _FAMILY_SHAPES
 from .lattice import lattice_dot
 from .theories import (
     TheoryRecord,
@@ -45,13 +45,9 @@ EXIT_INPUT = 4
 EXIT_BUDGET = 5
 EXIT_PIPE = 141
 
-_FAMILIES = {
-    "cp": "Cp",
-    "klein": "Klein",
-    "cpc2": "CpC2",
-    "c2cubed": "C2cubed",
-    "cpc2c2": "CpC2C2",
-}
+# the CLI name of a family is its name in lower case; the trivial group and
+# C_2 have none
+_FAMILIES = {f.lower(): f for f in _FAMILY_SHAPES if f not in ("Trivial", "C2")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,7 +60,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _group_from_args(args) -> GroupSpec:
     family = _FAMILIES[args.group]
-    if family in _NEEDS_P and args.p is None:
+    if None in _FAMILY_SHAPES[family] and args.p is None:
         raise ValueError(f"--p is required for --group {args.group}")
     return GroupSpec.from_family(family, args.p)
 

@@ -20,14 +20,10 @@ from .cyclotomic import CycInt, is_odd_prime
 # enumerators alike
 DEFAULT_MAX_P = 199
 
-# the 2-factors that follow p in each family that takes an odd prime p
-_NEEDS_P = {"Cp": (), "CpC2": (2,), "CpC2C2": (2, 2)}
-
-_FAMILY_BY_FACTORS = {
-    (): "Trivial",
-    (2,): "C2",
-    (2, 2): "Klein",
-    (2, 2, 2): "C2cubed",
+# the factor shape of each family, None standing for its odd prime p
+_FAMILY_SHAPES = {
+    "Trivial": (), "C2": (2,), "Klein": (2, 2), "C2cubed": (2, 2, 2),
+    "Cp": (None,), "CpC2": (None, 2), "CpC2C2": (None, 2, 2),
 }
 
 
@@ -101,22 +97,36 @@ class GroupSpec(_Frozen):
     _fields = ("factors",)
 
     def __init__(self, factors: tuple[int, ...]):
+        """The one gate for a group, however it is named: plain int factors,
+        at most one odd factor, which leads, is at most DEFAULT_MAX_P and is
+        prime, and at most three factors 2 (two beside p).  The bound is
+        tested before primality, so a huge factor never reaches trial
+        division."""
+        # bool is an int subclass, but true and false are not numbers
+        if any(type(f) is not int for f in factors):
+            raise ValueError(f"factors must be integers, got {factors}")
         odd = [f for f in factors if f != 2]
         if len(odd) > 1:
             raise ValueError(f"at most one odd factor is supported, got {factors}")
-        # the bound before primality, so a huge factor never reaches trial division
         if odd and odd[0] > DEFAULT_MAX_P:
             raise ValueError(f"p={odd[0]} exceeds the bound {DEFAULT_MAX_P}")
-        if odd and (not is_odd_prime(odd[0]) or factors[0] != odd[0]):
+        if odd and factors[0] != odd[0]:
             raise ValueError(f"odd factor must be a leading odd prime, got {factors}")
+        if odd and not is_odd_prime(odd[0]):
+            raise ValueError(f"p must be an odd prime, got {odd[0]}")
         if len(factors) - len(odd) > (2 if odd else 3):
             raise ValueError(f"unsupported factor shape {factors}")
         super().__init__(factors)
 
     @classmethod
-    @lru_cache(maxsize=None)
     def of(cls, factors: tuple[int, ...]) -> "GroupSpec":
         """Interned constructor so equal specs share cached tables."""
+        return cls._interned(*factors)
+
+    @classmethod
+    @lru_cache(maxsize=None, typed=True)
+    def _interned(cls, *factors: int) -> "GroupSpec":
+        # typed, so (2, 2.0), equal to (2, 2), still meets the gate
         return cls(factors)
 
     @classmethod
@@ -141,26 +151,24 @@ class GroupSpec(_Frozen):
 
     @classmethod
     def from_family(cls, family: str, p: int | None = None) -> "GroupSpec":
-        """The group of a family name; p is an odd prime up to DEFAULT_MAX_P
-        for the C_p families and absent for the 2-groups.  The bound is
-        tested before primality, so a huge p never reaches trial division."""
-        if family in _NEEDS_P:
-            if p is None:
-                raise ValueError(f"family {family} needs p")
-            # bool is an int subclass, but true and false are not numbers
-            if not isinstance(p, int) or isinstance(p, bool):
-                raise ValueError(f"p must be an integer, got {p!r}")
-            if p > DEFAULT_MAX_P:
-                raise ValueError(f"p={p} exceeds the bound {DEFAULT_MAX_P}")
-            if not is_odd_prime(p):
-                raise ValueError(f"p must be an odd prime, got {p}")
-            return cls.of((p,) + _NEEDS_P[family])
-        for factors, name in _FAMILY_BY_FACTORS.items():
-            if name == family:
-                if p is not None:
-                    raise ValueError(f"p does not apply to family {family}")
-                return cls.of(factors)
-        raise ValueError(f"unknown family {family!r}")
+        """The group of a family name, given p for the C_p families and no p
+        for the 2-groups.  Only the name is checked here, with the type of p
+        and p = 2, which would name a 2-group; the bound and primality are
+        the gate's, in GroupSpec.__init__."""
+        shape = _FAMILY_SHAPES.get(family)
+        if shape is None:
+            raise ValueError(f"unknown family {family!r}")
+        if None not in shape:
+            if p is not None:
+                raise ValueError(f"p does not apply to family {family}")
+            return cls.of(shape)
+        if p is None:
+            raise ValueError(f"family {family} needs p")
+        if type(p) is not int:
+            raise ValueError(f"p must be an integer, got {p!r}")
+        if p == 2:
+            raise ValueError("p must be an odd prime, got 2")
+        return cls.of((p,) + shape[1:])
 
     @property
     def p(self) -> int | None:
@@ -173,9 +181,8 @@ class GroupSpec(_Frozen):
 
     @property
     def family(self) -> str:
-        if self.p is None:
-            return _FAMILY_BY_FACTORS[self.factors]
-        return {1: "Cp", 2: "CpC2", 3: "CpC2C2"}[len(self.factors)]
+        shape = self.factors if self.p is None else (None,) + self.factors[1:]
+        return next(f for f, s in _FAMILY_SHAPES.items() if s == shape)
 
     @property
     def order(self) -> int:

@@ -192,6 +192,29 @@ def test_classify_verifies_each_class_partition_once(tmp_path, capsys, monkeypat
     assert len(calls) == others
 
 
+def test_reading_records_of_one_group_tests_its_p_once(tmp_path, capsys, monkeypatch):
+    # GroupSpec.of interns the group of the first record, and only the gate
+    # in GroupSpec.__init__ runs trial division, so the other records
+    # reach none
+    calls = []
+    is_odd_prime = groups.is_odd_prime
+
+    def counting(p):
+        calls.append(p)
+        return is_odd_prime(p)
+
+    monkeypatch.setattr(groups, "is_odd_prime", counting)
+    n = 20
+    path = tmp_path / "c7.jsonl"
+    path.write_text(n * ('{"group":{"family":"Cp","p":7},"superclasses":[[[0]],'
+                         '[[1],[2],[3],[4],[5],[6]]],"character_classes":[[[0]],'
+                         '[[1],[2],[3],[4],[5],[6]]]}\n'))
+    code, out, err = run(capsys, ["verify", str(path)])
+    assert code == 0 and err == ""
+    assert out.splitlines() == [f"theory {i}: ok" for i in range(n)]
+    assert len(calls) <= 1
+
+
 class _ClosedPipe(io.StringIO):
     """A stdout whose reader has gone: every write raises BrokenPipeError,
     and its descriptor is a file the test can read back."""
@@ -513,13 +536,16 @@ def _cpc2c2(p_field):
     (_cpc2c2(',"p":NaN'), "p must be an integer, got nan"),
     # past the interpreter's limit on the digits of an int read from text
     (_klein("[[[0,0]],[[1" + "0" * 4999 + ",0],[0,1],[1,1]]]"), "Exceeds the limit"),
+    (_cpc2c2(',"p":-7'), "p must be an odd prime, got -7"),
+    (_cpc2c2(',"p":0'), "p must be an odd prime, got 0"),
+    (_cpc2c2(',"p":1'), "p must be an odd prime, got 1"),
 ], ids=["string-p", "bool-p", "bool-exponent", "huge-p", "nonprime-p", "two-p", "klein-p",
         "float-exponent", "deep-nesting", "array-line", "string-line", "null-line",
         "number-line", "truncated", "group-list", "group-empty", "family-int", "family-s3",
         "no-superclasses", "dict-superclasses", "empty-block", "short-vector",
         "duplicate-vector", "missing-vector", "null-exponent", "list-exponent",
         "negative-exponent", "string-tags", "int-tags", "dict-provenance", "float-p",
-        "missing-p", "nan-p", "huge-exponent"])
+        "missing-p", "nan-p", "huge-exponent", "negative-p", "zero-p", "one-p"])
 def test_hostile_records_exit_4(tmp_path, capsys, line, reason):
     """Every command that reads records refuses a hostile line with exit 4,
     one stderr line and nothing on stdout."""

@@ -43,7 +43,9 @@ def test_from_family(family, p, expect):
     assert g.family == family
 
 
-@pytest.mark.parametrize("factors", [(4,), (9, 2), (2, 3), (3, 3), (2, 2, 2, 2), (3, 2, 2, 2)])
+@pytest.mark.parametrize("factors", [(4,), (9, 2), (2, 3), (3, 3), (2, 2, 2, 2), (3, 2, 2, 2),
+                                     # equal to (3, 2) and (2, 2), but not ints
+                                     (3.0, 2), (2, 2.0), ("3",), (True, 2)])
 def test_invalid_factors(factors):
     with pytest.raises(ValueError):
         GroupSpec.of(factors)
@@ -71,6 +73,12 @@ def test_prime_factories_need_an_odd_prime():
         for p in (7.0, "7", True):
             with pytest.raises(ValueError, match="p must be an integer"):
                 factory(p)
+    # GroupSpec itself names a p that is not prime, and an odd factor that
+    # does not lead
+    with pytest.raises(ValueError, match=r"^p must be an odd prime, got 9$"):
+        GroupSpec.of((9, 2, 2))
+    with pytest.raises(ValueError, match=r"^odd factor must be a leading odd prime, got \(2, 3\)$"):
+        GroupSpec.of((2, 3))
     assert GroupSpec.of((2,)).family == "C2"
 
 
@@ -1056,3 +1064,18 @@ def test_only_generate_and_the_aut_lattice_call_close():
                for c in ast.walk(f)
                if isinstance(c, ast.Call) and getattr(c.func, "id", None) == "_close"}
     assert callers == {"_generate", "subgroups_of_aut"}
+
+
+def test_only_the_gate_tests_primality():
+    # GroupSpec.__init__ is the one gate for a group: from_family and the
+    # factories reach trial division only through it
+    tree = ast.parse(Path(groups.__file__).read_text(encoding="utf-8"))
+    spec = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "GroupSpec")
+    init = next(n for n in spec.body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+
+    def calls(node):
+        return [c for c in ast.walk(node)
+                if isinstance(c, ast.Call) and getattr(c.func, "id", None) == "is_odd_prime"]
+
+    assert len(calls(init)) == 1
+    assert calls(tree) == calls(init)
