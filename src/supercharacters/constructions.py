@@ -15,7 +15,6 @@ from .groups import (
     AutMap,
     GroupSpec,
     Subgroup,
-    SubgroupEmbedding,
     _aut_map,
     _pull_back,
     aut_generating_subset,
@@ -59,21 +58,25 @@ def from_automorphisms(g: GroupSpec, gens) -> Theory:
 
 
 @lru_cache(maxsize=None)
-def _product_tables(
-    g: GroupSpec, e1: SubgroupEmbedding, e2: SubgroupEmbedding
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+def _pair_maps(h1: Subgroup, h2: Subgroup):
     """For a complementary pair, G = H1 x H2, and Irr(G) = Irr(H1) x Irr(H2)
-    by restriction.  Row x of the first table lists the index in G of x*y
-    for every index y of H2, row x of the second the character of G that
-    restricts to x and y; built once per pair, tuples because every caller
-    shares them.  g is part of the cache key because an embedding does not
-    name the group it embeds into."""
+    by restriction.  Returns the two factors as groups and two tables: row x
+    of the first lists the index in G of x*y for every index y of H2, row x
+    of the second the character of G that restricts to x and y.  Checked
+    and built once per pair, tuples because every caller shares them; a
+    bad pair raises on every call, since lru_cache stores no exception."""
+    g = h1.group
+    if h2.group != g:
+        raise ValueError("subgroups live in different groups")
+    if h1.order * h2.order != g.order or len(set(h1.members) & set(h2.members)) != 1:
+        raise ValueError("subgroups do not form a complementary pair")
+    e1, e2 = g.subgroup_embedding(h1), g.subgroup_embedding(h2)
     elems = tuple(tuple(g.mul_idx(a, b) for b in e2.to_parent) for a in e1.to_parent)
     chars = [[0] * e2.group.order for _ in range(e1.group.order)]
     r1, r2 = (_pull_back(e.to_parent, e.group, g) for e in (e1, e2))
     for c, (x, y) in enumerate(zip(r1, r2)):
         chars[x][y] = c
-    return elems, tuple(map(tuple, chars))
+    return e1.group, e2.group, elems, tuple(map(tuple, chars))
 
 
 def _products(table, part1: Partition, part2: Partition) -> Partition:
@@ -87,63 +90,54 @@ def _products(table, part1: Partition, part2: Partition) -> Partition:
 def direct_product(t1: Theory, t2: Theory, h1: Subgroup, h2: Subgroup) -> Theory:
     """The theory on h1.group whose classes are all products K*L of a class of
     t1 by a class of t2, across the complementary pair (h1, h2)."""
-    g = h1.group
-    if h2.group != g:
-        raise ValueError("subgroups live in different groups")
-    if h1.order * h2.order != g.order or len(set(h1.members) & set(h2.members)) != 1:
-        raise ValueError("subgroups do not form a complementary pair")
-    e1, e2 = g.subgroup_embedding(h1), g.subgroup_embedding(h2)
-    if t1.group != e1.group or t2.group != e2.group:
+    sub1, sub2, elems, chars = _pair_maps(h1, h2)
+    if t1.group != sub1 or t2.group != sub2:
         raise ValueError("factor theories do not match the embedded subgroups")
-    elems, chars = _product_tables(g, e1, e2)
-    return Theory(g, _products(elems, t1.classes, t2.classes),
+    return Theory(h1.group, _products(elems, t1.classes, t2.classes),
                   _products(chars, t1.charparts, t2.charparts))
+
+
+@lru_cache(maxsize=None)
+def _wedge_maps(n: Subgroup):
+    """N and G/N as groups, then two pairs of maps: on elements, the
+    embedding N -> G and the cosets over each index of G/N; on characters,
+    the inflation Irr(G/N) -> Irr(G) and, per character of N, the
+    characters of G restricting to it (ascending).  Checked and built once
+    per subgroup; a bad one raises on every call."""
+    g = n.group
+    if not 1 < n.order < g.order:
+        raise ValueError("wedge needs a proper nontrivial subgroup")
+    emb, q = g.subgroup_embedding(n), g.quotient(n)
+    infl = _pull_back(q.projection, g, q.group)
+    fiber: list[list[int]] = [[] for _ in range(emb.group.order)]
+    for c, psi in enumerate(_pull_back(emb.to_parent, emb.group, g)):
+        fiber[psi].append(c)
+    return (emb.group, q.group, (emb.to_parent, q.fibers),
+            (tuple(infl), tuple(map(tuple, fiber))))
+
+
+def _lift(part: Partition, over: Partition, image, fibers, size: int) -> Partition:
+    """The image of every block of part, plus the union of the fibers over
+    each non-identity block of over: a partition of range(size)."""
+    image, fibers = image.__getitem__, fibers.__getitem__
+    blocks = [map(image, b) for b in part.blocks]
+    blocks += [chain.from_iterable(map(fibers, b)) for b in over.blocks if b != (0,)]
+    return Partition.from_blocks(blocks, size)
 
 
 def wedge(n: Subgroup, inner: Theory, outer: Theory) -> Theory:
     """The wedge over the proper nontrivial subgroup n of the theory inner on
     n and the theory outer on the quotient by n.  Classes inside n come from
     inner; outside it they are preimages of the nonidentity classes of
-    outer.  The character side is built from inflation and restriction
-    (character_side_wedge), not derived from the classes."""
+    outer.  Dually, the character blocks are the inflated blocks of outer,
+    plus the characters restricting into each nontrivial block of inner
+    (the characters of G/N are those trivial on N)."""
     g = n.group
-    if not 1 < n.order < g.order:
-        raise ValueError("wedge needs a proper nontrivial subgroup")
-    emb = g.subgroup_embedding(n)
-    q = g.quotient(n)
-    if inner.group != emb.group or outer.group != q.group:
+    sub, quo, elem_maps, char_maps = _wedge_maps(n)
+    if inner.group != sub or outer.group != quo:
         raise ValueError("inner/outer theories do not match the subgroup and quotient")
-    to_parent, fibers = emb.to_parent.__getitem__, q.fibers.__getitem__
-    blocks = [map(to_parent, b) for b in inner.classes.blocks]
-    blocks += [chain.from_iterable(map(fibers, b))
-               for b in outer.classes.blocks if b != (0,)]
-    classes = Partition.from_blocks(blocks, g.order)
-    return Theory(g, classes, character_side_wedge(n, inner, outer))
-
-
-@lru_cache(maxsize=None)
-def _wedge_char_maps(n: Subgroup) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Inflation Irr(G/N) -> Irr(G), and per character of N the characters
-    of G restricting to it (ascending); built once per subgroup."""
-    g = n.group
-    emb, q = g.subgroup_embedding(n), g.quotient(n)
-    infl = _pull_back(q.projection, g, q.group)
-    fiber: list[list[int]] = [[] for _ in range(emb.group.order)]
-    for c, psi in enumerate(_pull_back(emb.to_parent, emb.group, g)):
-        fiber[psi].append(c)
-    return tuple(infl), tuple(map(tuple, fiber))
-
-
-def character_side_wedge(n: Subgroup, inner: Theory, outer: Theory) -> Partition:
-    """The character partition of wedge(n, inner, outer) built directly:
-    inflations of the outer character blocks, plus unions of restriction
-    fibers over each nontrivial inner character block (the characters of
-    G/N are those trivial on N)."""
-    infl, fiber = (m.__getitem__ for m in _wedge_char_maps(n))
-    blocks = [map(infl, b) for b in outer.charparts.blocks]
-    blocks += [chain.from_iterable(map(fiber, b))
-               for b in inner.charparts.blocks if b != (0,)]
-    return Partition.from_blocks(blocks, n.group.order)
+    return Theory(g, _lift(inner.classes, outer.classes, *elem_maps, g.order),
+                  _lift(outer.charparts, inner.charparts, *char_maps, g.order))
 
 
 def _aut_subgroup_gens(g: GroupSpec):

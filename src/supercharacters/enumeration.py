@@ -27,7 +27,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .constructions import _aut_subgroup_gens, direct_product, from_automorphisms, wedge
+from .constructions import (
+    _aut_subgroup_gens,
+    _pair_maps,
+    _wedge_maps,
+    direct_product,
+    from_automorphisms,
+    wedge,
+)
 from .groups import GroupSpec, _Frozen
 from .cyclotomic import is_odd_prime
 from .theories import (
@@ -104,10 +111,11 @@ class CountMismatchError(Exception):
         super().__init__("count mismatch at p=%d: %s" % (report.p, "; ".join(diffs)))
 
 
-def _formula(p: int) -> dict:
-    k, l, n = factor_pm1(p)
+def _formula(k: int, l: int, n: int) -> dict:
+    """The closed-form counts from p - 1 = 2^k * 3^l * n, as factor_pm1
+    gives it."""
     d = divisor_count
-    m = p - 1
+    m = 2**k * 3**l * n
     return {
         "total": 3 * k * d(3**l * n) + 2 * l * d(2**k * n) + 30 * d(m) + 13,
         "automorphic": 3 * k * d(3**l * n) + 2 * l * d(2**k * n) + 5 * d(m),
@@ -121,7 +129,7 @@ def _formula(p: int) -> dict:
 def predicted_counts(p: int) -> CountReport:
     """The closed-form counts alone, before any enumeration."""
     k, l, n = factor_pm1(p)
-    f = _formula(p)
+    f = _formula(k, l, n)
     return CountReport(p, k, l, n, **f, predicted=f)
 
 
@@ -189,9 +197,9 @@ def _add_aut_theories(col: _Collector, g: GroupSpec) -> None:
 
 def _add_direct_theories(col: _Collector, g: GroupSpec) -> None:
     for h1, h2 in g.complementary_pairs():
-        e1, e2 = g.subgroup_embedding(h1), g.subgroup_embedding(h2)
-        for t1, key1 in _sub_theories(e1.group):
-            for t2, key2 in _sub_theories(e2.group):
+        sub1, sub2 = _pair_maps(h1, h2)[:2]
+        for t1, key1 in _sub_theories(sub1):
+            for t2, key2 in _sub_theories(sub2):
                 t = direct_product(t1, t2, h1, h2)
                 col.add(t, {
                     "construction": "direct",
@@ -204,10 +212,9 @@ def _add_wedge_theories(col: _Collector, g: GroupSpec) -> None:
     for n in g.all_subgroups:
         if not 1 < n.order < g.order:
             continue
-        emb = g.subgroup_embedding(n)
-        quot = g.quotient(n)
-        for ti, key_i in _sub_theories(emb.group):
-            for to, key_o in _sub_theories(quot.group):
+        sub, quo = _wedge_maps(n)[:2]
+        for ti, key_i in _sub_theories(sub):
+            for to, key_o in _sub_theories(quo):
                 t = wedge(n, ti, to)
                 col.add(t, {
                     "construction": "wedge",
@@ -231,7 +238,7 @@ def all_scts_cp_c2_c2(p: int) -> tuple[list[TheoryRecord], CountReport]:
         "wedge": sum(1 for r in records if "wedge" in r.tags),
         "maximal": sum(1 for r in records if "maximal" in r.tags),
     }
-    report = CountReport(p, k, l, n, **counts, predicted=_formula(p))
+    report = CountReport(p, k, l, n, **counts, predicted=_formula(k, l, n))
     if not report.matches():
         keys_by_tag = {
             tag: [canonical_key(r.theory) for r in records if tag in r.tags]

@@ -27,13 +27,17 @@ class Partition(_Frozen):
     def from_blocks(cls, blocks, size: int) -> "Partition":
         """Blocks are any iterables of points.  Sorted blocks that are
         disjoint differ in their least members, so sorting them as tuples
-        orders them by least member."""
+        orders them by least member.  Points must be plain ints: 1.0 and
+        True equal 1, so only their type tells them apart."""
         cleaned = list(map(tuple, map(sorted, blocks)))
         if not all(cleaned):
             raise ValueError("empty block")
         canon = tuple(sorted(cleaned))
-        if sorted(chain.from_iterable(canon)) != list(range(size)):
+        points = sorted(chain.from_iterable(canon))
+        if points != list(range(size)):
             raise ValueError(f"blocks do not partition range({size})")
+        if list(map(type, points)).count(int) != size:
+            raise ValueError("block points must be plain ints")
         return cls(size, canon)
 
     @classmethod

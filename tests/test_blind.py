@@ -19,7 +19,7 @@ from supercharacters import (
 )
 from supercharacters.bruteforce import _multipliers, _search
 from supercharacters.cli import _classify_one
-from supercharacters.enumeration import _formula
+from supercharacters.enumeration import _formula, factor_pm1
 
 # Nodes of the full search.  For C_p x C_2 x C_2, 16 of them are placements
 # inside the involutions' part that no theory completes, at every p.
@@ -99,7 +99,7 @@ def test_blind_classification_matches_the_closed_form(blind, p):
         "wedge": sum("wedge" in t for t in tags),
         "maximal": sum("maximal" in t for t in tags),
     }
-    assert counts == _formula(p)
+    assert counts == _formula(*factor_pm1(p))
     assert not any("wedge" in t and t & {"automorphic", "direct"} for t in tags)
     untagged = [t for t in tags if not t & {"automorphic", "direct", "wedge"}]
     assert untagged == [{"maximal"}]

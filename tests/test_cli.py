@@ -403,9 +403,9 @@ def test_count_mismatch_exit_code_is_reserved():
 def test_count_mismatch_exits_3(capsys, monkeypatch):
     real_formula = enumeration._formula
 
-    def one_too_many(p):
-        f = dict(real_formula(p))
-        if p == 3:
+    def one_too_many(k, l, n):
+        f = dict(real_formula(k, l, n))
+        if (k, l, n) == (1, 0, 1):  # p = 3
             f["total"] += 1
         return f
 
@@ -597,7 +597,7 @@ def test_enumerate_does_not_check_the_closed_form(capsys, monkeypatch):
     # form; enumerate writes the theories whatever the formula says
     real_formula = enumeration._formula
     monkeypatch.setattr(enumeration, "_formula",
-                        lambda p: {**real_formula(p), "total": real_formula(p)["total"] + 1})
+                        lambda *kln: {**real_formula(*kln), "total": real_formula(*kln)["total"] + 1})
     code, out, _ = run(capsys, ["enumerate", "--group", "cpc2c2", "--p", "3"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[("cpc2c2", 3)]

@@ -272,6 +272,46 @@ def test_constructions_do_not_verify(monkeypatch):
     wedge(n, minimal_theory(emb.group), maximal_theory(quot.group))
 
 
+def test_cached_factor_maps_check_every_call():
+    # the pair and subgroup checks run inside the per-factor caches, and
+    # lru_cache stores no exception: once valid calls have filled the
+    # caches, every bad call still raises, with its own message
+    g = GroupSpec.cp_c2_c2(5)
+    h1, h2 = _pair(g, 5)
+    sub1, sub2 = (g.subgroup_embedding(h).group for h in (h1, h2))
+    n = next(h for h in g.all_subgroups if h.order == 10)
+    inner, outer = g.subgroup_embedding(n).group, g.quotient(n).group
+    full = next(h for h in g.all_subgroups if h.order == g.order)
+    other = _pair(GroupSpec.cp_c2_c2(3), 4)[1]
+    direct_product(maximal_theory(sub1), minimal_theory(sub2), h1, h2)
+    wedge(n, minimal_theory(inner), maximal_theory(outer))
+    bad_calls = [
+        (lambda: direct_product(maximal_theory(sub1), maximal_theory(sub1), h1, h1),
+         "subgroups do not form a complementary pair"),
+        (lambda: direct_product(maximal_theory(sub1), maximal_theory(sub2), h1, other),
+         "subgroups live in different groups"),
+        (lambda: direct_product(maximal_theory(sub2), maximal_theory(sub1), h1, h2),
+         "factor theories do not match the embedded subgroups"),
+        (lambda: wedge(full, minimal_theory(g), minimal_theory(GroupSpec.of(()))),
+         "wedge needs a proper nontrivial subgroup"),
+        (lambda: wedge(n, maximal_theory(outer), minimal_theory(inner)),
+         "inner/outer theories do not match the subgroup and quotient"),
+    ]
+    for _ in range(2):
+        for call, message in bad_calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+    # a valid call makes one lookup, which hits
+    for cache, call in ((constructions._pair_maps,
+                         lambda: direct_product(maximal_theory(sub1), minimal_theory(sub2), h1, h2)),
+                        (constructions._wedge_maps,
+                         lambda: wedge(n, minimal_theory(inner), maximal_theory(outer)))):
+        hits, misses = cache.cache_info()[:2]
+        call()
+        assert cache.cache_info()[:2] == (hits + 1, misses)
+
+
 def _linear_witness(t, candidates):
     """The search automorphism_witness replaced: the first subgroup of Aut(G),
     in subgroups_of_aut() order, whose orbit theory has t's canonical key."""

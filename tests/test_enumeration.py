@@ -238,7 +238,7 @@ def test_cp_c2_c2_closed_form_at_large_primes(p):
     assert DEFAULT_MAX_P == 199
     kln, counts = LARGE_PRIMES[p]
     assert (report.k, report.l, report.n) == factor_pm1(p) == kln
-    formula = enumeration._formula(p)
+    formula = enumeration._formula(*kln)
     assert report.predicted == formula
     tags = ("total", "automorphic", "direct", "overlap", "wedge")
     assert tuple(formula[t] for t in tags) == counts

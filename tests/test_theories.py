@@ -58,6 +58,10 @@ def test_partition_validation():
     # two blocks with the same least member
     ([(0, 1), (0, 2)], 3, "blocks do not partition range(3)"),
     ([(0,), (2,)], 3, "blocks do not partition range(3)"),
+    # points that only equal ints: a float would break block_of, and a
+    # bool would stay in the blocks as a point
+    ([(0,), (1.0, 2)], 3, "block points must be plain ints"),
+    ([(0,), (True, 2)], 3, "block points must be plain ints"),
 ])
 def test_partition_validation_messages(blocks, size, message):
     with pytest.raises(ValueError) as info:
