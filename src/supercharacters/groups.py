@@ -426,12 +426,7 @@ class GroupSpec(_Frozen):
     def aut_from_parts(self, u: int | None, mat: tuple[tuple[int, ...], ...]) -> "AutMap":
         """Automorphism from a unit u on the p part and an invertible F_2 matrix
         on the involution part."""
-        images = []
-        if self.p:
-            images.append(((u if u is not None else 1) % self.p,) + (0,) * self.dim2)
-        for row in mat:
-            images.append(((0,) if self.p else ()) + tuple(row))
-        return AutMap(self, tuple(images))
+        return AutMap(self, _aut_images(self, u, mat))
 
     @lru_cache(maxsize=None)
     def aut_group(self) -> tuple["AutMap", ...]:
@@ -865,13 +860,29 @@ def _aut_arithmetic(g: GroupSpec) -> tuple:
     return mul, e
 
 
+def _aut_images(g: GroupSpec, u: int | None, mat) -> tuple[tuple[int, ...], ...]:
+    """The generator images of the automorphism with unit u (default 1) on
+    the p part and F_2 matrix mat on the involution part; reduced when the
+    rows of mat are 0/1 vectors, as those of _gl2_matrices are."""
+    images = []
+    if g.p:
+        images.append(((u if u is not None else 1) % g.p,) + (0,) * g.dim2)
+    for row in mat:
+        images.append(((0,) if g.p else ()) + tuple(row))
+    return tuple(images)
+
+
 @lru_cache(maxsize=None)
 def _aut_map(g: GroupSpec, i: int) -> AutMap:
     """The automorphism at index i of aut_group(): unit i // k + 1 and
-    matrix i % k of _gl2_matrices, k = |GL(d, 2)|; built once per index."""
+    matrix i % k of _gl2_matrices, k = |GL(d, 2)|; built once per index.
+    A unit and an invertible matrix give a bijection by construction, so
+    the map skips AutMap's checks; aut_from_parts is the checked path."""
     mats = _gl2_matrices(g.dim2)
     u, a = divmod(i, len(mats))
-    return g.aut_from_parts(u + 1, mats[a])
+    m = AutMap.__new__(AutMap)
+    _Frozen.__init__(m, g, _aut_images(g, u + 1, mats[a]))
+    return m
 
 
 def aut_generating_subset(g: GroupSpec, subgroup: tuple[int, ...]) -> tuple[int, ...]:

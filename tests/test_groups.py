@@ -516,6 +516,19 @@ def test_aut_from_parts_validation():
     assert AutMap(g, ((6, 0, 0), (0, 3, 0), (5, 0, 1))) == identity_aut(g)
 
 
+@pytest.mark.parametrize("g", [GroupSpec.c2_cubed(), GroupSpec.cp_c2_c2(3),
+                               GroupSpec.cp_c2_c2(13)], ids=str)
+def test_unchecked_aut_maps_equal_the_checked_constructor(g):
+    # aut_group() builds its maps without AutMap's checks; each must equal
+    # the checked map on its unit and matrix, and on its own images
+    mats = _gl2_matrices(g.dim2)
+    auts = g.aut_group()
+    assert len(auts) == (g.p - 1 if g.p else 1) * len(mats)
+    for i, a in enumerate(auts):
+        u, m = divmod(i, len(mats))
+        assert a == g.aut_from_parts(u + 1, mats[m]) == AutMap(g, a.gen_images)
+
+
 # sha256 over every group of a family (p <= 43) of (gen_images, char_perm)
 # for each automorphism, recorded from the code that mapped each character's
 # exponent tuple through the exponent rows of the inverse map
@@ -666,9 +679,11 @@ def test_subgroups_of_aut_build_no_aut_product_table(monkeypatch):
 
     monkeypatch.setattr(groups, "_subgroup_lattice", counting_lattice)
     monkeypatch.setattr(AutMap, "__init__", counting_init)
+    # aut_group() builds its maps in _aut_map, past AutMap.__init__
+    misses = groups._aut_map.cache_info().misses
     built = GroupSpec.subgroups_of_aut.__wrapped__(g)
     assert rows and max(rows) <= 168
-    assert maps == []
+    assert maps == [] and groups._aut_map.cache_info().misses == misses
     assert built == g.subgroups_of_aut()
     assert all(isinstance(i, int) for s in built for i in s)
 

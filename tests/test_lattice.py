@@ -181,13 +181,27 @@ def _closure_records(which, c2cubed_records, records_by_p):
 
 
 @pytest.mark.parametrize("side", ["classes", "charparts"])
-@pytest.mark.parametrize("which", ["c2cubed", 3, 5])
+@pytest.mark.parametrize("which", ["c2cubed", 3, 5, 7])
 def test_enumerated_theories_are_closed_under_join_and_meet(
     which, side, c2cubed_records, records_by_p
 ):
     records = _closure_records(which, c2cubed_records, records_by_p)
     missing = _missing_joins([getattr(r.theory, side) for r in records])
     assert not missing, f"{len(missing)} joins of {side} missing, first: {missing[0]}"
+
+
+@pytest.mark.parametrize("which", ["c2cubed", 3, 5, 7, 13])
+def test_automorphic_theories_are_closed_under_join_and_meet(
+    which, c2cubed_records, records_by_p
+):
+    # the orbit theories form a sublattice: the join and the meet of two
+    # are orbit theories again (at (C_2)^3 every theory is one)
+    records = _closure_records(which, c2cubed_records, records_by_p)
+    orbit = [r.theory for r in records if "automorphic" in r.tags]
+    assert len(orbit) > 1
+    for side in ("classes", "charparts"):
+        missing = _missing_joins([getattr(t, side) for t in orbit])
+        assert not missing, f"{len(missing)} joins of {side} missing, first: {missing[0]}"
 
 
 @pytest.mark.parametrize("which", ["c2cubed", 3, 5, 7, 13])
