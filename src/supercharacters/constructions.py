@@ -1,9 +1,11 @@
 """Three ways to build supercharacter theories: orbits of a set of
 automorphisms, direct products across a complementary pair of subgroups, and
 wedges over a proper nontrivial subgroup.  Nothing here verifies a theory;
-the enumerator's gate does.  What classify reads, the orbit-class witness
-index and the direct and wedge decompositions, needs class partitions
-only."""
+the enumerator's gate does.  Nor are the partitions built here checked:
+they come from groups and theories already checked, so they skip
+Partition.from_blocks, which is for data from outside.  What classify
+reads, the orbit-class witness index and the direct and wedge
+decompositions, needs class partitions only."""
 
 from __future__ import annotations
 
@@ -26,7 +28,9 @@ def _orbit_partition(n: int, perms) -> Partition:
     """Orbits of the group generated by the given permutations, in one pass:
     each unseen point starts an orbit, which grows by the image of each of
     its points under each generator until no image is new.  In a finite
-    group every inverse is a product of generators, so that is the orbit."""
+    group every inverse is a product of generators, so that is the orbit.
+    Each orbit starts at the least point not yet seen, so the orbits come
+    in canonical order once each is sorted."""
     blocks = []
     seen = [False] * n
     for i in range(n):
@@ -40,8 +44,8 @@ def _orbit_partition(n: int, perms) -> Partition:
                 if not seen[y]:
                     seen[y] = True
                     orbit.append(y)
-        blocks.append(orbit)
-    return Partition.from_blocks(blocks, n)
+        blocks.append(tuple(sorted(orbit)))
+    return Partition(n, tuple(blocks))
 
 
 def from_automorphisms(g: GroupSpec, gens) -> Theory:
@@ -82,9 +86,9 @@ def _pair_maps(h1: Subgroup, h2: Subgroup):
 def _products(table, part1: Partition, part2: Partition) -> Partition:
     """The blocks {table[x][y] : x in A, y in B} over every block A of part1
     and B of part2."""
-    return Partition.from_blocks([[row[y] for x in a for row in (table[x],) for y in b]
-                                  for a in part1.blocks for b in part2.blocks],
-                                 len(table) * len(table[0]))
+    return Partition._canonical([[row[y] for x in a for row in (table[x],) for y in b]
+                                 for a in part1.blocks for b in part2.blocks],
+                                len(table) * len(table[0]))
 
 
 def direct_product(t1: Theory, t2: Theory, h1: Subgroup, h2: Subgroup) -> Theory:
@@ -122,7 +126,7 @@ def _lift(part: Partition, over: Partition, image, fibers, size: int) -> Partiti
     image, fibers = image.__getitem__, fibers.__getitem__
     blocks = [map(image, b) for b in part.blocks]
     blocks += [chain.from_iterable(map(fibers, b)) for b in over.blocks if b != (0,)]
-    return Partition.from_blocks(blocks, size)
+    return Partition._canonical(blocks, size)
 
 
 def wedge(n: Subgroup, inner: Theory, outer: Theory) -> Theory:

@@ -372,7 +372,12 @@ class GroupSpec(_Frozen):
     # -- subgroups ----------------------------------------------------------
 
     def subgroup(self, member_indices) -> "Subgroup":
-        members = tuple(sorted(set(member_indices)))
+        members = set(member_indices)
+        # before the closure test, which reduces an index past the group
+        # (mul_idx takes 3 + 3 to 0 in C_3) and would pass
+        if any(type(i) is not int or not 0 <= i < self.order for i in members):
+            raise ValueError(f"subgroup members must be plain ints in range({self.order})")
+        members = tuple(sorted(members))
         if 0 not in members:
             raise ValueError("a subgroup must contain the identity")
         gens, generated = _generate(self.mul_idx, {0}, members)

@@ -5,7 +5,10 @@ blocks, both partitions have the same number of blocks, and for every
 character block X the function sigma_X = sum of the characters in X is
 constant on every class block.  Partitions are stored canonically: each block
 sorted ascending, blocks ordered by least member, so equal theories compare
-equal and render identically.
+equal and render identically.  Partition.from_blocks builds one from blocks
+in any order and checks them, for data from outside the program;
+Partition(size, blocks) takes blocks already canonical on trust, for the
+partitions the program builds itself.
 """
 
 from __future__ import annotations
@@ -19,30 +22,42 @@ from .groups import GroupSpec, Subgroup, _Frozen, _Value
 
 
 class Partition(_Frozen):
-    """A set partition of range(size) in canonical block order."""
+    """A set partition of range(size) in canonical block order.
+
+    Two entry points: from_blocks canonicalises and checks blocks from
+    outside the program (JSONL records, API callers, the blind search);
+    Partition(size, blocks) takes blocks that are already canonical on
+    trust, as the program's own producers build them."""
 
     _fields = ("size", "blocks")
 
     @classmethod
+    def _canonical(cls, blocks, size: int) -> "Partition":
+        """The partition of the given blocks, unchecked: for the program's
+        own producers, whose blocks already partition range(size).  Blocks
+        are any iterables of points, each sorted in turn.  Sorted blocks
+        that are disjoint differ in their least members, so sorting them as
+        tuples orders them by least member."""
+        return cls(size, tuple(sorted(map(tuple, map(sorted, blocks)))))
+
+    @classmethod
     def from_blocks(cls, blocks, size: int) -> "Partition":
-        """Blocks are any iterables of points.  Sorted blocks that are
-        disjoint differ in their least members, so sorting them as tuples
-        orders them by least member.  Points must be plain ints: 1.0 and
-        True equal 1, so only their type tells them apart."""
-        cleaned = list(map(tuple, map(sorted, blocks)))
-        if not all(cleaned):
+        """The partition of blocks from outside the program, checked: no
+        block empty, the points exactly range(size), each a plain int (1.0
+        and True equal 1, so only their type tells them apart)."""
+        part = cls._canonical(blocks, size)
+        if not all(part.blocks):
             raise ValueError("empty block")
-        canon = tuple(sorted(cleaned))
-        points = sorted(chain.from_iterable(canon))
+        points = sorted(chain.from_iterable(part.blocks))
         if points != list(range(size)):
             raise ValueError(f"blocks do not partition range({size})")
         if list(map(type, points)).count(int) != size:
             raise ValueError("block points must be plain ints")
-        return cls(size, canon)
+        return part
 
     @classmethod
     def discrete(cls, size: int) -> "Partition":
-        return cls.from_blocks([(i,) for i in range(size)], size)
+        return cls(size, tuple((i,) for i in range(size)))
 
     @cached_property
     def block_of(self) -> tuple[int, ...]:
@@ -105,7 +120,7 @@ def maximal_theory(g: GroupSpec) -> Theory:
     n = g.order
     if n == 1:
         return minimal_theory(g)
-    two = Partition.from_blocks([(0,), tuple(range(1, n))], n)
+    two = Partition(n, ((0,), tuple(range(1, n))))
     return Theory(g, two, two)
 
 
@@ -288,7 +303,9 @@ def induced_character_partition(g: GroupSpec, classes: Partition) -> Partition:
     by_sig: dict[tuple, list[int]] = {}
     for c, sig in enumerate(sigs):
         by_sig.setdefault(sig, []).append(c)
-    part = Partition.from_blocks(by_sig.values(), n)
+    # characters in ascending order: each block ascending, blocks in order
+    # of their least member, so already canonical
+    part = Partition(n, tuple(map(tuple, by_sig.values())))
     if len(part) != len(classes):
         raise RuntimeError(
             f"induced partition has {len(part)} blocks for {len(classes)} classes; "
@@ -329,11 +346,11 @@ def restriction(t: Theory, n: Subgroup) -> Theory:
         raise ValueError("subgroup is not a union of classes")
     emb = t.group.subgroup_embedding(n)
     blocks = [
-        tuple(sorted(emb.from_parent[i] for i in b))
+        [emb.from_parent[i] for i in b]
         for b in t.classes.blocks
         if all(i in emb.from_parent for i in b)
     ]
-    classes = Partition.from_blocks(blocks, emb.group.order)
+    classes = Partition._canonical(blocks, emb.group.order)
     return theory_from_classes(emb.group, classes)
 
 

@@ -21,6 +21,8 @@ from supercharacters.bruteforce import _multipliers, _search
 from supercharacters.cli import _classify_one
 from supercharacters.enumeration import _formula, factor_pm1
 
+from closure_helpers import missing_images, missing_joins
+
 # Nodes of the full search.  For C_p x C_2 x C_2, 16 of them are placements
 # inside the involutions' part that no theory completes, at every p.
 NODES = [
@@ -86,6 +88,20 @@ def test_blind_search_at_p19_gives_the_enumerated_theories(blind):
     searched = {canonical_key(t) for t in blind[19]}
     assert searched == {canonical_key(r.theory) for r in records}
     assert len(blind[19]) == len(searched) == report.total == 210
+
+
+def test_blind_output_at_p19_is_closed_under_automorphisms_and_joins(blind):
+    # the closure checks of test_lattice.py, on output that no construction
+    # built.  The meet of two theories is the join of their character
+    # partitions; the blind set is closed under dual
+    # (test_blind_classification_matches_the_closed_form), which swaps the
+    # two sides, so its character partitions are its class partitions and
+    # the class side alone covers both join and meet.
+    ts = blind[19]
+    missing = missing_images(ts)
+    assert not missing, f"{len(missing)} images missing, first: {missing[0]}"
+    missing = missing_joins([t.classes for t in ts])
+    assert not missing, f"{len(missing)} joins missing, first: {missing[0]}"
 
 
 @pytest.mark.parametrize("p", BLIND_PRIMES)

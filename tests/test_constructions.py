@@ -30,7 +30,7 @@ from supercharacters import (
     wedge,
     wedge_decompositions,
 )
-from supercharacters import constructions, groups, theories
+from supercharacters import constructions, enumeration, groups, theories
 from supercharacters.groups import AutMap, _pull_back
 
 from golden import GOLDEN_ORBIT_THEORIES
@@ -270,6 +270,49 @@ def test_constructions_do_not_verify(monkeypatch):
     n = next(h for h in g.all_subgroups if h.order == 10)
     emb, quot = g.subgroup_embedding(n), g.quotient(n)
     wedge(n, minimal_theory(emb.group), maximal_theory(quot.group))
+
+
+def test_constructions_do_not_check_partitions(monkeypatch):
+    # from_blocks checks data from outside; the partitions the program
+    # builds itself are canonical by construction and skip it
+    def refuse(blocks, size):
+        raise AssertionError("a producer called Partition.from_blocks")
+
+    monkeypatch.setattr(Partition, "from_blocks", refuse)
+    g = GroupSpec.cp_c2_c2(5)
+    orbit = from_automorphisms(g, [g.aut_from_parts(2, ((0, 1), (1, 1)))])
+    h1, h2 = _pair(g, 5)
+    e1, e2 = g.subgroup_embedding(h1), g.subgroup_embedding(h2)
+    direct = direct_product(maximal_theory(e1.group), minimal_theory(e2.group), h1, h2)
+    n = next(h for h in g.all_subgroups if h.order == 10)
+    emb, quot = g.subgroup_embedding(n), g.quotient(n)
+    wedged = wedge(n, minimal_theory(emb.group), maximal_theory(quot.group))
+    built = [orbit, direct, wedged, minimal_theory(g), maximal_theory(g),
+             theory_from_classes(g, orbit.classes), restriction(wedged, n)]
+    assert all(verify(t) is None for t in built)
+
+
+def test_built_partitions_equal_the_checked_path(
+    records_by_p, klein_records, cpc2_records, c2cubed_records
+):
+    # every partition the producers build unchecked is what from_blocks
+    # makes of its own blocks, so the trust hides no producer bug.  These
+    # are the groups of the enumerate pins: the session fixtures hold all
+    # but the cp groups and cpc2 at p = 7, 11 and 13, whose enumerations
+    # the fixtures' groups have already cached as sub-enumerations.
+    primes = (3, 5, 7, 11, 13)
+    by_group = [[r.theory for r in records] for records in (
+        klein_records, c2cubed_records, *cpc2_records.values(),
+        *(records_by_p[p][0] for p in primes))]
+    by_group += [[t for t, _ in enumeration._sub_theories(g)] for g in (
+        *map(GroupSpec.cp, primes), *map(GroupSpec.cp_c2, (7, 11, 13)))]
+    assert len(by_group) == 17
+    for ts in by_group:
+        g = ts[0].group
+        parts = [part for t in ts for part in (t.classes, t.charparts)]
+        parts += [Partition(g.order, key) for key in constructions._witness_index(g)]
+        for part in parts:
+            assert part == Partition.from_blocks(part.blocks, part.size), part.blocks
 
 
 def test_cached_factor_maps_check_every_call():

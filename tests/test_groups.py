@@ -191,12 +191,21 @@ def test_subgroup_counts(g, count):
 
 
 def test_subgroup_validation():
-    g = GroupSpec.cp(5)
-    with pytest.raises(ValueError):
-        g.subgroup((0, 1))  # not closed
-    with pytest.raises(ValueError):
-        g.subgroup((1, 2, 3, 4))  # missing identity
-    s = g.subgroup((0, 1, 2, 3, 4))
+    rows = [
+        (GroupSpec.cp(5), (0, 1), "not closed under products"),
+        (GroupSpec.cp(5), (1, 2, 3, 4), "a subgroup must contain the identity"),
+        # indices past the group: mul_idx reduces them, so closure alone passes
+        (GroupSpec.cp(3), (0, 3), r"plain ints in range\(3\)"),
+        (GroupSpec.cp(3), (0, -3), r"plain ints in range\(3\)"),
+        (GroupSpec.klein(), (0, 4), r"plain ints in range\(4\)"),
+        # points that only equal ints: True would stay a member, 1.0 breaks >>
+        (GroupSpec.klein(), (0, True), r"plain ints in range\(4\)"),
+        (GroupSpec.cp(3), (0, 1.0, 2), r"plain ints in range\(3\)"),
+    ]
+    for g, members, message in rows:
+        with pytest.raises(ValueError, match=message):
+            g.subgroup(members)
+    s = GroupSpec.cp(5).subgroup((0, 1, 2, 3, 4))
     assert s.order == 5
 
 

@@ -5,16 +5,11 @@ import re
 
 import pytest
 
-from supercharacters import (
-    GroupSpec,
-    Partition,
-    all_theories,
-    aut_generating_subset,
-    lattice,
-    refines,
-)
+from supercharacters import GroupSpec, all_theories, lattice, refines
 from supercharacters.lattice import _color, lattice_dot, refinement_edges
-from supercharacters.theories import _leaders, canonical_key, sort_key
+from supercharacters.theories import canonical_key, sort_key
+
+from closure_helpers import missing_images, missing_joins
 
 
 def test_chain_for_cp5():
@@ -132,49 +127,8 @@ def test_tag_colors():
     assert _color(set()) == "white"
 
 
-# Closure of the enumerated theories.  The theories of a group form a
-# lattice: the join of two class partitions (the finest partition coarser
-# than both) is the class partition of a theory, and so is the join of two
-# character partitions (the character side of their meet).  Aut(G) maps
-# theories to theories.  So a theory missing from an enumeration shows as a
-# missing join, meet or image.
-
-def _join_key(a, b):
-    """The leader map of the join of a and b, as a tuple, by union-find on
-    the block labels of a: two blocks of a merge when one block of b meets
-    both.  The root of each tree is its least label, whose block holds the
-    least point."""
-    root = list(range(len(a.blocks)))
-
-    def find(x):
-        while root[x] != x:
-            root[x] = x = root[root[x]]
-        return x
-
-    first = {}
-    for x, y in set(zip(a.block_of, b.block_of)):
-        rx, ry = find(x), find(first.setdefault(y, x))
-        if rx != ry:
-            root[max(rx, ry)] = min(rx, ry)
-    leads = [a.blocks[find(x)][0] for x in range(len(a.blocks))]
-    return tuple(map(leads.__getitem__, a.block_of))
-
-
-def _missing_joins(parts):
-    """Per pair of partitions whose join is not among them: the pair and
-    the blocks of the join."""
-    keys = {tuple(_leaders(p)) for p in parts}
-    missing = []
-    for i, a in enumerate(parts):
-        for b in parts[i + 1:]:
-            key = _join_key(a, b)
-            if key not in keys:
-                blocks = {}
-                for x, lead in enumerate(key):
-                    blocks.setdefault(lead, []).append(x)
-                missing.append((a.blocks, b.blocks, list(blocks.values())))
-    return missing
-
+# Closure of the enumerated theories under join, meet and Aut(G): a theory
+# missing from an enumeration shows as a missing join, meet or image.
 
 def _closure_records(which, c2cubed_records, records_by_p):
     return c2cubed_records if which == "c2cubed" else records_by_p[which][0]
@@ -186,7 +140,7 @@ def test_enumerated_theories_are_closed_under_join_and_meet(
     which, side, c2cubed_records, records_by_p
 ):
     records = _closure_records(which, c2cubed_records, records_by_p)
-    missing = _missing_joins([getattr(r.theory, side) for r in records])
+    missing = missing_joins([getattr(r.theory, side) for r in records])
     assert not missing, f"{len(missing)} joins of {side} missing, first: {missing[0]}"
 
 
@@ -200,7 +154,7 @@ def test_automorphic_theories_are_closed_under_join_and_meet(
     orbit = [r.theory for r in records if "automorphic" in r.tags]
     assert len(orbit) > 1
     for side in ("classes", "charparts"):
-        missing = _missing_joins([getattr(t, side) for t in orbit])
+        missing = missing_joins([getattr(t, side) for t in orbit])
         assert not missing, f"{len(missing)} joins of {side} missing, first: {missing[0]}"
 
 
@@ -209,14 +163,5 @@ def test_enumerated_theories_are_closed_under_automorphisms(
     which, c2cubed_records, records_by_p
 ):
     records = _closure_records(which, c2cubed_records, records_by_p)
-    g = records[0].theory.group
-    auts = g.aut_group()
-    gens = [auts[i] for i in aut_generating_subset(g, range(len(auts)))]
-    have = {(r.theory.classes.blocks, r.theory.charparts.blocks) for r in records}
-    for t in (r.theory for r in records):
-        for a in gens:
-            image = tuple(
-                Partition.from_blocks([[perm[x] for x in b] for b in part.blocks], g.order).blocks
-                for part, perm in ((t.classes, a.perm), (t.charparts, a.char_perm))
-            )
-            assert image in have, f"image of {t.classes.blocks} under {a.gen_images} missing"
+    missing = missing_images([r.theory for r in records])
+    assert not missing, f"{len(missing)} images missing, first: {missing[0]}"
