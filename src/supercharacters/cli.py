@@ -27,6 +27,7 @@ from .groups import GroupSpec, _FAMILY_SHAPES
 from .lattice import lattice_dot
 from .theories import (
     TheoryRecord,
+    _dumps,
     _theory_line,
     canonical_key,
     dual,
@@ -101,7 +102,7 @@ def _write_records(records, path: str | None) -> None:
 def _cmd_count(args) -> int:
     _records, report = all_scts_cp_c2_c2(args.p)
     if args.json:
-        print(json.dumps(report.to_json(), separators=(",", ":")))
+        print(_dumps(report.to_json()))
     else:
         print(f"p={report.p} (k={report.k}, l={report.l}, n={report.n})")
         for key in ("automorphic", "direct", "overlap", "wedge", "maximal", "total"):
@@ -178,7 +179,7 @@ def _cmd_classify(args) -> int:
                  "tags=" + (",".join(sorted(tags)) or "-")]
         for name in ("aut", "direct", "wedge"):
             if name in witness:
-                parts.append(f"{name}={json.dumps(witness[name], separators=(',', ':'))}")
+                parts.append(f"{name}={_dumps(witness[name])}")
         print(" ".join(parts))
     return EXIT_OK
 

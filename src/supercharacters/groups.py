@@ -254,9 +254,10 @@ class GroupSpec(_Frozen):
         return (-1 if s % 2 else 1, t)
 
     def char_value(self, chi, g) -> "CycInt | int":
-        """chi(g) for exponent sequences chi and g, a cyclotomic integer when
-        the group has a p part, else +-1."""
-        return self.sigma_value(self._key_table[self.index_of(chi)][self.index_of(g)])
+        """chi(g) for exponent sequences chi and g, reduced first: +-zeta_p^t
+        off pairing_parts as a CycInt, or +-1 without a p part; no table."""
+        sign, t = self.pairing_parts(self.reduce(chi), self.reduce(g))
+        return sign if self.p is None else sign * CycInt.root_power(self.p, t)
 
     @cached_property
     def _kernel(self) -> tuple[int, tuple[int, ...]]:

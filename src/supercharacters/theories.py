@@ -158,8 +158,13 @@ def verify(t: Theory) -> Violation | None:
     order, and every other block is the image aX of one of them under a
     unit a.  Its sums are sigma_{aX}(x) = sigma_X(a*x), constant on every
     class block K when sigma_X is constant on aK, a class block too.  So the
-    Violation returned is always the first in block order."""
+    Violation returned is always the first in block order.  Condition 0, a
+    side whose points are not range(size) each once, comes first: only
+    from_blocks checks that, and Partition(size, blocks) takes blocks on trust."""
     classes, chars = t.classes, t.charparts
+    for side, part in (("class", classes), ("character", chars)):
+        if sorted(chain.from_iterable(part.blocks)) != list(range(part.size)):
+            return Violation(0, (side,), f"{side} blocks do not partition range({part.size})")
     if (0,) not in classes.blocks:
         return Violation(1, (0,), "identity is not a singleton class")
     if (0,) not in chars.blocks:
@@ -391,10 +396,6 @@ def generators_to_json(gens) -> list:
     return [[list(img) for img in a.gen_images] for a in gens]
 
 
-def _partition_to_lists(g: GroupSpec, part: Partition) -> list:
-    return [[list(g.elements[i]) for i in b] for b in part.blocks]
-
-
 def _partition_from_lists(g: GroupSpec, data, what: str) -> Partition:
     """Read a partition stored as lists of exponent vectors.
 
@@ -438,27 +439,22 @@ def _partition_from_lists(g: GroupSpec, data, what: str) -> Partition:
 
 
 def theory_to_json(rec: "TheoryRecord | Theory") -> dict:
-    """The JSON record of a theory, sharing no list with rec: the
-    provenance, JSON data holding nested generator lists, is copied through
-    a JSON round trip."""
+    """The JSON record of a theory, or of a record: the parse of the line
+    _theory_line writes, so every list in it is fresh.  Most of its time is
+    json.loads; no command calls it."""
     if isinstance(rec, Theory):
         rec = TheoryRecord(rec)
-    t = rec.theory
-    return {
-        "group": group_to_json(t.group),
-        "superclasses": _partition_to_lists(t.group, t.classes),
-        "character_classes": _partition_to_lists(t.group, t.charparts),
-        "tags": sorted(rec.tags),
-        "provenance": json.loads(_dumps(rec.provenance)),
-    }
+    return json.loads(_theory_line(rec))
 
 
 def _dumps(obj) -> str:
+    """The package's one JSON encoder: compact, with no spaces."""
     return json.dumps(obj, separators=(",", ":"))
 
 
 def _partition_text(part: Partition, elems: tuple[str, ...]) -> str:
-    """_dumps(_partition_to_lists(g, part)), joined from elems."""
+    """The blocks of part as JSON lists of exponent vectors, joined from
+    elems, the JSON of each element."""
     rows = map(",".join, map(partial(map, elems.__getitem__), part.blocks))
     return "[[" + "],[".join(rows) + "]]"
 
@@ -470,10 +466,10 @@ def _element_texts(g: GroupSpec) -> tuple[str, ...]:
 
 
 def _theory_line(rec: TheoryRecord) -> str:
-    """_dumps(theory_to_json(rec)), with the exponent lists joined from the
-    element text of _element_texts, rendered once per group.  theory_to_json
-    still builds its own exponent lists, so a caller that changes them never
-    reaches this text."""
+    """The JSON record of rec as one line of compact JSON: the one writer of
+    the record layout, which the CLI writes and theory_to_json parses.  The
+    exponent lists are joined from the element text of _element_texts,
+    rendered once per group."""
     t = rec.theory
     g = t.group
     elems = _element_texts(g)

@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, exit codes, JSONL piping, determinism."""
 
+import ast
 import hashlib
 import io
 import json
@@ -753,6 +754,25 @@ def test_theory_to_json_copies_provenance():
     entry["generators"][0].append([9, 9, 9])
     entry["generators"][0][0][0] = 99
     assert rec.provenance == before
+
+
+def test_only_dumps_encodes_json():
+    # theories._dumps is the package's one JSON encoder: every record line,
+    # count --json report and classify witness goes through it
+    def calls(node):
+        return [c for c in ast.walk(node) if isinstance(c, ast.Call)
+                and (getattr(c.func, "attr", None) == "dumps"
+                     or getattr(c.func, "id", None) == "dumps")]
+
+    found = {}
+    for path in sorted((SRC / "supercharacters").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found[path.stem] = calls(tree)
+        if path.stem == "theories":
+            dumps = next(n for n in tree.body
+                         if isinstance(n, ast.FunctionDef) and n.name == "_dumps")
+            assert calls(dumps) == found["theories"]
+    assert {stem: len(c) for stem, c in found.items() if c} == {"theories": 1}
 
 
 # sha256 of `classify` stdout on each group's enumeration, recorded from the

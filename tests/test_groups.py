@@ -140,6 +140,21 @@ def test_character_values():
     assert g.char_value((7, 3, -2), (6, -1, 1)) == -CycInt.root_power(5, 2)
 
 
+def test_character_values_equal_the_key_table():
+    g = GroupSpec.cp_c2_c2(5)
+    for c, chi in enumerate(g.elements):
+        for x, elem in enumerate(g.elements):
+            assert g.char_value(chi, elem) == g.sigma_value(g._key_table[c][x])
+
+
+def test_char_value_builds_no_key_table():
+    # a fresh instance, not the interned one other tests build the table on
+    g = GroupSpec((199, 2, 2))
+    assert g.char_value((3, 1, 0), (5, 1, 1)) == -CycInt.root_power(199, 15)
+    assert g.char_value((0, 1, 0), (5, 0, 1)) == CycInt.one(199)
+    assert "_key_table" not in vars(g)
+
+
 def test_character_values_are_ints_without_p_part():
     g = GroupSpec.klein()
     for ce in g.elements:

@@ -119,6 +119,26 @@ def test_verify_condition_3():
     assert k0 != h
 
 
+def test_verify_condition_0_on_a_side_that_is_not_a_partition():
+    # Partition(size, blocks) takes blocks on trust, so verify itself
+    # reports a side that misses, repeats or strays outside range(size)
+    g = GroupSpec.cp(5)
+    ok = Partition.from_blocks([(0,), (1, 4), (2, 3)], 5)
+    cases = [
+        (Partition(5, ((0,), (1, 4))), Partition(5, ((0,), (1, 2, 3, 4))), "class"),
+        # 2 missing and 1 repeated
+        (ok, Partition(5, ((0,), (1, 4), (1, 3))), "character"),
+        # a block repeated whole, with no point missing
+        (ok, Partition(5, ((0,), (1, 4), (2, 3), (2, 3))), "character"),
+        # in block_of, -1 would stand for 4, and 7 lies past the end
+        (Partition(5, ((0,), (1, -1), (2, 3))), ok, "class"),
+        (ok, Partition(5, ((0,), (1, 7), (2, 3))), "character"),
+    ]
+    for classes, chars, side in cases:
+        v = verify(Theory(g, classes, chars))
+        assert v == Violation(0, (side,), f"{side} blocks do not partition range(5)")
+
+
 def test_verify_algebra_examples():
     g = GroupSpec.cp(5)
     assert verify_algebra(g, Partition.from_blocks([(0,), (1, 4), (2, 3)], 5)) is None
