@@ -26,7 +26,7 @@ from supercharacters import (
 # element side determines the character side, which theory_from_classes
 # derives for us.
 g = GroupSpec.cp(5)
-classes = Partition.from_blocks([(0,), (1, 4), (2, 3)], g.order)
+classes = Partition(g.order, [(0,), (1, 4), (2, 3)])
 t = theory_from_classes(g, classes)
 print("classes:   ", t.classes.blocks)
 print("characters:", t.charparts.blocks)
@@ -35,7 +35,7 @@ print("verifies:  ", verify(t) is None)
 # The induced character partition is forced: each candidate block is the set
 # of characters agreeing on every class.  An invalid class partition has no
 # compatible character side at all, and the algebra check says why.
-bad = Partition.from_blocks([(0,), (1,), (2, 3, 4)], g.order)
+bad = Partition(g.order, [(0,), (1,), (2, 3, 4)])
 violation = verify_algebra(g, bad)
 print("\nunbalanced split fails:", violation.condition, "-", violation.message)
 
@@ -55,12 +55,7 @@ print("double dual equals original:", dual(d).classes == t.classes)
 # the subgroups that are unions of classes.  Restriction keeps the blocks
 # that land inside the subgroup.
 big = GroupSpec.cp_c2_c2(5)
-full = theory_from_classes(
-    big,
-    Partition.from_blocks(
-        [(i,) for i in range(big.order)], big.order
-    ),
-)
+full = theory_from_classes(big, Partition(big.order, [(i,) for i in range(big.order)]))
 subs = invariant_subgroups(full)
 print("\ninvariant subgroup orders of the finest theory on C5xC2xC2:",
       [h.order for h in subs])

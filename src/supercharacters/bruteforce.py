@@ -254,7 +254,7 @@ def brute_force_enumerate(g: GroupSpec, budget: int | None = None) -> list[Theor
     partitions: list[Partition] = []
 
     def emit(blocks):
-        partitions.append(Partition.from_blocks(blocks, g.order))
+        partitions.append(Partition(g.order, blocks))
 
     _search(g, budget, emit)
     theories = [theory_from_classes(g, part) for part in partitions]

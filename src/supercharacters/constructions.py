@@ -2,10 +2,11 @@
 automorphisms, direct products across a complementary pair of subgroups, and
 wedges over a proper nontrivial subgroup.  Nothing here verifies a theory;
 the enumerator's gate does.  Nor are the partitions built here checked:
-they come from groups and theories already checked, so they skip
-Partition.from_blocks, which is for data from outside.  What classify
-reads, the orbit-class witness index and the direct and wedge
-decompositions, needs class partitions only."""
+they come from groups and theories already checked, so they build through
+Partition._canonical, past the checks of the Partition constructor, which
+is for data from outside.  What classify reads, the orbit-class witness
+index and the direct and wedge decompositions, needs class partitions
+only."""
 
 from __future__ import annotations
 
@@ -28,9 +29,8 @@ def _orbit_partition(n: int, perms) -> Partition:
     """Orbits of the group generated by the given permutations, in one pass:
     each unseen point starts an orbit, which grows by the image of each of
     its points under each generator until no image is new.  In a finite
-    group every inverse is a product of generators, so that is the orbit.
-    Each orbit starts at the least point not yet seen, so the orbits come
-    in canonical order once each is sorted."""
+    group every inverse is a product of generators, so that is the orbit;
+    _canonical puts the orbits in canonical order."""
     blocks = []
     seen = [False] * n
     for i in range(n):
@@ -44,8 +44,8 @@ def _orbit_partition(n: int, perms) -> Partition:
                 if not seen[y]:
                     seen[y] = True
                     orbit.append(y)
-        blocks.append(tuple(sorted(orbit)))
-    return Partition(n, tuple(blocks))
+        blocks.append(orbit)
+    return Partition._canonical(n, blocks)
 
 
 def from_automorphisms(g: GroupSpec, gens) -> Theory:
@@ -86,9 +86,9 @@ def _pair_maps(h1: Subgroup, h2: Subgroup):
 def _products(table, part1: Partition, part2: Partition) -> Partition:
     """The blocks {table[x][y] : x in A, y in B} over every block A of part1
     and B of part2."""
-    return Partition._canonical([[row[y] for x in a for row in (table[x],) for y in b]
-                                 for a in part1.blocks for b in part2.blocks],
-                                len(table) * len(table[0]))
+    return Partition._canonical(len(table) * len(table[0]),
+                                [[row[y] for x in a for row in (table[x],) for y in b]
+                                 for a in part1.blocks for b in part2.blocks])
 
 
 def direct_product(t1: Theory, t2: Theory, h1: Subgroup, h2: Subgroup) -> Theory:
@@ -126,7 +126,7 @@ def _lift(part: Partition, over: Partition, image, fibers, size: int) -> Partiti
     image, fibers = image.__getitem__, fibers.__getitem__
     blocks = [map(image, b) for b in part.blocks]
     blocks += [chain.from_iterable(map(fibers, b)) for b in over.blocks if b != (0,)]
-    return Partition._canonical(blocks, size)
+    return Partition._canonical(size, blocks)
 
 
 def wedge(n: Subgroup, inner: Theory, outer: Theory) -> Theory:

@@ -198,8 +198,14 @@ class GroupSpec(_Frozen):
         return {exps: i for i, exps in enumerate(self.elements)}
 
     def reduce(self, exps) -> tuple[int, ...]:
+        """The exponents reduced mod the factors: the one check of an
+        exponent sequence from outside, so of index_of, char_value, AutMap
+        and aut_from_parts.  Each must be a plain int: 2.0 and True would
+        reduce to numbers that equal an index key but are not ints."""
         if len(exps) != len(self.factors):
             raise ValueError(f"expected {len(self.factors)} exponents, got {len(exps)}")
+        if any(type(e) is not int for e in exps):
+            raise ValueError(f"exponents must be plain ints, got {tuple(exps)!r}")
         return tuple(e % f for e, f in zip(exps, self.factors))
 
     def index_of(self, exps) -> int:
@@ -868,11 +874,12 @@ def _aut_arithmetic(g: GroupSpec) -> tuple:
 
 def _aut_images(g: GroupSpec, u: int | None, mat) -> tuple[tuple[int, ...], ...]:
     """The generator images of the automorphism with unit u (default 1) on
-    the p part and F_2 matrix mat on the involution part; reduced when the
-    rows of mat are 0/1 vectors, as those of _gl2_matrices are."""
+    the p part and F_2 matrix mat on the involution part, as given: reduced
+    when u is in range(1, p) and the rows of mat are 0/1 vectors, as
+    _aut_map passes them, and reduced and checked by AutMap otherwise."""
     images = []
     if g.p:
-        images.append(((u if u is not None else 1) % g.p,) + (0,) * g.dim2)
+        images.append((1 if u is None else u,) + (0,) * g.dim2)
     for row in mat:
         images.append(((0,) if g.p else ()) + tuple(row))
     return tuple(images)

@@ -5,10 +5,10 @@ blocks, both partitions have the same number of blocks, and for every
 character block X the function sigma_X = sum of the characters in X is
 constant on every class block.  Partitions are stored canonically: each block
 sorted ascending, blocks ordered by least member, so equal theories compare
-equal and render identically.  Partition.from_blocks builds one from blocks
-in any order and checks them, for data from outside the program;
-Partition(size, blocks) takes blocks already canonical on trust, for the
-partitions the program builds itself.
+equal and render identically.  Partition(size, blocks) builds one from
+blocks in any order and checks them, so a Partition is always a partition;
+only the program's own producers skip the checks, through
+Partition._canonical.
 """
 
 from __future__ import annotations
@@ -21,43 +21,53 @@ from operator import itemgetter
 from .groups import GroupSpec, Subgroup, _Frozen, _Value
 
 
+def _sorted_blocks(blocks) -> tuple[tuple, ...]:
+    """Blocks, any iterables of points, in canonical order: each sorted in
+    turn, then ordered by least member.  Sorted blocks that are disjoint
+    differ in their least members, so sorting them as tuples does that."""
+    return tuple(sorted(map(tuple, map(sorted, blocks))))
+
+
 class Partition(_Frozen):
     """A set partition of range(size) in canonical block order.
 
-    Two entry points: from_blocks canonicalises and checks blocks from
-    outside the program (JSONL records, API callers, the blind search);
-    Partition(size, blocks) takes blocks that are already canonical on
-    trust, as the program's own producers build them."""
+    Partition(size, blocks) is the one public constructor: it canonicalises
+    blocks given in any order and checks them, so every Partition a caller
+    holds is a real partition.  The program's own producers, whose blocks
+    partition range(size) by construction, build through _canonical, which
+    skips the checks."""
 
     _fields = ("size", "blocks")
 
-    @classmethod
-    def _canonical(cls, blocks, size: int) -> "Partition":
-        """The partition of the given blocks, unchecked: for the program's
-        own producers, whose blocks already partition range(size).  Blocks
-        are any iterables of points, each sorted in turn.  Sorted blocks
-        that are disjoint differ in their least members, so sorting them as
-        tuples orders them by least member."""
-        return cls(size, tuple(sorted(map(tuple, map(sorted, blocks)))))
-
-    @classmethod
-    def from_blocks(cls, blocks, size: int) -> "Partition":
-        """The partition of blocks from outside the program, checked: no
-        block empty, the points exactly range(size), each a plain int (1.0
-        and True equal 1, so only their type tells them apart)."""
-        part = cls._canonical(blocks, size)
-        if not all(part.blocks):
+    def __init__(self, size: int, blocks):
+        """Refuses a size that is not a plain int, an empty block, and points
+        that are not exactly range(size), each a plain int (1.0 and True
+        equal 1, so only their type tells them apart).  The blocks are
+        consumed lazily, one after another."""
+        if type(size) is not int:
+            raise ValueError("partition size must be a plain int")
+        blocks = _sorted_blocks(blocks)
+        if not all(blocks):
             raise ValueError("empty block")
-        points = sorted(chain.from_iterable(part.blocks))
+        points = sorted(chain.from_iterable(blocks))
         if points != list(range(size)):
             raise ValueError(f"blocks do not partition range({size})")
         if list(map(type, points)).count(int) != size:
             raise ValueError("block points must be plain ints")
+        super().__init__(size, blocks)
+
+    @classmethod
+    def _canonical(cls, size: int, blocks) -> "Partition":
+        """The partition of the given blocks, unchecked: for the program's
+        own producers, whose blocks already partition range(size).  It skips
+        __init__, as groups._aut_map does for an AutMap."""
+        part = cls.__new__(cls)
+        _Frozen.__init__(part, size, _sorted_blocks(blocks))
         return part
 
     @classmethod
     def discrete(cls, size: int) -> "Partition":
-        return cls(size, tuple((i,) for i in range(size)))
+        return cls._canonical(size, ((i,) for i in range(size)))
 
     @cached_property
     def block_of(self) -> tuple[int, ...]:
@@ -78,9 +88,7 @@ class Theory(_Frozen):
     _fields = ("group", "classes", "charparts")
 
     def __init__(self, group: GroupSpec, classes: Partition, charparts: Partition):
-        n = group.order
-        if classes.size != n or charparts.size != n:
-            raise ValueError("partition sizes do not match the group order")
+        _require_size(group, classes, charparts)
         super().__init__(group, classes, charparts)
 
     @cached_property
@@ -90,6 +98,12 @@ class Theory(_Frozen):
         blocks, block_of = self.classes.blocks, self.classes.block_of
         return tuple(h for h in self.group.all_subgroups
                      if sum(len(blocks[b]) for b in {block_of[i] for i in h.members}) == h.order)
+
+
+def _require_size(g: GroupSpec, *parts: Partition) -> None:
+    """ValueError unless every partition is one of range(g.order)."""
+    if any(part.size != g.order for part in parts):
+        raise ValueError("partition sizes do not match the group order")
 
 
 class Violation(_Frozen):
@@ -120,7 +134,7 @@ def maximal_theory(g: GroupSpec) -> Theory:
     n = g.order
     if n == 1:
         return minimal_theory(g)
-    two = Partition(n, ((0,), tuple(range(1, n))))
+    two = Partition._canonical(n, ((0,), range(1, n)))
     return Theory(g, two, two)
 
 
@@ -159,8 +173,9 @@ def verify(t: Theory) -> Violation | None:
     unit a.  Its sums are sigma_{aX}(x) = sigma_X(a*x), constant on every
     class block K when sigma_X is constant on aK, a class block too.  So the
     Violation returned is always the first in block order.  Condition 0, a
-    side whose points are not range(size) each once, comes first: only
-    from_blocks checks that, and Partition(size, blocks) takes blocks on trust."""
+    side whose points are not range(size) each once, comes first: the
+    Partition constructor refuses such blocks, so only a producer bug behind
+    Partition._canonical can reach it, and the gate still catches that."""
     classes, chars = t.classes, t.charparts
     for side, part in (("class", classes), ("character", chars)):
         if sorted(chain.from_iterable(part.blocks)) != list(range(part.size)):
@@ -275,6 +290,7 @@ def require_valid(t: Theory, what: str) -> Theory:
 def verify_algebra(g: GroupSpec, classes: Partition) -> Violation | None:
     """Check that the span of the class sums is closed under convolution:
     the product of any two block sums must be constant on every block."""
+    _require_size(g, classes)
     if (0,) not in classes.blocks:
         return Violation(1, (0,), "identity is not a singleton class")
     blocks = classes.blocks
@@ -303,14 +319,12 @@ def induced_character_partition(g: GroupSpec, classes: Partition) -> Partition:
     multipliers fix the class partition, as Schur's multiplier theorem says
     they do for every theory, else off the full key table.  Ids are equal
     exactly when keys are, so both give the same partition or error."""
-    n = g.order
+    _require_size(g, classes)
     sigs = zip(*_block_sums(g, classes)[1])
     by_sig: dict[tuple, list[int]] = {}
     for c, sig in enumerate(sigs):
         by_sig.setdefault(sig, []).append(c)
-    # characters in ascending order: each block ascending, blocks in order
-    # of their least member, so already canonical
-    part = Partition(n, tuple(map(tuple, by_sig.values())))
+    part = Partition._canonical(g.order, by_sig.values())
     if len(part) != len(classes):
         raise RuntimeError(
             f"induced partition has {len(part)} blocks for {len(classes)} classes; "
@@ -355,7 +369,7 @@ def restriction(t: Theory, n: Subgroup) -> Theory:
         for b in t.classes.blocks
         if all(i in emb.from_parent for i in b)
     ]
-    classes = Partition._canonical(blocks, emb.group.order)
+    classes = Partition._canonical(emb.group.order, blocks)
     return theory_from_classes(emb.group, classes)
 
 
@@ -417,10 +431,10 @@ def _partition_from_lists(g: GroupSpec, data, what: str) -> Partition:
                 and set(map(type, chain.from_iterable(vecs))) == {int}):
             found = list(map(index.get, map(tuple, vecs)))
             if None not in found:
-                # from_blocks sorts the blocks one after another, so each
+                # Partition sorts the blocks one after another, so each
                 # islice takes the next len(block) indices off one iterator
-                return Partition.from_blocks(
-                    map(islice, repeat(iter(found)), map(len, data)), g.order)
+                return Partition(
+                    g.order, map(islice, repeat(iter(found)), map(len, data)))
     ints = (int,) * width
     blocks = []
     for b in data:
@@ -435,7 +449,7 @@ def _partition_from_lists(g: GroupSpec, data, what: str) -> Partition:
                 raise ValueError(f"exponents out of range in {what}: {exps!r}")
             block.append(i)
         blocks.append(block)
-    return Partition.from_blocks(blocks, g.order)
+    return Partition(g.order, blocks)
 
 
 def theory_to_json(rec: "TheoryRecord | Theory") -> dict:

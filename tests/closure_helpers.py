@@ -60,7 +60,7 @@ def missing_images(theories):
     for t in theories:
         for a in gens:
             image = tuple(
-                Partition.from_blocks([[perm[x] for x in b] for b in part.blocks], g.order).blocks
+                Partition(g.order, [[perm[x] for x in b] for b in part.blocks]).blocks
                 for part, perm in ((t.classes, a.perm), (t.charparts, a.char_perm))
             )
             if image not in have:

@@ -58,7 +58,7 @@ def _orbit_prefixes(blocks, maps) -> set:
 def test_search_invariants(g, nodes, dead_ends):
     maps = _multipliers(g)
     emitted = []
-    _search(g, nodes, lambda blocks: emitted.append(Partition.from_blocks(blocks, g.order)))
+    _search(g, nodes, lambda blocks: emitted.append(Partition(g.order, blocks)))
     assert len(set(emitted)) == len(emitted)
     for part in emitted:
         blocks = {frozenset(b) for b in part.blocks}

@@ -74,7 +74,7 @@ def test_search_agrees_with_filtering_every_partition(g):
     n = g.order
     accepted = set()
     for sub in _set_partitions(list(range(1, n))):
-        part = Partition.from_blocks([(0,)] + [tuple(b) for b in sub], n)
+        part = Partition(n, [(0,)] + [tuple(b) for b in sub])
         if verify_algebra(g, part) is None:
             accepted.add(part.blocks)
     searched = {t.classes.blocks for t in brute_force_enumerate(g)}
@@ -150,7 +150,7 @@ def _unpruned_partitions(g):
 
     def recurse(unassigned, assigned, blocks, products, block_sets):
         if not unassigned:
-            found.add(Partition.from_blocks([(0,)] + blocks, n).blocks)
+            found.add(Partition(n, [(0,)] + blocks).blocks)
             return
         s, rest = unassigned[0], unassigned[1:]
         allowed = [t for t in rest if all(p[t] == p[s] for p in products)]
@@ -192,7 +192,7 @@ def test_orbit_candidates_lose_no_partition(g):
     # generating blocks from multiplier orbits must emit exactly what
     # trying every subset with the inverse check alone emits
     pruned = set()
-    _search(g, None, lambda blocks: pruned.add(Partition.from_blocks(blocks, g.order).blocks))
+    _search(g, None, lambda blocks: pruned.add(Partition(g.order, blocks).blocks))
     assert pruned == _unpruned_partitions(g)
     assert len(pruned) == brute_force_count(g)
 

@@ -807,7 +807,7 @@ def _damaged(part: Partition) -> list[Partition]:
         out.append(blocks[:-2] + [blocks[-2] + blocks[-1]])
     if len(blocks) >= 2:
         out.append([blocks[0] + blocks[1]] + blocks[2:])
-    return [Partition.from_blocks(b, part.size) for b in out]
+    return [Partition(part.size, b) for b in out]
 
 
 # sha256 of `classify` stdout on the damaged records below, recorded from the

@@ -273,12 +273,15 @@ def test_constructions_do_not_verify(monkeypatch):
 
 
 def test_constructions_do_not_check_partitions(monkeypatch):
-    # from_blocks checks data from outside; the partitions the program
-    # builds itself are canonical by construction and skip it
-    def refuse(blocks, size):
-        raise AssertionError("a producer called Partition.from_blocks")
+    # the Partition constructor checks data from outside; the partitions the
+    # program builds itself are partitions by construction and skip it,
+    # through Partition._canonical
+    def refuse(self, size, blocks):
+        raise AssertionError("a producer called the Partition constructor")
 
-    monkeypatch.setattr(Partition, "from_blocks", refuse)
+    monkeypatch.setattr(Partition, "__init__", refuse)
+    for group in (GroupSpec.cp_c2_c2(5), GroupSpec.c2_cubed()):
+        assert all(verify(r.theory) is None for r in all_theories(group))
     g = GroupSpec.cp_c2_c2(5)
     orbit = from_automorphisms(g, [g.aut_from_parts(2, ((0, 1), (1, 1)))])
     h1, h2 = _pair(g, 5)
@@ -295,11 +298,12 @@ def test_constructions_do_not_check_partitions(monkeypatch):
 def test_built_partitions_equal_the_checked_path(
     records_by_p, klein_records, cpc2_records, c2cubed_records
 ):
-    # every partition the producers build unchecked is what from_blocks
-    # makes of its own blocks, so the trust hides no producer bug.  These
-    # are the groups of the enumerate pins: the session fixtures hold all
-    # but the cp groups and cpc2 at p = 7, 11 and 13, whose enumerations
-    # the fixtures' groups have already cached as sub-enumerations.
+    # every partition the producers build unchecked, and every witness-index
+    # key, is what the checked constructor makes of its own blocks, so the
+    # trust hides no producer bug.  These are the groups of the enumerate
+    # pins: the session fixtures hold all but the cp groups and cpc2 at
+    # p = 7, 11 and 13, whose enumerations the fixtures' groups have
+    # already cached as sub-enumerations.
     primes = (3, 5, 7, 11, 13)
     by_group = [[r.theory for r in records] for records in (
         klein_records, c2cubed_records, *cpc2_records.values(),
@@ -309,10 +313,10 @@ def test_built_partitions_equal_the_checked_path(
     assert len(by_group) == 17
     for ts in by_group:
         g = ts[0].group
-        parts = [part for t in ts for part in (t.classes, t.charparts)]
-        parts += [Partition(g.order, key) for key in constructions._witness_index(g)]
-        for part in parts:
-            assert part == Partition.from_blocks(part.blocks, part.size), part.blocks
+        for part in (part for t in ts for part in (t.classes, t.charparts)):
+            assert part == Partition(part.size, part.blocks), part.blocks
+        for key in constructions._witness_index(g):
+            assert key == Partition(g.order, key).blocks, key
 
 
 def test_cached_factor_maps_check_every_call():

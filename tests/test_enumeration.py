@@ -479,8 +479,8 @@ def test_enumerator_builds_no_full_key_table():
 
 def test_collector_rejects_a_wrong_character_partition():
     g = GroupSpec.cp(5)
-    good = theory_from_classes(g, Partition.from_blocks([(0,), (1, 4), (2, 3)], 5))
-    wrong = Theory(g, good.classes, Partition.from_blocks([(0,), (1, 2), (3, 4)], 5))
+    good = theory_from_classes(g, Partition(5, [(0,), (1, 4), (2, 3)]))
+    wrong = Theory(g, good.classes, Partition(5, [(0,), (1, 2), (3, 4)]))
     with pytest.raises(RuntimeError, match="wedge fails verification"):
         _Collector().add(wrong, {"construction": "wedge"})
     col = _Collector()

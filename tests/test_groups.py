@@ -540,6 +540,28 @@ def test_aut_from_parts_validation():
     assert AutMap(g, ((6, 0, 0), (0, 3, 0), (5, 0, 1))) == identity_aut(g)
 
 
+# exponents that only equal ints: GroupSpec.reduce refuses them for every
+# caller.  Unrefused, True reads as index 1, 2.5 misses the index with
+# KeyError, and 2.0 builds an AutMap equal to the int map whose perm raises
+# TypeError.
+_NOT_INT_EXPONENTS = {
+    "index_of-bool": lambda: GroupSpec.cp(5).index_of((True,)),
+    "index_of-float": lambda: GroupSpec.cp(5).index_of((2.5,)),
+    "char_value-character": lambda: GroupSpec.cp(5).char_value((1.0,), (1,)),
+    "char_value-element": lambda: GroupSpec.cp(5).char_value((1,), (False,)),
+    "AutMap": lambda: AutMap(GroupSpec.cp_c2_c2(5), ((2.0, 0, 0), (0, 1, 0), (0, 0, 1))),
+    "aut_from_parts-float": lambda: GroupSpec.cp_c2_c2(5).aut_from_parts(2.5, ((1, 0), (0, 1))),
+    "aut_from_parts-bool": lambda: GroupSpec.cp_c2_c2(5).aut_from_parts(True, ((1, 0), (0, 1))),
+    "aut_from_parts-matrix": lambda: GroupSpec.klein().aut_from_parts(None, ((1.0, 0), (0, 1))),
+}
+
+
+@pytest.mark.parametrize("call", _NOT_INT_EXPONENTS.values(), ids=_NOT_INT_EXPONENTS.keys())
+def test_exponents_must_be_plain_ints(call):
+    with pytest.raises(ValueError, match="^exponents must be plain ints, got "):
+        call()
+
+
 @pytest.mark.parametrize("g", [GroupSpec.c2_cubed(), GroupSpec.cp_c2_c2(3),
                                GroupSpec.cp_c2_c2(13)], ids=str)
 def test_unchecked_aut_maps_equal_the_checked_constructor(g):

@@ -135,7 +135,7 @@ def _closure_records(which, c2cubed_records, records_by_p):
 
 
 @pytest.mark.parametrize("side", ["classes", "charparts"])
-@pytest.mark.parametrize("which", ["c2cubed", 3, 5, 7])
+@pytest.mark.parametrize("which", ["c2cubed", 3, 5, 7, 13])
 def test_enumerated_theories_are_closed_under_join_and_meet(
     which, side, c2cubed_records, records_by_p
 ):

@@ -35,7 +35,7 @@ from supercharacters import CycInt
 
 
 def test_partition_canonicalization():
-    p = Partition.from_blocks([(3, 1), (2,), (0, 4)], 5)
+    p = Partition(5, [(3, 1), (2,), (0, 4)])
     assert p.blocks == ((0, 4), (1, 3), (2,))
     assert p.block_of == (0, 1, 2, 1, 0)
     assert len(p) == 3
@@ -43,11 +43,11 @@ def test_partition_canonicalization():
 
 def test_partition_validation():
     with pytest.raises(ValueError):
-        Partition.from_blocks([(0, 1), (1, 2)], 3)  # overlap
+        Partition(3, [(0, 1), (1, 2)])  # overlap
     with pytest.raises(ValueError):
-        Partition.from_blocks([(0,), (2,)], 3)  # missing 1
+        Partition(3, [(0,), (2,)])  # missing 1
     with pytest.raises(ValueError):
-        Partition.from_blocks([(0,), ()], 1)  # empty block
+        Partition(1, [(0,), ()])  # empty block
     assert Partition.discrete(4).blocks == ((0,), (1,), (2,), (3,))
 
 
@@ -62,10 +62,18 @@ def test_partition_validation():
     # bool would stay in the blocks as a point
     ([(0,), (1.0, 2)], 3, "block points must be plain ints"),
     ([(0,), (True, 2)], 3, "block points must be plain ints"),
+    # a size that only equals an int
+    ([(0,)], True, "partition size must be a plain int"),
+    ([(0,), (1, 2)], 3.0, "partition size must be a plain int"),
+    # class sides on which verify_algebra and induced_character_partition
+    # would answer as if they were partitions: a point missing, a block
+    # repeated
+    ([(0,), (1, 4)], 5, "blocks do not partition range(5)"),
+    ([(0,), (1, 4), (1, 4)], 5, "blocks do not partition range(5)"),
 ])
 def test_partition_validation_messages(blocks, size, message):
     with pytest.raises(ValueError) as info:
-        Partition.from_blocks(blocks, size)
+        Partition(size, blocks)
     assert str(info.value) == message
 
 
@@ -76,8 +84,8 @@ def test_partition_order_is_canonical_for_any_input_order():
     for _ in range(10):
         rng.shuffle(blocks)
         shuffled = [rng.sample(b, len(b)) for b in blocks]
-        assert Partition.from_blocks(shuffled, 8).blocks == want
-        assert Partition.from_blocks(map(iter, shuffled), 8).blocks == want
+        assert Partition(8, shuffled).blocks == want
+        assert Partition(8, map(iter, shuffled)).blocks == want
 
 
 @pytest.mark.parametrize("g", [
@@ -93,8 +101,8 @@ def test_extremes_verify(g):
 
 def test_verify_condition_1():
     g = GroupSpec.cp(5)
-    merged = Partition.from_blocks([(0, 1), (2, 3, 4)], 5)
-    ok = Partition.from_blocks([(0,), (1, 4), (2, 3)], 5)
+    merged = Partition(5, [(0, 1), (2, 3, 4)])
+    ok = Partition(5, [(0,), (1, 4), (2, 3)])
     v = verify(Theory(g, merged, merged))
     assert v is not None and v.condition == 1
     v = verify(Theory(g, ok, merged))
@@ -103,8 +111,8 @@ def test_verify_condition_1():
 
 def test_verify_condition_2():
     g = GroupSpec.cp(5)
-    three = Partition.from_blocks([(0,), (1, 4), (2, 3)], 5)
-    two = Partition.from_blocks([(0,), (1, 2, 3, 4)], 5)
+    three = Partition(5, [(0,), (1, 4), (2, 3)])
+    two = Partition(5, [(0,), (1, 2, 3, 4)])
     v = verify(Theory(g, three, two))
     assert v is not None and v.condition == 2
     assert v.witness == (3, 2)
@@ -112,7 +120,7 @@ def test_verify_condition_2():
 
 def test_verify_condition_3():
     g = GroupSpec.cp(5)
-    classes = Partition.from_blocks([(0,), (1,), (2, 3, 4)], 5)
+    classes = Partition(5, [(0,), (1,), (2, 3, 4)])
     v = verify(Theory(g, classes, classes))
     assert v is not None and v.condition == 3
     xi, k0, h = v.witness
@@ -120,19 +128,21 @@ def test_verify_condition_3():
 
 
 def test_verify_condition_0_on_a_side_that_is_not_a_partition():
-    # Partition(size, blocks) takes blocks on trust, so verify itself
+    # the constructor refuses such blocks, but a producer bug behind the
+    # unchecked Partition._canonical could build them, so verify itself
     # reports a side that misses, repeats or strays outside range(size)
     g = GroupSpec.cp(5)
-    ok = Partition.from_blocks([(0,), (1, 4), (2, 3)], 5)
+    ok = Partition(5, [(0,), (1, 4), (2, 3)])
+    bad = Partition._canonical
     cases = [
-        (Partition(5, ((0,), (1, 4))), Partition(5, ((0,), (1, 2, 3, 4))), "class"),
+        (bad(5, ((0,), (1, 4))), bad(5, ((0,), (1, 2, 3, 4))), "class"),
         # 2 missing and 1 repeated
-        (ok, Partition(5, ((0,), (1, 4), (1, 3))), "character"),
+        (ok, bad(5, ((0,), (1, 4), (1, 3))), "character"),
         # a block repeated whole, with no point missing
-        (ok, Partition(5, ((0,), (1, 4), (2, 3), (2, 3))), "character"),
+        (ok, bad(5, ((0,), (1, 4), (2, 3), (2, 3))), "character"),
         # in block_of, -1 would stand for 4, and 7 lies past the end
-        (Partition(5, ((0,), (1, -1), (2, 3))), ok, "class"),
-        (ok, Partition(5, ((0,), (1, 7), (2, 3))), "character"),
+        (bad(5, ((0,), (1, -1), (2, 3))), ok, "class"),
+        (ok, bad(5, ((0,), (1, 7), (2, 3))), "character"),
     ]
     for classes, chars, side in cases:
         v = verify(Theory(g, classes, chars))
@@ -141,35 +151,54 @@ def test_verify_condition_0_on_a_side_that_is_not_a_partition():
 
 def test_verify_algebra_examples():
     g = GroupSpec.cp(5)
-    assert verify_algebra(g, Partition.from_blocks([(0,), (1, 4), (2, 3)], 5)) is None
-    assert verify_algebra(g, Partition.from_blocks([(0,), (1, 2, 3, 4)], 5)) is None
-    bad = verify_algebra(g, Partition.from_blocks([(0,), (1,), (2, 3, 4)], 5))
+    assert verify_algebra(g, Partition(5, [(0,), (1, 4), (2, 3)])) is None
+    assert verify_algebra(g, Partition(5, [(0,), (1, 2, 3, 4)])) is None
+    bad = verify_algebra(g, Partition(5, [(0,), (1,), (2, 3, 4)]))
     assert bad is not None and bad.condition == 3
-    merged = verify_algebra(g, Partition.from_blocks([(0, 1), (2, 3, 4)], 5))
+    merged = verify_algebra(g, Partition(5, [(0, 1), (2, 3, 4)]))
     assert merged is not None and merged.condition == 1
 
 
 def test_induced_character_partition():
     g = GroupSpec.cp(5)
-    classes = Partition.from_blocks([(0,), (1, 4), (2, 3)], 5)
+    classes = Partition(5, [(0,), (1, 4), (2, 3)])
     part = induced_character_partition(g, classes)
     assert part.blocks == ((0,), (1, 4), (2, 3))
     with pytest.raises(RuntimeError):
-        induced_character_partition(
-            g, Partition.from_blocks([(0,), (1,), (2, 3, 4)], 5)
-        )
+        induced_character_partition(g, Partition(5, [(0,), (1,), (2, 3, 4)]))
 
 
 def test_theory_from_classes_verifies():
     g = GroupSpec.cp_c2(3)
-    classes = Partition.from_blocks(
+    classes = Partition(
+        g.order,
         [(0,), (g.index_of((0, 1)),), tuple(sorted((g.index_of((1, 0)), g.index_of((2, 0))))),
          tuple(sorted((g.index_of((1, 1)), g.index_of((2, 1)))))],
-        g.order,
     )
     t = theory_from_classes(g, classes)
     assert verify(t) is None
     assert len(t.charparts) == 4
+
+
+# a class partition of another size: unrefused, verify_algebra calls it
+# valid and completing it raises IndexError
+def _wrong_size():
+    return pytest.raises(ValueError, match="partition sizes do not match the group order")
+
+
+def test_verify_algebra_refuses_a_partition_of_the_wrong_size():
+    with _wrong_size():
+        verify_algebra(GroupSpec.cp(5), Partition.discrete(3))
+
+
+def test_induced_character_partition_refuses_a_partition_of_the_wrong_size():
+    with _wrong_size():
+        induced_character_partition(GroupSpec.cp(5), Partition.discrete(3))
+
+
+def test_theory_from_classes_refuses_a_partition_of_the_wrong_size():
+    with _wrong_size():
+        theory_from_classes(GroupSpec.cp(5), Partition.discrete(7))
 
 
 def test_supercharacter_table_values():
@@ -181,7 +210,7 @@ def test_supercharacter_table_values():
 
 def test_supercharacter_table_rejects_invalid():
     g = GroupSpec.cp(5)
-    classes = Partition.from_blocks([(0,), (1,), (2, 3, 4)], 5)
+    classes = Partition(5, [(0,), (1,), (2, 3, 4)])
     with pytest.raises(ValueError):
         supercharacter_table(Theory(g, classes, classes))
 
@@ -224,7 +253,7 @@ def test_dual_is_involution_on_klein(klein_records):
 def test_refines():
     g = GroupSpec.cp(5)
     mini, maxi = minimal_theory(g), maximal_theory(g)
-    mid = theory_from_classes(g, Partition.from_blocks([(0,), (1, 4), (2, 3)], 5))
+    mid = theory_from_classes(g, Partition(5, [(0,), (1, 4), (2, 3)]))
     assert refines(mini, mid) and refines(mid, maxi) and refines(mini, maxi)
     assert not refines(maxi, mid) and not refines(mid, mini)
     assert refines(mid, mid)
@@ -396,7 +425,7 @@ def _full_loop_induced(g, classes):
     sigs = {}
     for c, sig in enumerate(zip(*columns)):
         sigs.setdefault(sig, []).append(c)
-    part = Partition.from_blocks(sigs.values(), g.order)
+    part = Partition(g.order, sigs.values())
     if len(part) != len(classes):
         return None, (
             f"induced partition has {len(part)} blocks for {len(classes)} classes; "
@@ -422,7 +451,7 @@ def _moved(part, rng):
     x = rng.choice(blocks[src])
     blocks[src].remove(x)
     blocks[dst].append(x)
-    return Partition.from_blocks([(0,)] + [b for b in blocks if b], part.size)
+    return Partition(part.size, [(0,)] + [b for b in blocks if b])
 
 
 def _random_partition(rng, n, k):
@@ -432,7 +461,7 @@ def _random_partition(rng, n, k):
     blocks = [[x] for x in rest[: k - 1]]
     for x in rest[k - 1 :]:
         rng.choice(blocks).append(x)
-    return Partition.from_blocks([(0,)] + blocks, n)
+    return Partition(n, [(0,)] + blocks)
 
 
 def _random_invariant_partition(rng, g):
@@ -462,7 +491,7 @@ def _random_invariant_partition(rng, g):
     blocks = {}
     for x in range(n):
         blocks.setdefault(find(x), []).append(x)
-    return Partition.from_blocks(blocks.values(), n)
+    return Partition(n, blocks.values())
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13])

@@ -1,7 +1,9 @@
 """The value classes: constructors, field-wise equality and hashing, repr,
 frozen fields, the mutable TheoryRecord, and CountReport's JSON form."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -98,7 +100,49 @@ def test_constructors_refuse_missing_extra_repeated_and_unknown_fields(cls, fiel
 def test_only_checking_classes_write_their_own_constructor():
     # every other value class takes _Frozen's constructor, read from _fields
     own = {c[0] for c in CASES if "__init__" in vars(c[0])}
-    assert own == {GroupSpec, Theory, AutMap, TheoryRecord}
+    assert own == {GroupSpec, Partition, Theory, AutMap, TheoryRecord}
+
+
+def _calls_by_owner():
+    """(owner, call) for every call in the package, owner being the
+    module-level function or the method that holds it, as module.name or
+    module.Class.name, or the module itself for code outside both."""
+    out = []
+    for f in Path(groups.__file__).parent.glob("*.py"):
+        tree = ast.parse(f.read_text(encoding="utf-8"))
+        owners = []
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                owners += [(f"{f.stem}.{node.name}.{m.name}", m) for m in node.body
+                           if isinstance(m, ast.FunctionDef)]
+            elif isinstance(node, ast.FunctionDef):
+                owners.append((f"{f.stem}.{node.name}", node))
+        owners.append((f.stem, ast.Module([n for n in tree.body if not isinstance(
+            n, (ast.ClassDef, ast.FunctionDef))], [])))
+        out += [(name, c) for name, node in owners for c in ast.walk(node)
+                if isinstance(c, ast.Call)]
+    return out
+
+
+def test_partitions_have_one_checked_and_one_unchecked_way_in():
+    # the checked Partition(...) runs only at the two boundaries that take
+    # blocks from outside; the program's own producers build through the
+    # unchecked Partition._canonical; and only _canonical and _aut_map call
+    # _Frozen.__init__ directly, past a class's own checks
+    calls = _calls_by_owner()
+
+    def owners(test):
+        return {name for name, c in calls if test(c.func)}
+
+    assert owners(lambda f: getattr(f, "id", None) == "Partition") == {
+        "theories._partition_from_lists", "bruteforce.brute_force_enumerate"}
+    assert owners(lambda f: getattr(f, "attr", None) == "_canonical") == {
+        "constructions._orbit_partition", "constructions._products", "constructions._lift",
+        "theories.restriction", "theories.induced_character_partition",
+        "theories.Partition.discrete", "theories.maximal_theory"}
+    assert owners(lambda f: getattr(f, "attr", None) == "__init__"
+                  and getattr(f.value, "id", None) == "_Frozen") == {
+        "theories.Partition._canonical", "groups._aut_map"}
 
 
 @pytest.mark.parametrize("cls,fields,values", CASES, ids=_ids(CASES))
@@ -162,7 +206,7 @@ def test_unequal_values_and_classes_compare_unequal():
 
 
 def test_cached_properties_work_on_frozen_objects():
-    part = Partition.from_blocks([[0], [2, 1]], 3)
+    part = Partition(3, [[0], [2, 1]])
     assert part.block_of == (0, 1, 1)
     assert part.block_of is part.block_of
     g = _group()
