@@ -40,12 +40,14 @@ class Partition(_Frozen):
     _fields = ("size", "blocks")
 
     def __init__(self, size: int, blocks):
-        """Refuses a size that is not a plain int, an empty block, and points
-        that are not exactly range(size), each a plain int (1.0 and True
-        equal 1, so only their type tells them apart).  The blocks are
-        consumed lazily, one after another."""
+        """Refuses a size that is not a plain int or is negative, an empty
+        block, and points that are not exactly range(size), each a plain int
+        (1.0 and True equal 1, so only their type tells them apart).  The
+        blocks are consumed lazily, one after another."""
         if type(size) is not int:
             raise ValueError("partition size must be a plain int")
+        if size < 0:
+            raise ValueError("partition size must not be negative")
         blocks = _sorted_blocks(blocks)
         if not all(blocks):
             raise ValueError("empty block")
@@ -414,10 +416,11 @@ def _partition_from_lists(g: GroupSpec, data, what: str) -> Partition:
     """Read a partition stored as lists of exponent vectors.
 
     The whole partition is checked at once: every block a nonempty list,
-    every vector a list of len(g.factors) entries, every entry a plain int,
-    and every vector, as a tuple, a key of g's exponent-to-index map.  The
-    type test comes before the lookup because True and 1.0 hash like 1 and
-    would be found, and an unhashable entry would raise TypeError.  Only
+    every vector a list, every entry a plain int, and every vector, as a
+    tuple, a key of g's exponent-to-index map; a vector of the wrong length
+    is never a key, so the lookup refuses it.  The type test comes before
+    the lookup because True and 1.0 hash like 1 and would be found, and an
+    unhashable entry would raise TypeError.  Only
     when that check fails does the loop below run, vector by vector, to name
     the first bad one: a block that is not a nonempty list, a vector that is
     not a list of the right length ("bad exponent vector"), or one whose
@@ -427,7 +430,7 @@ def _partition_from_lists(g: GroupSpec, data, what: str) -> Partition:
     index, width = g._index, len(g.factors)
     if set(map(type, data)) == {list} and all(data):
         vecs = list(chain.from_iterable(data))
-        if (set(map(type, vecs)) == {list} and set(map(len, vecs)) == {width}
+        if (set(map(type, vecs)) == {list}
                 and set(map(type, chain.from_iterable(vecs))) == {int}):
             found = list(map(index.get, map(tuple, vecs)))
             if None not in found:

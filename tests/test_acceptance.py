@@ -8,7 +8,6 @@ import pytest
 
 from supercharacters import (
     GroupSpec,
-    all_theories,
     canonical_key,
     dual,
     from_automorphisms,
@@ -52,27 +51,22 @@ def reported(capsys, number: int, label: str):
         print(f"criterion {number} ({label}): PASS")
 
 
-@pytest.fixture(scope="module")
-def fresh_runs():
-    runs = {}
-    for p in FROZEN:
-        start = time.perf_counter()
-        records, report = all_scts_cp_c2_c2(p)
-        runs[p] = (records, report, time.perf_counter() - start)
-    return runs
-
-
-def test_criterion_1_counting_totals(fresh_runs, capsys):
+@pytest.mark.fresh("times each prime's enumeration")
+def test_criterion_1_counting_totals(capsys):
     with reported(capsys, 1, "closed-form totals for p in {3,5,7,11,13}"):
-        for p, (records, report, seconds) in fresh_runs.items():
+        for p in FROZEN:
+            start = time.perf_counter()
+            records, report = all_scts_cp_c2_c2(p)
+            seconds = time.perf_counter() - start
             assert len(records) == report.total == FROZEN[p][0]
             assert report.predicted["total"] == FROZEN[p][0]
             assert seconds <= TIME_LIMIT_PER_PRIME, f"p={p} took {seconds:.1f}s"
 
 
-def test_criterion_2_category_counts(fresh_runs, capsys):
+def test_criterion_2_category_counts(enumerated, capsys):
     with reported(capsys, 2, "per-construction counts and wedge disjointness"):
-        for p, (records, report, _) in fresh_runs.items():
+        for p in FROZEN:
+            records, report = enumerated.cp_c2_c2(p)
             got = (report.total, report.automorphic, report.direct,
                    report.overlap, report.wedge)
             assert got == FROZEN[p]
@@ -85,12 +79,13 @@ def test_criterion_2_category_counts(fresh_runs, capsys):
                     assert not ({"automorphic", "direct"} & rec.tags)
 
 
-def test_criterion_3_oracle_equivalence(fresh_runs, capsys):
+@pytest.mark.fresh("times the oracle")
+def test_criterion_3_oracle_equivalence(enumerated, capsys):
     with reported(capsys, 3, "exhaustive search agrees with constructions"):
         start = time.perf_counter()
         oracle = {canonical_key(t) for t in brute_force_enumerate(GroupSpec.cp_c2_c2(3))}
         assert time.perf_counter() - start <= TIME_LIMIT_ORACLE
-        constructive = {canonical_key(r.theory) for r in fresh_runs[3][0]}
+        constructive = {canonical_key(r.theory) for r in enumerated.cp_c2_c2(3)[0]}
         assert oracle == constructive and len(oracle) == 76
 
         cases = [
@@ -103,13 +98,14 @@ def test_criterion_3_oracle_equivalence(fresh_runs, capsys):
             (GroupSpec.c2_cubed(), 100),
         ]
         for g, expected in cases:
-            searched = {canonical_key(t) for t in brute_force_enumerate(g)}
-            constructed = {canonical_key(r.theory) for r in all_theories(g)}
+            searched = {canonical_key(t) for t in enumerated.search(g)}
+            constructed = {canonical_key(r.theory) for r in enumerated.theories(g)}
             assert searched == constructed, g.family
             assert len(searched) == expected, g.family
 
 
-def test_criterion_3_oracle_reaches_l_at_least_1(fresh_runs, capsys):
+@pytest.mark.fresh("times the oracle")
+def test_criterion_3_oracle_reaches_l_at_least_1(enumerated, capsys):
     # p - 1 = 2^k * 3^l * n: p = 7 and p = 13 have l = 1
     with reported(capsys, 3, "exhaustive search agrees at p in {5,7} and counts p=13"):
         budget = 10**5  # well above the nodes the search needs
@@ -118,7 +114,7 @@ def test_criterion_3_oracle_reaches_l_at_least_1(fresh_runs, capsys):
             g = GroupSpec.cp_c2_c2(p)
             oracle = {canonical_key(t) for t in brute_force_enumerate(g, budget)}
             assert time.perf_counter() - start <= TIME_LIMIT_ORACLE
-            constructive = {canonical_key(r.theory) for r in fresh_runs[p][0]}
+            constructive = {canonical_key(r.theory) for r in enumerated.cp_c2_c2(p)[0]}
             assert oracle == constructive and len(oracle) == FROZEN[p][0]
         start = time.perf_counter()
         assert brute_force_count(GroupSpec.cp_c2_c2(13), budget) == FROZEN[13][0] == 211
@@ -140,10 +136,10 @@ def _conj(v):
     return v.conjugate() if hasattr(v, "conjugate") else v
 
 
-def test_criterion_5_axiom_suite(fresh_runs, capsys):
+def test_criterion_5_axiom_suite(enumerated, capsys):
     with reported(capsys, 5, "axioms and dualities for every theory, p in {3,5,7}"):
         for p in (3, 5, 7):
-            records = fresh_runs[p][0]
+            records = enumerated.cp_c2_c2(p)[0]
             g = GroupSpec.cp_c2_c2(p)
             order = g.order
             for rec in records:
@@ -193,11 +189,11 @@ def test_criterion_5_axiom_suite(fresh_runs, capsys):
                             assert a2 <= a1
 
 
-def test_criterion_6_cyclic_prime_class_structure(capsys):
+def test_criterion_6_cyclic_prime_class_structure(enumerated, capsys):
     with reported(capsys, 6, "equal class sizes and disjoint root supports on C_p"):
         for p in (3, 5, 7, 11, 13):
             g = GroupSpec.cp(p)
-            for rec in all_theories(g):
+            for rec in enumerated.theories(g):
                 t = rec.theory
                 sizes = {len(b) for b in t.classes.blocks if b != (0,)}
                 assert len(sizes) <= 1
@@ -222,10 +218,11 @@ def test_criterion_6_cyclic_prime_class_structure(capsys):
                             assert not (supports[i] & supports[j])
 
 
-def test_criterion_7_round_trip_determinism(fresh_runs, capsys):
+@pytest.mark.fresh("compares two runs with the cached one")
+def test_criterion_7_round_trip_determinism(enumerated, capsys):
     with reported(capsys, 7, "serialization round trip and repeatable output"):
         for p in (3, 5):
-            records = fresh_runs[p][0]
+            records = enumerated.cp_c2_c2(p)[0]
             for rec in records:
                 blob = json.dumps(theory_to_json(rec), sort_keys=True)
                 back = theory_from_json(json.loads(blob))
@@ -238,4 +235,4 @@ def test_criterion_7_round_trip_determinism(fresh_runs, capsys):
         dump = lambda recs: "\n".join(
             json.dumps(theory_to_json(r), sort_keys=True) for r in recs
         )
-        assert dump(first) == dump(second) == dump(fresh_runs[3][0])
+        assert dump(first) == dump(second) == dump(enumerated.cp_c2_c2(3)[0])

@@ -12,8 +12,6 @@ from supercharacters import (
     BudgetExhaustedError,
     GroupSpec,
     Partition,
-    all_scts_cp_c2_c2,
-    brute_force_enumerate,
     canonical_key,
     dual,
 )
@@ -76,28 +74,27 @@ def test_search_invariants(g, nodes, dead_ends):
 BLIND_PRIMES = (5, 7, 13, 19)
 
 
-@pytest.fixture(scope="module")
-def blind():
-    return {p: brute_force_enumerate(GroupSpec.cp_c2_c2(p), budget=10**6)
-            for p in BLIND_PRIMES}
+def _blind(enumerated, p):
+    return enumerated.search(GroupSpec.cp_c2_c2(p), budget=10**6)
 
 
-def test_blind_search_at_p19_gives_the_enumerated_theories(blind):
+def test_blind_search_at_p19_gives_the_enumerated_theories(enumerated):
     # p - 1 = 2 * 3^2: l = 2
-    records, report = all_scts_cp_c2_c2(19)
-    searched = {canonical_key(t) for t in blind[19]}
+    records, report = enumerated.cp_c2_c2(19)
+    blind = _blind(enumerated, 19)
+    searched = {canonical_key(t) for t in blind}
     assert searched == {canonical_key(r.theory) for r in records}
-    assert len(blind[19]) == len(searched) == report.total == 210
+    assert len(blind) == len(searched) == report.total == 210
 
 
-def test_blind_output_at_p19_is_closed_under_automorphisms_and_joins(blind):
+def test_blind_output_at_p19_is_closed_under_automorphisms_and_joins(enumerated):
     # the closure checks of test_lattice.py, on output that no construction
     # built.  The meet of two theories is the join of their character
     # partitions; the blind set is closed under dual
     # (test_blind_classification_matches_the_closed_form), which swaps the
     # two sides, so its character partitions are its class partitions and
     # the class side alone covers both join and meet.
-    ts = blind[19]
+    ts = _blind(enumerated, 19)
     missing = missing_images(ts)
     assert not missing, f"{len(missing)} images missing, first: {missing[0]}"
     missing = missing_joins([t.classes for t in ts])
@@ -105,8 +102,9 @@ def test_blind_output_at_p19_is_closed_under_automorphisms_and_joins(blind):
 
 
 @pytest.mark.parametrize("p", BLIND_PRIMES)
-def test_blind_classification_matches_the_closed_form(blind, p):
-    tags = [_classify_one(t)[0] for t in blind[p]]
+def test_blind_classification_matches_the_closed_form(enumerated, p):
+    blind = _blind(enumerated, p)
+    tags = [_classify_one(t)[0] for t in blind]
     counts = {
         "total": len(tags),
         "automorphic": sum("automorphic" in t for t in tags),
@@ -119,5 +117,5 @@ def test_blind_classification_matches_the_closed_form(blind, p):
     assert not any("wedge" in t and t & {"automorphic", "direct"} for t in tags)
     untagged = [t for t in tags if not t & {"automorphic", "direct", "wedge"}]
     assert untagged == [{"maximal"}]
-    keys = {canonical_key(t) for t in blind[p]}
-    assert {canonical_key(dual(t)) for t in blind[p]} == keys
+    keys = {canonical_key(t) for t in blind}
+    assert {canonical_key(dual(t)) for t in blind} == keys

@@ -9,7 +9,6 @@ from supercharacters import (
     BudgetExhaustedError,
     GroupSpec,
     Partition,
-    all_theories,
     brute_force_count,
     brute_force_enumerate,
     canonical_key,
@@ -37,15 +36,15 @@ def test_search_counts(g, count):
 @pytest.mark.parametrize("g", [
     GroupSpec.cp(5), GroupSpec.cp(7), GroupSpec.klein(), GroupSpec.cp_c2(3),
 ])
-def test_search_agrees_with_constructions(g):
-    searched = {canonical_key(t) for t in brute_force_enumerate(g)}
-    constructed = {canonical_key(r.theory) for r in all_theories(g)}
+def test_search_agrees_with_constructions(g, enumerated):
+    searched = {canonical_key(t) for t in enumerated.search(g)}
+    constructed = {canonical_key(r.theory) for r in enumerated.theories(g)}
     assert searched == constructed
 
 
-def test_search_results_verify():
+def test_search_results_verify(enumerated):
     g = GroupSpec.cp_c2(5)
-    found = brute_force_enumerate(g)
+    found = enumerated.search(g)
     assert len(found) == 10
     for t in found:
         assert verify(t) is None
@@ -68,7 +67,7 @@ def _set_partitions(items):
     GroupSpec.klein(), GroupSpec.cp(5), GroupSpec.cp(7), GroupSpec.cp_c2(3),
     GroupSpec.c2_cubed(), GroupSpec.cp_c2(5),
 ])
-def test_search_agrees_with_filtering_every_partition(g):
+def test_search_agrees_with_filtering_every_partition(g, enumerated):
     # independent oracle: test every set partition of the nonidentity
     # elements directly against the convolution-closure condition
     n = g.order
@@ -77,10 +76,11 @@ def test_search_agrees_with_filtering_every_partition(g):
         part = Partition(n, [(0,)] + [tuple(b) for b in sub])
         if verify_algebra(g, part) is None:
             accepted.add(part.blocks)
-    searched = {t.classes.blocks for t in brute_force_enumerate(g)}
+    searched = {t.classes.blocks for t in enumerated.search(g)}
     assert searched == accepted
 
 
+@pytest.mark.fresh("compares runs of the search")
 def test_search_is_deterministic():
     g = GroupSpec.cp_c2(3)
     first = [t.classes.blocks for t in brute_force_enumerate(g)]
@@ -98,6 +98,7 @@ def test_large_group_requires_budget():
     assert GroupSpec.cp_c2_c2(13).order <= EXHAUSTIVE_LIMIT < GroupSpec.cp_c2_c2(29).order
 
 
+@pytest.mark.fresh("runs searches out of budget")
 def test_budget_exhaustion():
     with pytest.raises(BudgetExhaustedError) as info:
         brute_force_enumerate(GroupSpec.cp_c2(5), budget=3)
@@ -107,6 +108,7 @@ def test_budget_exhaustion():
         brute_force_count(GroupSpec.cp_c2_c2(5), budget=50)
 
 
+@pytest.mark.fresh("runs searches out of budget")
 def test_budget_exhaustion_reports_what_the_search_emitted():
     g = GroupSpec.cp_c2_c2(5)
     emitted = []
@@ -210,12 +212,12 @@ def _power_maps(g):
     *(GroupSpec.cp_c2(p) for p in (3, 5, 7)),
     *(GroupSpec.cp_c2_c2(p) for p in (3, 5, 7, 11, 13)),
 ], ids=str)
-def test_power_maps_permute_the_superclasses(g):
+def test_power_maps_permute_the_superclasses(g, enumerated):
     # the premise of the search's pruning (Schur's multiplier theorem):
     # in every constructed theory, each unit power map sends each
     # superclass onto a superclass
     maps = _power_maps(g)
-    for rec in all_theories(g):
+    for rec in enumerated.theories(g):
         blocks = {frozenset(b) for b in rec.theory.classes.blocks}
         for m in maps:
             assert {frozenset(m[x] for x in b) for b in blocks} == blocks

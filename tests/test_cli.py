@@ -16,7 +16,6 @@ from supercharacters import (
     GroupSpec,
     Partition,
     Theory,
-    all_theories,
     aut_generating_subset,
     canonical_key,
     cli,
@@ -401,6 +400,7 @@ def test_count_mismatch_exit_code_is_reserved():
     assert cli.EXIT_BUDGET == 5
 
 
+@pytest.mark.fresh("enumerates with _formula patched")
 def test_count_mismatch_exits_3(capsys, monkeypatch):
     real_formula = enumeration._formula
 
@@ -523,6 +523,8 @@ def _cpc2c2(p_field):
     (_klein('{"a":1}'), "superclasses must be a list"),
     (_klein("[[[0,0]],[],[[1,0],[0,1],[1,1]]]"), "blocks must be nonempty lists"),
     (_klein("[[[0,0]],[[1],[0,1],[1,1]]]"), "bad exponent vector [1] in superclasses"),
+    (_klein("[[[0,0]],[[0,0,0],[1,0],[0,1],[1,1]]]"),
+     "bad exponent vector [0, 0, 0] in superclasses"),
     (_klein("[[[0,0]],[[1,0],[1,0],[0,1],[1,1]]]"), "blocks do not partition range(4)"),
     (_klein("[[[0,0]],[[1,0],[0,1]]]"), "blocks do not partition range(4)"),
     (_klein("[[[0,0]],[[null,0],[0,1],[1,1]]]"), "exponents out of range in superclasses"),
@@ -544,7 +546,7 @@ def _cpc2c2(p_field):
         "float-exponent", "deep-nesting", "array-line", "string-line", "null-line",
         "number-line", "truncated", "group-list", "group-empty", "family-int", "family-s3",
         "no-superclasses", "dict-superclasses", "empty-block", "short-vector",
-        "duplicate-vector", "missing-vector", "null-exponent", "list-exponent",
+        "long-vector", "duplicate-vector", "missing-vector", "null-exponent", "list-exponent",
         "negative-exponent", "string-tags", "int-tags", "dict-provenance", "float-p",
         "missing-p", "nan-p", "huge-exponent", "negative-p", "zero-p", "one-p"])
 def test_hostile_records_exit_4(tmp_path, capsys, line, reason):
@@ -630,10 +632,10 @@ def test_c2cubed_enumeration_changed_only_in_tags_and_provenance(capsys):
       for group, p in sorted(ENUMERATE_SHA256, key=str)),
     GroupSpec.of(()), GroupSpec.of((2,)),
 ], ids=str)
-def test_enumerated_tags_match_classify(g):
+def test_enumerated_tags_match_classify(g, enumerated):
     # every family runs the same constructions, so the enumerator tags each
     # theory with exactly the constructions classify finds a witness for
-    for rec in all_theories(g):
+    for rec in enumerated.theories(g):
         assert rec.tags == cli._classify_one(rec.theory)[0], canonical_key(rec.theory)
 
 
@@ -642,11 +644,11 @@ def test_enumerated_tags_match_classify(g):
       for group, p in sorted(ENUMERATE_SHA256, key=str)),
     GroupSpec.of(()), GroupSpec.of((2,)),
 ], ids=str)
-def test_witness_index_is_the_gated_orbit_theories(g):
+def test_witness_index_is_the_gated_orbit_theories(g, enumerated):
     # the index builds orbit partitions outside the gate: its keys are the
     # classes of exactly the records the enumerator tags automorphic, and
     # each value is the generator list of that record's first aut entry
-    auts = {rec.theory.classes.blocks: rec for rec in all_theories(g)
+    auts = {rec.theory.classes.blocks: rec for rec in enumerated.theories(g)
             if "automorphic" in rec.tags}
     index = constructions._witness_index(g)
     assert set(index) == set(auts)
@@ -655,12 +657,12 @@ def test_witness_index_is_the_gated_orbit_theories(g):
         assert theories.generators_to_json(gens) == first["generators"]
 
 
-def test_no_provenance_entry_repeats():
+def test_no_provenance_entry_repeats(enumerated):
     # the collector appends each entry unchecked: an Aut(G) subgroup, a factor
     # pair with its factor keys, a wedge (N, inner, outer) or an extreme names
     # one theory once
     for group, p in sorted(ENUMERATE_SHA256, key=str):
-        for rec in all_theories(GroupSpec.from_family(cli._FAMILIES[group], p)):
+        for rec in enumerated.theories(GroupSpec.from_family(cli._FAMILIES[group], p)):
             entries = [json.dumps(e, sort_keys=True) for e in rec.provenance]
             assert len(set(entries)) == len(entries), (group, p, canonical_key(rec.theory))
 
@@ -697,13 +699,13 @@ def test_dual_and_lattice_output_is_pinned(tmp_path, capsys, group, p):
 
 
 @pytest.mark.parametrize("group,p", sorted(ENUMERATE_SHA256, key=str))
-def test_enumerated_records_round_trip(capsys, group, p):
+def test_enumerated_records_round_trip(capsys, enumerated, group, p):
     # each line is theory_to_json's dict as compact JSON, and reads back as
     # the record it was written from
     code, out, _ = run(capsys, ["enumerate", *_group_argv(group, p)])
     assert code == 0
     lines = out.splitlines()
-    records = all_theories(GroupSpec.from_family(cli._FAMILIES[group], p))
+    records = enumerated.theories(GroupSpec.from_family(cli._FAMILIES[group], p))
     assert len(lines) == len(records)
     for line, rec in zip(lines, records):
         assert line == json.dumps(theory_to_json(rec), separators=(",", ":"))
@@ -724,7 +726,7 @@ def _mutate_all(obj) -> None:
         obj["mutated"] = True
 
 
-def test_mutating_theory_to_json_leaves_enumerate_output(capsys):
+def test_mutating_theory_to_json_leaves_enumerate_output(capsys, enumerated):
     # the writer joins cached per-group element text; theory_to_json must
     # still hand out lists that share nothing with that cache or the records
     pinned = [("cp", 3), ("klein", None), ("cpc2", 3), ("c2cubed", None), ("cpc2c2", 3)]
@@ -732,7 +734,7 @@ def test_mutating_theory_to_json_leaves_enumerate_output(capsys):
         code, out, _ = run(capsys, ["enumerate", *_group_argv(group, p)])
         assert code == 0
         g = GroupSpec.from_family(cli._FAMILIES[group], p)
-        for rec in all_theories(g):
+        for rec in enumerated.theories(g):
             _mutate_all(theory_to_json(rec))
     for group, p in pinned:
         code, out, _ = run(capsys, ["enumerate", *_group_argv(group, p)])
@@ -740,11 +742,11 @@ def test_mutating_theory_to_json_leaves_enumerate_output(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[(group, p)]
 
 
-def test_theory_to_json_copies_provenance():
+def test_theory_to_json_copies_provenance(enumerated):
     # provenance entries hold nested generator lists: the dict must share
     # none of them with the record, at any depth
     g = GroupSpec.cp_c2_c2(3)
-    rec = next(r for r in all_theories(g)
+    rec = next(r for r in enumerated.theories(g)
                if any(e["construction"] == "aut" for e in r.provenance))
     before = json.loads(json.dumps(rec.provenance))
     d = theory_to_json(rec)
@@ -815,8 +817,8 @@ def _damaged(part: Partition) -> list[Partition]:
 DAMAGED_CLASSIFY_SHA256 = "395bad9c0d5965d95362af9eafaf3cc9cb0b9a1cb0523cea873e2233cc105715"
 
 
-def test_classify_tags_no_construction_on_damaged_classes(tmp_path, capsys, records_by_p):
-    records = records_by_p[3][0]
+def test_classify_tags_no_construction_on_damaged_classes(tmp_path, capsys, enumerated):
+    records = enumerated.theories(GroupSpec.cp_c2_c2(3))
     keys = {canonical_key(rec.theory) for rec in records}
     damaged = []
     for rec in records:

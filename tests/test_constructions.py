@@ -30,7 +30,7 @@ from supercharacters import (
     wedge,
     wedge_decompositions,
 )
-from supercharacters import constructions, enumeration, groups, theories
+from supercharacters import constructions, groups, theories
 from supercharacters.groups import AutMap, _pull_back
 
 from golden import GOLDEN_ORBIT_THEORIES
@@ -98,12 +98,12 @@ def test_direct_product_of_maximals():
     assert sizes == [1, 3, 4, 12]
 
 
-def test_direct_product_restricts_to_factors():
+def test_direct_product_restricts_to_factors(enumerated):
     g = GroupSpec.cp_c2_c2(3)
     for h1, h2 in g.complementary_pairs():
         e1, e2 = g.subgroup_embedding(h1), g.subgroup_embedding(h2)
-        for r1 in all_theories(e1.group):
-            for r2 in all_theories(e2.group):
+        for r1 in enumerated.theories(e1.group):
+            for r2 in enumerated.theories(e2.group):
                 t = direct_product(r1.theory, r2.theory, h1, h2)
                 assert verify(t) is None
                 assert restriction(t, h1) == r1.theory
@@ -147,7 +147,7 @@ def test_wedge_rejects_mismatched_theories():
         wedge(n, minimal_theory(GroupSpec.cp(3)), minimal_theory(GroupSpec.klein()))
 
 
-def test_character_side_formula_matches_derived_side():
+def test_character_side_formula_matches_derived_side(enumerated):
     # across every wedge datum of the p=3 group, the character partition
     # wedge builds from inflation and restriction agrees with the one
     # induced from its classes
@@ -157,8 +157,8 @@ def test_character_side_formula_matches_derived_side():
         if not 1 < n.order < g.order:
             continue
         emb, quot = g.subgroup_embedding(n), g.quotient(n)
-        for r1 in all_theories(emb.group):
-            for r2 in all_theories(quot.group):
+        for r1 in enumerated.theories(emb.group):
+            for r2 in enumerated.theories(quot.group):
                 t = wedge(n, r1.theory, r2.theory)
                 assert verify(t) is None
                 assert t.charparts == induced_character_partition(g, t.classes)
@@ -272,6 +272,7 @@ def test_constructions_do_not_verify(monkeypatch):
     wedge(n, minimal_theory(emb.group), maximal_theory(quot.group))
 
 
+@pytest.mark.fresh("enumerates with Partition.__init__ patched")
 def test_constructions_do_not_check_partitions(monkeypatch):
     # the Partition constructor checks data from outside; the partitions the
     # program builds itself are partitions by construction and skip it,
@@ -295,21 +296,15 @@ def test_constructions_do_not_check_partitions(monkeypatch):
     assert all(verify(t) is None for t in built)
 
 
-def test_built_partitions_equal_the_checked_path(
-    records_by_p, klein_records, cpc2_records, c2cubed_records
-):
+def test_built_partitions_equal_the_checked_path(enumerated):
     # every partition the producers build unchecked, and every witness-index
     # key, is what the checked constructor makes of its own blocks, so the
     # trust hides no producer bug.  These are the groups of the enumerate
-    # pins: the session fixtures hold all but the cp groups and cpc2 at
-    # p = 7, 11 and 13, whose enumerations the fixtures' groups have
-    # already cached as sub-enumerations.
+    # pins.
     primes = (3, 5, 7, 11, 13)
-    by_group = [[r.theory for r in records] for records in (
-        klein_records, c2cubed_records, *cpc2_records.values(),
-        *(records_by_p[p][0] for p in primes))]
-    by_group += [[t for t, _ in enumeration._sub_theories(g)] for g in (
-        *map(GroupSpec.cp, primes), *map(GroupSpec.cp_c2, (7, 11, 13)))]
+    by_group = [[r.theory for r in enumerated.theories(g)] for g in (
+        GroupSpec.klein(), GroupSpec.c2_cubed(),
+        *(f(p) for f in (GroupSpec.cp_c2, GroupSpec.cp_c2_c2, GroupSpec.cp) for p in primes))]
     assert len(by_group) == 17
     for ts in by_group:
         g = ts[0].group
@@ -370,14 +365,12 @@ def _linear_witness(t, candidates):
 
 
 @pytest.mark.parametrize("which", ["klein", "cpc2c2-3", "c2cubed"])
-def test_witness_index_matches_linear_search(
-    which, klein_records, records_by_p, c2cubed_records
-):
-    records = {
-        "klein": klein_records,
-        "cpc2c2-3": records_by_p[3][0],
-        "c2cubed": c2cubed_records,
-    }[which]
+def test_witness_index_matches_linear_search(which, enumerated):
+    records = enumerated.theories({
+        "klein": GroupSpec.klein(),
+        "cpc2c2-3": GroupSpec.cp_c2_c2(3),
+        "c2cubed": GroupSpec.c2_cubed(),
+    }[which])
     g = records[0].theory.group
     auts = g.aut_group()
     candidates = []

@@ -104,16 +104,16 @@ def test_predicted_counts_frozen(p):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13])
-def test_cp_enumeration(p):
-    recs = all_theories(GroupSpec.cp(p))
+def test_cp_enumeration(p, enumerated):
+    recs = enumerated.theories(GroupSpec.cp(p))
     assert len(recs) == divisor_count(p - 1)
     assert all("automorphic" in r.tags for r in recs)
     assert any("minimal" in r.tags for r in recs)
     assert any("maximal" in r.tags for r in recs)
 
 
-def test_klein_enumeration():
-    recs = all_theories(GroupSpec.klein())
+def test_klein_enumeration(enumerated):
+    recs = enumerated.theories(GroupSpec.klein())
     keys = [canonical_key(r.theory) for r in recs]
     assert keys == [
         "2.2:0|1,2,3", "2.2:0|1,2|3", "2.2:0|1,3|2", "2.2:0|1|2,3", "2.2:0|1|2|3",
@@ -129,8 +129,8 @@ def test_klein_enumeration():
 
 
 @pytest.mark.parametrize("p", [3, 5])
-def test_cp_c2_enumeration(p, cpc2_records):
-    recs = cpc2_records[p]
+def test_cp_c2_enumeration(p, enumerated):
+    recs = enumerated.theories(GroupSpec.cp_c2(p))
     assert len(recs) == 3 * divisor_count(p - 1) + 1
     # automorphism orbits and direct products give exactly the same theories
     auto = {canonical_key(r.theory) for r in recs if "automorphic" in r.tags}
@@ -143,8 +143,8 @@ def test_cp_c2_enumeration(p, cpc2_records):
     assert len(maxi) == 1 and maxi[0].tags == {"maximal"}
 
 
-def test_c2_cubed_enumeration(c2cubed_records):
-    recs = c2cubed_records
+def test_c2_cubed_enumeration(enumerated):
+    recs = enumerated.theories(GroupSpec.c2_cubed())
     assert len(recs) == 100
     assert len({canonical_key(r.theory) for r in recs}) == 100
     assert sum(1 for r in recs if "maximal" in r.tags) == 1
@@ -156,7 +156,10 @@ def test_c2_cubed_enumeration(c2cubed_records):
     assert sum(1 for r in recs if {"direct", "automorphic"} <= r.tags) == 50
 
 
-def test_c2_cubed_enumeration_runs_no_search(monkeypatch, c2cubed_records):
+@pytest.mark.fresh("enumerates with the blind search patched")
+def test_c2_cubed_enumeration_runs_no_search(monkeypatch, enumerated):
+    c2cubed_records = enumerated.theories(GroupSpec.c2_cubed())
+
     def refuse(*args):
         raise AssertionError("the enumerator ran the blind search")
 
@@ -166,8 +169,8 @@ def test_c2_cubed_enumeration_runs_no_search(monkeypatch, c2cubed_records):
 
 
 @pytest.mark.parametrize("p", sorted(EXPECTED_COUNTS))
-def test_cp_c2_c2_counts(p, records_by_p):
-    recs, report = records_by_p[p]
+def test_cp_c2_c2_counts(p, enumerated):
+    recs, report = enumerated.cp_c2_c2(p)
     total, auto, direct, overlap, wedge = EXPECTED_COUNTS[p]
     assert report.matches()
     assert (report.total, report.automorphic, report.direct,
@@ -230,6 +233,7 @@ LARGE_PRIMES = {
 TIME_LIMITS = {37: 10.0, 199: 15.0}
 
 
+@pytest.mark.fresh("times the enumeration, or is the only reader of its prime")
 @pytest.mark.parametrize("p", sorted(LARGE_PRIMES))
 def test_cp_c2_c2_closed_form_at_large_primes(p):
     start = time.perf_counter()
@@ -261,8 +265,8 @@ def test_every_closed_form_shape_is_enumerated():
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_records_are_sorted_and_verified(p, records_by_p):
-    recs, _ = records_by_p[p]
+def test_records_are_sorted_and_verified(p, enumerated):
+    recs, _ = enumerated.cp_c2_c2(p)
     keys = [sort_key(r.theory) for r in recs]
     assert keys == sorted(keys)
     for r in recs:
@@ -270,26 +274,26 @@ def test_records_are_sorted_and_verified(p, records_by_p):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_wedges_disjoint_from_other_constructions(p, records_by_p):
-    recs, _ = records_by_p[p]
+def test_wedges_disjoint_from_other_constructions(p, enumerated):
+    recs, _ = enumerated.cp_c2_c2(p)
     for r in recs:
         if "wedge" in r.tags:
             assert "automorphic" not in r.tags and "direct" not in r.tags
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_maximal_theory_stands_alone(p, records_by_p):
-    recs, _ = records_by_p[p]
+def test_maximal_theory_stands_alone(p, enumerated):
+    recs, _ = enumerated.cp_c2_c2(p)
     maxi = [r for r in recs if "maximal" in r.tags]
     assert len(maxi) == 1
     assert maxi[0].tags == {"maximal"}
 
 
 @pytest.mark.parametrize("p", [3, 5])
-def test_single_invariant_chain_forces_outer_coset_class(p, records_by_p):
+def test_single_invariant_chain_forces_outer_coset_class(p, enumerated):
     # when the only proper nontrivial invariant subgroups are one C_2p chain
     # (with possibly its C_2), everything outside the chain is a single class
-    recs, _ = records_by_p[p]
+    recs, _ = enumerated.cp_c2_c2(p)
     hits = 0
     for r in recs:
         inv = [h for h in invariant_subgroups(r.theory) if 1 < h.order < 4 * p]
@@ -306,9 +310,9 @@ def test_single_invariant_chain_forces_outer_coset_class(p, records_by_p):
 
 
 @pytest.mark.parametrize("p", [3, 5])
-def test_wedge_subgroups_nest(p, records_by_p):
+def test_wedge_subgroups_nest(p, enumerated):
     # all subgroups over which one theory decomposes as a wedge form a chain
-    recs, _ = records_by_p[p]
+    recs, _ = enumerated.cp_c2_c2(p)
     g = GroupSpec.cp_c2_c2(p)
     by_members = {h.members: set(h.members) for h in g.all_subgroups}
     for r in recs:
@@ -324,11 +328,11 @@ def test_wedge_subgroups_nest(p, records_by_p):
 
 
 @pytest.mark.parametrize("p", [3, 5])
-def test_direct_product_automorphic_iff_factors_are(p, records_by_p):
-    recs, _ = records_by_p[p]
+def test_direct_product_automorphic_iff_factors_are(p, enumerated):
+    recs, _ = enumerated.cp_c2_c2(p)
     factor_tags: dict[str, bool] = {}
     for fam in (GroupSpec.cp(p), GroupSpec.klein(), GroupSpec.cp_c2(p), GroupSpec.of((2,))):
-        for fr in all_theories(fam):
+        for fr in enumerated.theories(fam):
             factor_tags[canonical_key(fr.theory)] = "automorphic" in fr.tags
     for r in recs:
         pairs = [pr for pr in r.provenance if pr.get("construction") == "direct"]
@@ -340,8 +344,8 @@ def test_direct_product_automorphic_iff_factors_are(p, records_by_p):
         assert some_aut_pair == ("automorphic" in r.tags)
 
 
-def test_provenance_shapes(records_by_p):
-    recs, _ = records_by_p[3]
+def test_provenance_shapes(enumerated):
+    recs, _ = enumerated.cp_c2_c2(3)
     for r in recs:
         assert r.provenance, canonical_key(r.theory)
         for prov in r.provenance:
@@ -355,18 +359,18 @@ def test_provenance_shapes(records_by_p):
                 assert {"N", "inner", "outer"} <= prov.keys()
 
 
-def test_all_theories_dispatch():
+def test_all_theories_dispatch(enumerated):
     # the trivial group and C_2 pass the gate like every other family: the
     # identity orbit of the trivial Aut(G) gives their one theory
     for factors in ((), (2,)):
-        rec, = all_theories(GroupSpec.of(factors))
+        rec, = enumerated.theories(GroupSpec.of(factors))
         assert rec.tags == {"minimal", "maximal", "automorphic"}
         assert rec.provenance == [{"construction": "aut", "generators": []},
                                   {"construction": "minimal"}, {"construction": "maximal"}]
-    assert len(all_theories(GroupSpec.klein())) == 5
-    assert len(all_theories(GroupSpec.cp(5))) == 3
-    assert len(all_theories(GroupSpec.cp_c2(3))) == 7
-    assert len(all_theories(GroupSpec.cp_c2_c2(3))) == 76
+    assert len(enumerated.theories(GroupSpec.klein())) == 5
+    assert len(enumerated.theories(GroupSpec.cp(5))) == 3
+    assert len(enumerated.theories(GroupSpec.cp_c2(3))) == 7
+    assert len(enumerated.theories(GroupSpec.cp_c2_c2(3))) == 76
 
 
 def test_prime_bounds():
@@ -429,7 +433,38 @@ def test_gate_has_one_home():
     assert "from_family" not in _identifiers(body)
 
 
-def test_each_distinct_theory_is_verified_once(monkeypatch):
+def test_tests_enumerate_through_the_one_cache():
+    # conftest.py's `enumerated` is the only caller of the three that a test
+    # merely reads; elsewhere a call lies in a test marked fresh, or under
+    # pytest.raises, where it is refused before it enumerates anything
+    callees = {"all_theories", "all_scts_cp_c2_c2", "brute_force_enumerate"}
+    calls = {"conftest": [], "fresh": [], "stray": []}
+
+    def scan(node, where, name):
+        if isinstance(node, ast.FunctionDef) and any(
+                isinstance(d, ast.Call) and ast.unparse(d.func) == "pytest.mark.fresh"
+                for d in node.decorator_list):
+            where = "fresh"
+        elif isinstance(node, ast.With) and any(
+                isinstance(i.context_expr, ast.Call)
+                and ast.unparse(i.context_expr.func) == "pytest.raises"
+                for i in node.items):
+            return
+        elif isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)) in callees:
+            calls[where].append((name, node.lineno, ast.unparse(node.func)))
+        for child in ast.iter_child_nodes(node):
+            scan(child, where, name)
+
+    for f in sorted(Path(__file__).parent.glob("*.py")):
+        scan(ast.parse(f.read_text()), "conftest" if f.stem == "conftest" else "stray", f.name)
+    assert calls["stray"] == []
+    assert {c[2] for c in calls["conftest"]} == callees
+    assert {c[2].rpartition(".")[2] for c in calls["fresh"]} == callees
+
+
+@pytest.mark.fresh("patches verify, clears _sub_theories")
+def test_each_distinct_theory_is_verified_once(monkeypatch, enumerated):
     calls = []
     real_verify = theories.verify
 
@@ -444,9 +479,10 @@ def test_each_distinct_theory_is_verified_once(monkeypatch):
     # every record of every enumerated group, and nothing else; the one
     # theory of C_2 passes the gate too
     sub_groups = (GroupSpec.cp_c2(5), GroupSpec.cp(5), GroupSpec.klein(), GroupSpec.of((2,)))
-    assert len(calls) == len(records) + sum(len(all_theories(h)) for h in sub_groups)
+    assert len(calls) == len(records) + sum(len(enumerated.theories(h)) for h in sub_groups)
 
 
+@pytest.mark.fresh("patches induced_character_partition, clears _sub_theories")
 def test_enumerator_derives_no_character_side(monkeypatch):
     # every construction builds its own character partition, so completing
     # a class partition is never needed, in the subgroups' enumerations too
@@ -459,6 +495,7 @@ def test_enumerator_derives_no_character_side(monkeypatch):
     assert report.matches() and len(records) == 109
 
 
+@pytest.mark.fresh("enumerates in a child process")
 def test_enumerator_builds_no_full_key_table():
     # the enumerator reads only the lead rows; the n x n key table of a
     # group with a p part (633,616 entries at p = 199) is left unbuilt.  A
@@ -495,7 +532,7 @@ def test_collector_rejects_a_wrong_character_partition():
     assert [e["construction"] for e in rec.provenance] == ["aut", "wedge", "minimal"]
 
 
-def test_collector_rejects_a_bad_wedge():
+def test_collector_rejects_a_bad_wedge(enumerated):
     # wedge derives no character side from the classes, so only the gate
     # can catch a wrong one: swap in a partition with as many blocks
     g = GroupSpec.cp_c2_c2(3)
@@ -503,7 +540,7 @@ def test_collector_rejects_a_bad_wedge():
     emb, quot = g.subgroup_embedding(n), g.quotient(n)
     good = wedge(n, minimal_theory(emb.group), minimal_theory(quot.group))
     assert verify(good) is None
-    other = next(r.theory.charparts for r in all_theories(g)
+    other = next(r.theory.charparts for r in enumerated.theories(g)
                  if len(r.theory.charparts) == len(good.charparts)
                  and r.theory.charparts != good.charparts)
     bad = Theory(g, good.classes, other)
@@ -515,6 +552,7 @@ def test_collector_rejects_a_bad_wedge():
         col.add(bad, {"construction": "wedge"})
 
 
+@pytest.mark.fresh("compares two runs, one of them mutated")
 def test_all_theories_returns_fresh_records():
     g = GroupSpec.cp_c2(5)
     first = all_theories(g)

@@ -5,30 +5,30 @@ import re
 
 import pytest
 
-from supercharacters import GroupSpec, all_theories, lattice, refines
+from supercharacters import GroupSpec, lattice, refines
 from supercharacters.lattice import _color, lattice_dot, refinement_edges
 from supercharacters.theories import canonical_key, sort_key
 
 from closure_helpers import missing_images, missing_joins
 
 
-def test_chain_for_cp5():
-    records = all_theories(GroupSpec.cp(5))
+def test_chain_for_cp5(enumerated):
+    records = enumerated.theories(GroupSpec.cp(5))
     ts = sorted((r.theory for r in records), key=sort_key)
     # 2-class maximal, 3-class halving, 5-class minimal: a chain
     assert [len(t.classes) for t in ts] == [2, 3, 5]
     assert refinement_edges(ts) == [(1, 0), (2, 1)]
 
 
-def test_klein_diamond():
-    records = all_theories(GroupSpec.klein())
+def test_klein_diamond(enumerated):
+    records = enumerated.theories(GroupSpec.klein())
     ts = [r.theory for r in records]
     edges = refinement_edges(ts)
     assert sorted(edges) == [(1, 0), (2, 0), (3, 0), (4, 1), (4, 2), (4, 3)]
 
 
-def test_edges_are_covers():
-    records = all_theories(GroupSpec.cp_c2(3))
+def test_edges_are_covers(enumerated):
+    records = enumerated.theories(GroupSpec.cp_c2(3))
     ts = sorted((r.theory for r in records), key=sort_key)
     edges = refinement_edges(ts)
     for i, j in edges:
@@ -48,33 +48,32 @@ def _covers_by_refines(ts):
     return [(i, j) for i in range(n) for j in sorted(up[i]) if not up[i] & down[j]]
 
 
-@pytest.fixture(scope="module")
-def cp_c2_c2_13_theories():
-    return [r.theory for r in all_theories(GroupSpec.cp_c2_c2(13))]
+def _cp_c2_c2_13_theories(enumerated):
+    return [r.theory for r in enumerated.theories(GroupSpec.cp_c2_c2(13))]
 
 
-def test_edges_match_pairwise_refines(cp_c2_c2_13_theories):
-    ts = sorted(cp_c2_c2_13_theories, key=sort_key)
+def test_edges_match_pairwise_refines(enumerated):
+    ts = sorted(_cp_c2_c2_13_theories(enumerated), key=sort_key)
     assert len(ts) == 211
     assert refinement_edges(ts) == _covers_by_refines(ts)
 
 
-def test_edges_in_rounds_of_elements(cp_c2_c2_13_theories, monkeypatch):
+def test_edges_in_rounds_of_elements(enumerated, monkeypatch):
     # 52 elements in rounds of 5: each round drops the pairs that fail on
     # its elements, and the last round is short
     monkeypatch.setattr(lattice, "_CHUNK", 5)
-    ts = sorted(cp_c2_c2_13_theories, key=sort_key)
+    ts = sorted(_cp_c2_c2_13_theories(enumerated), key=sort_key)
     assert refinement_edges(ts) == _covers_by_refines(ts)
 
 
-def test_edges_past_one_round():
-    ts = sorted((r.theory for r in all_theories(GroupSpec.cp_c2_c2(17))), key=sort_key)
+def test_edges_past_one_round(enumerated):
+    ts = sorted((r.theory for r in enumerated.theories(GroupSpec.cp_c2_c2(17))), key=sort_key)
     assert ts[0].group.order > lattice._CHUNK
     assert refinement_edges(ts) == _covers_by_refines(ts)
 
 
-def test_dot_sorts_once(monkeypatch):
-    records = all_theories(GroupSpec.cp_c2(5))
+def test_dot_sorts_once(monkeypatch, enumerated):
+    records = enumerated.theories(GroupSpec.cp_c2(5))
     calls = []
 
     def counted(t):
@@ -86,10 +85,11 @@ def test_dot_sorts_once(monkeypatch):
     assert len(calls) == len(records)
 
 
-def test_edges_reject_a_duplicate_in_shuffled_order(cp_c2_c2_13_theories):
+def test_edges_reject_a_duplicate_in_shuffled_order(enumerated):
     # two copies of one theory would refine each other, cover each other
     # and hide every cover through them, so a repeat is refused and named
     rng = random.Random(13)
+    cp_c2_c2_13_theories = _cp_c2_c2_13_theories(enumerated)
     dup = cp_c2_c2_13_theories[57]
     ts = cp_c2_c2_13_theories + [dup]
     rng.shuffle(ts)
@@ -97,20 +97,20 @@ def test_edges_reject_a_duplicate_in_shuffled_order(cp_c2_c2_13_theories):
         refinement_edges(ts)
     ts.remove(dup)
     assert refinement_edges(ts) == _covers_by_refines(sorted(ts, key=sort_key))
-    records = all_theories(GroupSpec.c2_cubed())[:3]
+    records = enumerated.theories(GroupSpec.c2_cubed())[:3]
     with pytest.raises(ValueError, match="is repeated"):
         lattice_dot(records + records[1:2])
 
 
-def test_edges_reject_mixed_groups():
-    ts = [r.theory for r in all_theories(GroupSpec.klein())]
-    ts += [r.theory for r in all_theories(GroupSpec.cp(3))]
+def test_edges_reject_mixed_groups(enumerated):
+    ts = [r.theory for r in enumerated.theories(GroupSpec.klein())]
+    ts += [r.theory for r in enumerated.theories(GroupSpec.cp(3))]
     with pytest.raises(ValueError, match="theories live on different groups"):
         refinement_edges(ts)
 
 
-def test_dot_output_shape():
-    records = all_theories(GroupSpec.klein())
+def test_dot_output_shape(enumerated):
+    records = enumerated.theories(GroupSpec.klein())
     dot = lattice_dot(records)
     assert dot.startswith("digraph refinement {\n  rankdir=BT;")
     assert dot.endswith("}\n")
@@ -130,27 +130,24 @@ def test_tag_colors():
 # Closure of the enumerated theories under join, meet and Aut(G): a theory
 # missing from an enumeration shows as a missing join, meet or image.
 
-def _closure_records(which, c2cubed_records, records_by_p):
-    return c2cubed_records if which == "c2cubed" else records_by_p[which][0]
+def _closure_records(which, enumerated):
+    return enumerated.theories(
+        GroupSpec.c2_cubed() if which == "c2cubed" else GroupSpec.cp_c2_c2(which))
 
 
 @pytest.mark.parametrize("side", ["classes", "charparts"])
 @pytest.mark.parametrize("which", ["c2cubed", 3, 5, 7, 13])
-def test_enumerated_theories_are_closed_under_join_and_meet(
-    which, side, c2cubed_records, records_by_p
-):
-    records = _closure_records(which, c2cubed_records, records_by_p)
+def test_enumerated_theories_are_closed_under_join_and_meet(which, side, enumerated):
+    records = _closure_records(which, enumerated)
     missing = missing_joins([getattr(r.theory, side) for r in records])
     assert not missing, f"{len(missing)} joins of {side} missing, first: {missing[0]}"
 
 
 @pytest.mark.parametrize("which", ["c2cubed", 3, 5, 7, 13])
-def test_automorphic_theories_are_closed_under_join_and_meet(
-    which, c2cubed_records, records_by_p
-):
+def test_automorphic_theories_are_closed_under_join_and_meet(which, enumerated):
     # the orbit theories form a sublattice: the join and the meet of two
     # are orbit theories again (at (C_2)^3 every theory is one)
-    records = _closure_records(which, c2cubed_records, records_by_p)
+    records = _closure_records(which, enumerated)
     orbit = [r.theory for r in records if "automorphic" in r.tags]
     assert len(orbit) > 1
     for side in ("classes", "charparts"):
@@ -159,9 +156,7 @@ def test_automorphic_theories_are_closed_under_join_and_meet(
 
 
 @pytest.mark.parametrize("which", ["c2cubed", 3, 5, 7, 13])
-def test_enumerated_theories_are_closed_under_automorphisms(
-    which, c2cubed_records, records_by_p
-):
-    records = _closure_records(which, c2cubed_records, records_by_p)
+def test_enumerated_theories_are_closed_under_automorphisms(which, enumerated):
+    records = _closure_records(which, enumerated)
     missing = missing_images([r.theory for r in records])
     assert not missing, f"{len(missing)} images missing, first: {missing[0]}"

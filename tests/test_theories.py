@@ -14,7 +14,6 @@ from supercharacters import (
     Theory,
     TheoryRecord,
     Violation,
-    all_theories,
     canonical_key,
     dual,
     induced_character_partition,
@@ -49,6 +48,7 @@ def test_partition_validation():
     with pytest.raises(ValueError):
         Partition(1, [(0,), ()])  # empty block
     assert Partition.discrete(4).blocks == ((0,), (1,), (2,), (3,))
+    assert Partition(0, ()).blocks == ()
 
 
 @pytest.mark.parametrize("blocks,size,message", [
@@ -70,6 +70,9 @@ def test_partition_validation():
     # repeated
     ([(0,), (1, 4)], 5, "blocks do not partition range(5)"),
     ([(0,), (1, 4), (1, 4)], 5, "blocks do not partition range(5)"),
+    # a negative size is refused by value: range(-1) is empty like range(0)
+    ((), -1, "partition size must not be negative"),
+    ([[0]], -2, "partition size must not be negative"),
 ])
 def test_partition_validation_messages(blocks, size, message):
     with pytest.raises(ValueError) as info:
@@ -244,8 +247,8 @@ def test_dual_extremes():
     assert dual(maximal_theory(g)) == maximal_theory(g)
 
 
-def test_dual_is_involution_on_klein(klein_records):
-    for rec in klein_records:
+def test_dual_is_involution_on_klein(enumerated):
+    for rec in enumerated.theories(GroupSpec.klein()):
         t = rec.theory
         assert dual(dual(t)) == t
 
@@ -271,8 +274,8 @@ def test_canonical_key_and_sort_key():
     assert sort_key(maximal_theory(g)) < sort_key(minimal_theory(g))
 
 
-def test_json_round_trip(klein_records):
-    for rec in klein_records:
+def test_json_round_trip(enumerated):
+    for rec in enumerated.theories(GroupSpec.klein()):
         d = theory_to_json(rec)
         back = theory_from_json(d)
         assert back.theory == rec.theory
@@ -281,11 +284,11 @@ def test_json_round_trip(klein_records):
         assert d["tags"] == sorted(rec.tags)
 
 
-def test_json_reads_blocks_in_any_order(records_by_p):
+def test_json_reads_blocks_in_any_order(enumerated):
     # the reader cuts every block off one shared iterator of indices, so it
     # must hand each block whole, and in order, to the canonical sort
     rng = random.Random(5)
-    records = records_by_p[5][0]
+    records = enumerated.theories(GroupSpec.cp_c2_c2(5))
     assert len(records) == 109
     for rec in records:
         d = theory_to_json(rec)
@@ -495,13 +498,13 @@ def _random_invariant_partition(rng, g):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13])
-def test_multiplier_kernel_matches_full_loop(p):
+def test_multiplier_kernel_matches_full_loop(p, enumerated):
     rng = random.Random(1000 + p)
     tally = {"invariant valid": 0, "invariant invalid": 0, "not invariant": 0,
              "induced error": 0}
     for g in (GroupSpec.cp(p), GroupSpec.cp_c2(p), GroupSpec.cp_c2_c2(p)):
         n, perm = g.order, g.multiplier_perm
-        theories = [rec.theory for rec in all_theories(g)]
+        theories = [rec.theory for rec in enumerated.theories(g)]
         pairs = []  # (classes, charparts) to verify
         class_sides = []  # class partitions to complete
         for t in theories:
@@ -548,6 +551,7 @@ def test_multiplier_kernel_matches_full_loop(p):
     assert all(count >= 20 for count in tally.values()), tally
 
 
+@pytest.mark.fresh("enumerates in a child process")
 def test_failing_invariant_theories_build_no_full_key_table():
     # verify locates the first violation of a theory whose partitions the
     # multipliers fix from the lead ids, so the n x n key table is left
