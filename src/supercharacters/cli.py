@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from itertools import chain
 
 from .bruteforce import BudgetExhaustedError, brute_force_enumerate
 from .constructions import (
@@ -28,6 +29,7 @@ from .lattice import lattice_dot
 from .theories import (
     TheoryRecord,
     _dumps,
+    _theory_from_line,
     _theory_line,
     canonical_key,
     dual,
@@ -77,16 +79,25 @@ def _open_out(path: str | None):
 
 def _read_records(path: str | None) -> list[TheoryRecord]:
     """Parse JSONL records line by line, skipping blank lines; a bad record,
-    including one nested too deep for the JSON decoder, raises ValueError
-    naming its 1-based line number."""
+    including one that is not UTF-8 or is nested too deep for the JSON
+    decoder, raises ValueError naming its 1-based line number.
+
+    Lines are read as bytes and decoded one by one, from a file and from
+    stdin alike.  bytes.splitlines ends a line at "\n", "\r\n" or a bare
+    "\r", as text mode does.  A line in the layout this program writes is
+    read from its text by _theory_from_line; any other goes through
+    json.loads and theory_from_json."""
     stdin = path is None or path == "-"
     records = []
-    with nullcontext(sys.stdin) if stdin else open(path, encoding="utf-8") as lines:
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
+    with nullcontext(sys.stdin.buffer) if stdin else open(path, "rb") as chunks:
+        lines = chain.from_iterable(map(bytes.splitlines, chunks))
+        for lineno, raw in enumerate(lines, start=1):
             try:
-                records.append(theory_from_json(json.loads(line.rstrip("\r\n"))))
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                rec = _theory_from_line(line)
+                records.append(theory_from_json(json.loads(line)) if rec is None else rec)
             except (ValueError, RecursionError) as e:
                 raise ValueError(f"line {lineno}: {e}") from None
     return records
@@ -290,11 +301,15 @@ def main(argv=None) -> int:
 
 def run() -> int:
     """Entry point of `python -m supercharacters.cli` and of the installed
-    `supercharacters` script: main() on sys.argv, then gc.freeze().  The
-    collection that the interpreter makes at exit, even under gc.disable(),
-    then skips every object left from start-up and the command; walking
-    them cost 6-10 ms of CPU per call.  main(argv) leaves the collector
-    alone, since tests call it in-process."""
+    `supercharacters` script: gc.disable(), main() on sys.argv, then
+    gc.freeze().  With the collector off, a command that allocates
+    containers fast, as an enumeration does, no longer walks the objects
+    of the imports and the group tables again and again; one command is
+    short and leaves few cycles.  The collection that the interpreter makes
+    at exit, even under gc.disable(), then skips every object left from
+    start-up and the command; walking them cost 6-10 ms of CPU per call.
+    main(argv) leaves the collector alone, since tests call it in-process."""
+    gc.disable()
     try:
         return main()
     finally:

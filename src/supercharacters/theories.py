@@ -502,10 +502,72 @@ def theory_from_json(d) -> TheoryRecord:
     g = group_from_json(d.get("group"))
     classes = _partition_from_lists(g, d.get("superclasses"), "superclasses")
     charparts = _partition_from_lists(g, d.get("character_classes"), "character_classes")
-    tags = d.get("tags", [])
-    prov = d.get("provenance", [])
+    return _record(g, classes, charparts, d.get("tags", []), d.get("provenance", []))
+
+
+def _record(g: GroupSpec, classes: Partition, charparts: Partition, tags, prov) -> TheoryRecord:
+    """The record of a theory read from outside, once its tags and
+    provenance, as JSON decoded them, pass their checks."""
     if not isinstance(tags, list) or not all(isinstance(s, str) for s in tags):
         raise ValueError("tags must be a list of strings")
     if not isinstance(prov, list):
         raise ValueError("provenance must be a list")
     return TheoryRecord(Theory(g, classes, charparts), set(tags), list(prov))
+
+
+@lru_cache(maxsize=None)
+def _element_index(g: GroupSpec) -> dict[str, int]:
+    """The inverse of _element_texts(g): the index of each element, keyed
+    by its JSON text without the brackets, which is what remains of a
+    vector when a partition's text is split at the brackets around it."""
+    return {text[1:-1]: i for i, text in enumerate(_element_texts(g))}
+
+
+def _partition_from_text(g: GroupSpec, text: str) -> Partition:
+    """The partition whose text _partition_text writes: "[[[" and "]]]"
+    around the blocks, joined by "]],[[", each the element texts of its
+    members without brackets, joined by "],[".  KeyError for a piece that
+    is no element's text, ValueError for text not framed so or blocks that
+    Partition refuses."""
+    # no shorter text passes: "[[[" and "]]]" cannot overlap
+    if text[:3] != "[[[" or text[-3:] != "]]]":
+        raise ValueError("partition text not in the written layout")
+    lookup = _element_index(g).__getitem__
+    rows = text[3:-3].split("]],[[")
+    return Partition(g.order, [list(map(lookup, row.split("],["))) for row in rows])
+
+
+# what precedes each value in the line _theory_line writes
+_LINE_HEAD = '{"group":'
+_LINE_KEYS = (',"superclasses":', ',"character_classes":', ',"tags":', ',"provenance":')
+
+
+def _theory_from_line(line: str) -> TheoryRecord | None:
+    """The record of a JSONL line in the exact layout that _theory_line
+    writes, read from its text; None for a line in any other layout and for
+    one that any check refuses, which the caller then reads with json.loads
+    and theory_from_json, for the same record or the message naming the
+    fault.
+
+    The line is cut at the first occurrence of each key, in the order
+    written.  The group, the tags and the provenance each go through
+    json.loads; the two partitions go through _partition_from_text, whose
+    element texts hold only digits and commas.  So when every value passes,
+    the line is one JSON object with exactly these five keys, and
+    theory_from_json(json.loads(line)) gives an equal record."""
+    if not line.startswith(_LINE_HEAD) or not line.endswith("}"):
+        return None
+    values, start = [], len(_LINE_HEAD)
+    for key in _LINE_KEYS:
+        end = line.find(key, start)
+        if end < 0:
+            return None
+        values.append(line[start:end])
+        start = end + len(key)
+    group, classes, charparts, tags = values
+    try:
+        g = group_from_json(json.loads(group))
+        return _record(g, _partition_from_text(g, classes), _partition_from_text(g, charparts),
+                       json.loads(tags), json.loads(line[start:-1]))
+    except (ValueError, KeyError, RecursionError):
+        return None

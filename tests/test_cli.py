@@ -16,11 +16,13 @@ from supercharacters import (
     GroupSpec,
     Partition,
     Theory,
+    TheoryRecord,
     aut_generating_subset,
     canonical_key,
     cli,
     direct_decompositions,
     from_automorphisms,
+    maximal_theory,
     theory_from_json,
     theory_to_json,
     wedge_decompositions,
@@ -34,6 +36,12 @@ def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _stdin(data: bytes):
+    """A text stream over data with the binary buffer beneath it, as
+    sys.stdin has; the CLI reads records from the buffer."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
 
 def test_cli_import_loads_no_class_generator():
@@ -97,7 +105,7 @@ def test_verify_accepts_enumerated_records(tmp_path, capsys):
 def test_verify_reads_stdin(capsys, monkeypatch):
     cli.main(["enumerate", "--group", "cp", "--p", "5"])
     out = capsys.readouterr().out
-    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    monkeypatch.setattr("sys.stdin", _stdin(out.encode()))
     code, out2, _ = run(capsys, ["verify"])
     assert code == 0
     assert all(line.endswith("ok") for line in out2.strip().splitlines())
@@ -371,18 +379,52 @@ def test_file_errors_exit_4_with_one_line(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+def _verify_input(source, tmp_path, monkeypatch, data: bytes) -> list[str]:
+    """The argv of `verify` reading data from a file or from stdin."""
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", _stdin(data))
+        return ["verify"]
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(data)
+    return ["verify", str(path)]
+
+
 @pytest.mark.parametrize("source", ["file", "stdin"])
 def test_bad_record_after_blank_line_names_its_line(tmp_path, capsys, monkeypatch, source):
     cli.main(["enumerate", "--group", "klein"])
     good = capsys.readouterr().out.splitlines()
     text = "\n".join([good[0], "", good[1][:-1], good[2]]) + "\n"
-    path = tmp_path / "gap.jsonl"
-    path.write_text(text)
-    if source == "stdin":
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
-    code, out, err = run(capsys, ["verify"] + ([str(path)] if source == "file" else []))
+    code, out, err = run(capsys, _verify_input(source, tmp_path, monkeypatch, text.encode()))
     assert code == 4 and out == ""
     assert err.startswith("error: line 3: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_record_not_in_utf8_names_its_line(tmp_path, capsys, monkeypatch, source):
+    # both sources decode each line as strict UTF-8, so a byte that is not
+    # UTF-8 makes a bad record like any other
+    cli.main(["enumerate", "--group", "klein"])
+    good = capsys.readouterr().out.encode().splitlines()
+    bad = good[1].replace(b'"tags":[', b'"tags":["\xff",', 1)
+    at = bad.index(b"\xff")
+    data = good[0] + b"\n" + bad + b"\n"
+    code, out, err = run(capsys, _verify_input(source, tmp_path, monkeypatch, data))
+    assert code == 4 and out == ""
+    assert err == (f"error: line 2: 'utf-8' codec can't decode byte 0xff in position {at}: "
+                   "invalid start byte\n")
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_bare_cr_ends_a_line(tmp_path, capsys, monkeypatch, source):
+    # as in text mode, "\r", "\r\n" and "\n" each end one line
+    cli.main(["enumerate", "--group", "klein"])
+    good = capsys.readouterr().out.splitlines()
+    text = good[0] + "\r" + good[1] + "\r\n" + good[2] + "\n\r" + good[3] + "\r"
+    code, out, err = run(capsys, _verify_input(source, tmp_path, monkeypatch, text.encode()))
+    assert (code, out, err) == (0, "".join(f"theory {i}: ok\n" for i in range(4)), "")
+    text = text.replace(good[3], good[3][:-1])
+    code, out, err = run(capsys, _verify_input(source, tmp_path, monkeypatch, text.encode()))
+    assert code == 4 and out == "" and err.startswith("error: line 5: ")
 
 
 def test_usage_errors_exit_4(capsys):
@@ -482,6 +524,12 @@ def _cpc2c2(p_field):
     return '{"group":{"family":"CpC2C2"' + p_field + "}," + _TRIVIAL_BLOCKS + "}"
 
 
+# the maximal theory of C_13 x C_2 x C_2 as the program writes it; the rows
+# built from it keep that layout, so the reader tries them by their text
+# first, and its last superclass element is [12,1,1]
+_P13_LINE = theories._theory_line(TheoryRecord(maximal_theory(GroupSpec.cp_c2_c2(13))))
+
+
 @pytest.mark.parametrize("line,reason", [
     ('{"group":{"family":"CpC2C2","p":"13"},' + _TRIVIAL_BLOCKS + "}",
      "p must be an integer"),
@@ -542,13 +590,34 @@ def _cpc2c2(p_field):
     (_cpc2c2(',"p":-7'), "p must be an odd prime, got -7"),
     (_cpc2c2(',"p":0'), "p must be an odd prime, got 0"),
     (_cpc2c2(',"p":1'), "p must be an odd prime, got 1"),
+    (_P13_LINE.replace("[12,1,1]", "[13,0,0]", 1),
+     "exponents out of range in superclasses: [13, 0, 0]"),
+    (_P13_LINE.replace("[12,1,1]", "[12,1,0]", 1), "blocks do not partition range(52)"),
+    (_P13_LINE.replace(",[12,1,1]", "", 1), "blocks do not partition range(52)"),
+    (_P13_LINE.replace("[[[0,0,0]],", "[[[0,0,0]],[],", 1),
+     "superclasses blocks must be nonempty lists"),
+    # the column is the whole line's, not one counted within a value
+    (_P13_LINE + " {}",
+     f"Extra data: line 1 column {len(_P13_LINE) + 2} (char {len(_P13_LINE) + 1})"),
+    (_P13_LINE[:-1] + "]",
+     f"Expecting ',' delimiter: line 1 column {len(_P13_LINE)} (char {len(_P13_LINE) - 1})"),
+    (_P13_LINE.replace('"superclasses":[[[', '"superclasses":{[[', 1),
+     "Expecting property name enclosed in double quotes: line 1 column 53 (char 52)"),
+    (_P13_LINE.replace(']]],"character_classes"', ']]},"character_classes"', 1),
+     "Expecting ',' delimiter: line 1 column 484 (char 483)"),
+    (_P13_LINE.replace('"tags":[]', '"tags":[1]', 1), "tags must be a list of strings"),
+    (_P13_LINE.replace('"provenance":[]', '"provenance":{}', 1), "provenance must be a list"),
 ], ids=["string-p", "bool-p", "bool-exponent", "huge-p", "nonprime-p", "two-p", "klein-p",
         "float-exponent", "deep-nesting", "array-line", "string-line", "null-line",
         "number-line", "truncated", "group-list", "group-empty", "family-int", "family-s3",
         "no-superclasses", "dict-superclasses", "empty-block", "short-vector",
         "long-vector", "duplicate-vector", "missing-vector", "null-exponent", "list-exponent",
         "negative-exponent", "string-tags", "int-tags", "dict-provenance", "float-p",
-        "missing-p", "nan-p", "huge-exponent", "negative-p", "zero-p", "one-p"])
+        "missing-p", "nan-p", "huge-exponent", "negative-p", "zero-p", "one-p",
+        "written-out-of-range", "written-repeated", "written-missing",
+        "written-empty-block", "written-trailing-data", "written-bracket-close",
+        "written-brace-frame", "written-brace-close", "written-int-tags",
+        "written-dict-provenance"])
 def test_hostile_records_exit_4(tmp_path, capsys, line, reason):
     """Every command that reads records refuses a hostile line with exit 4,
     one stderr line and nothing on stdout."""
@@ -627,11 +696,15 @@ def test_c2cubed_enumeration_changed_only_in_tags_and_provenance(capsys):
     assert hashlib.sha256("".join(stripped).encode()).hexdigest() == C2CUBED_THEORIES_SHA256
 
 
-@pytest.mark.parametrize("g", [
+# the groups of ENUMERATE_SHA256, with the trivial group and C_2
+_PINNED_GROUPS = [
     *(GroupSpec.from_family(cli._FAMILIES[group], p)
       for group, p in sorted(ENUMERATE_SHA256, key=str)),
     GroupSpec.of(()), GroupSpec.of((2,)),
-], ids=str)
+]
+
+
+@pytest.mark.parametrize("g", _PINNED_GROUPS, ids=str)
 def test_enumerated_tags_match_classify(g, enumerated):
     # every family runs the same constructions, so the enumerator tags each
     # theory with exactly the constructions classify finds a witness for
@@ -639,11 +712,7 @@ def test_enumerated_tags_match_classify(g, enumerated):
         assert rec.tags == cli._classify_one(rec.theory)[0], canonical_key(rec.theory)
 
 
-@pytest.mark.parametrize("g", [
-    *(GroupSpec.from_family(cli._FAMILIES[group], p)
-      for group, p in sorted(ENUMERATE_SHA256, key=str)),
-    GroupSpec.of(()), GroupSpec.of((2,)),
-], ids=str)
+@pytest.mark.parametrize("g", _PINNED_GROUPS, ids=str)
 def test_witness_index_is_the_gated_orbit_theories(g, enumerated):
     # the index builds orbit partitions outside the gate: its keys are the
     # classes of exactly the records the enumerator tags automorphic, and
@@ -712,6 +781,66 @@ def test_enumerated_records_round_trip(capsys, enumerated, group, p):
         back = theory_from_json(json.loads(line))
         assert back.theory == rec.theory
         assert back.tags == rec.tags and back.provenance == rec.provenance
+
+
+@pytest.mark.parametrize("g", _PINNED_GROUPS, ids=str)
+def test_written_lines_are_read_by_their_text(tmp_path, monkeypatch, enumerated, g):
+    # every line the writer lays out takes the text path: json.loads sees
+    # its group, tags and provenance and no partition, the record equals
+    # the JSON path's, and the CLI reader never needs theory_from_json
+    lines = [theories._theory_line(rec) for rec in enumerated.theories(g)]
+    expected = [theory_from_json(json.loads(line)) for line in lines]
+    loaded = []
+    real_loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda s: loaded.append(s) or real_loads(s))
+    read = [theories._theory_from_line(line) for line in lines]
+    monkeypatch.undo()
+    assert read == expected
+    group = theories._dumps(theories.group_to_json(g))
+    assert loaded == [text for rec in expected for text in (
+        group, theories._dumps(sorted(rec.tags)), theories._dumps(rec.provenance))]
+    path = tmp_path / "written.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+
+    def refuse(d):
+        raise AssertionError("a written line took the JSON path")
+
+    monkeypatch.setattr(cli, "theory_from_json", refuse)
+    assert cli._read_records(str(path)) == expected
+
+
+def _repeat_superclasses(line: str, g: GroupSpec) -> str:
+    """line with the discrete partition as its superclasses, and its own
+    superclasses again after the provenance, where json.loads keeps the
+    last value of a repeated key."""
+    head, _, rest = line.partition(',"superclasses":')
+    classes, _, rest = rest.partition(',"character_classes":')
+    discrete = theories._partition_text(Partition.discrete(g.order), theories._element_texts(g))
+    return (f'{head},"superclasses":{discrete},"character_classes":{rest[:-1]},'
+            f'"superclasses":{classes}}}')
+
+
+@pytest.mark.parametrize("relayout,by_text", [
+    (lambda line, g: json.dumps(json.loads(line)) + "\n", False),
+    (lambda line, g: json.dumps(dict(reversed(json.loads(line).items())),
+                                separators=(",", ":")) + "\n", False),
+    # the line ends before "\r\n", so its text is the writer's
+    (lambda line, g: line + "\r\n", True),
+    # the group goes through json.loads on both paths, escapes and all
+    (lambda line, g: line.replace('"CpC2C2"', '"\\u0043pC2C2"', 1) + "\n", True),
+    (lambda line, g: _repeat_superclasses(line, g) + "\n", False),
+], ids=["spaces", "key-order", "crlf", "escaped-family", "repeated-superclasses"])
+def test_other_layouts_read_as_before(tmp_path, enumerated, relayout, by_text):
+    # a line in another layout than the writer's goes through json.loads and
+    # theory_from_json; on either path it reads as the record it encodes
+    g = GroupSpec.cp_c2_c2(3)
+    rec = next(r for r in enumerated.theories(g)
+               if r.tags and any(e["construction"] == "aut" for e in r.provenance))
+    text = relayout(theories._theory_line(rec), g)
+    assert (theories._theory_from_line(text.rstrip("\r\n")) is not None) == by_text
+    path = tmp_path / "relaid.jsonl"
+    path.write_bytes(text.encode())
+    assert cli._read_records(str(path)) == [rec]
 
 
 def _mutate_all(obj) -> None:

@@ -64,6 +64,7 @@ def test_main_leaves_the_collector_unfrozen(capsys):
     assert cli.main(["oracle", "--group", "cp", "--p", "3", "--budget", "0"]) == cli.EXIT_INPUT
     capsys.readouterr()
     assert gc.get_freeze_count() == before
+    assert gc.isenabled()
 
 
 def test_run_freezes_after_main_returns(capsys, monkeypatch):
@@ -76,10 +77,12 @@ def test_run_freezes_after_main_returns(capsys, monkeypatch):
         return code
 
     monkeypatch.setattr(cli, "main", logged_main)
+    # patched, so that the test process keeps its collector
+    monkeypatch.setattr(gc, "disable", lambda: events.append("disable"))
     monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
     monkeypatch.setattr(sys, "argv", ["supercharacters", "oracle", "--group", "cp", "--p", "3"])
     assert cli.run() == cli.EXIT_OK
-    assert events == ["main returned", "freeze"]
+    assert events == ["disable", "main returned", "freeze"]
     assert capsys.readouterr().err == "count 2\n"
 
 

@@ -125,8 +125,9 @@ def _calls_by_owner():
 
 
 def test_partitions_have_one_checked_and_one_unchecked_way_in():
-    # the checked Partition(...) runs only at the two boundaries that take
-    # blocks from outside; the program's own producers build through the
+    # the checked Partition(...) runs only at the boundaries that take
+    # blocks from outside (the JSONL reader's two paths and the blind
+    # search); the program's own producers build through the
     # unchecked Partition._canonical; and only _canonical and _aut_map call
     # _Frozen.__init__ directly, past a class's own checks
     calls = _calls_by_owner()
@@ -135,7 +136,8 @@ def test_partitions_have_one_checked_and_one_unchecked_way_in():
         return {name for name, c in calls if test(c.func)}
 
     assert owners(lambda f: getattr(f, "id", None) == "Partition") == {
-        "theories._partition_from_lists", "bruteforce.brute_force_enumerate"}
+        "theories._partition_from_lists", "theories._partition_from_text",
+        "bruteforce.brute_force_enumerate"}
     assert owners(lambda f: getattr(f, "attr", None) == "_canonical") == {
         "constructions._orbit_partition", "constructions._products", "constructions._lift",
         "theories.restriction", "theories.induced_character_partition",
