@@ -86,9 +86,11 @@ def _read_records(path: str | None) -> list[TheoryRecord]:
     stdin alike.  bytes.splitlines ends a line at "\n", "\r\n" or a bare
     "\r", as text mode does.  A line in the layout this program writes is
     read from its text by _theory_from_line; any other goes through
-    json.loads and theory_from_json."""
+    json.loads and theory_from_json.  The partition and block texts that
+    _theory_from_line decodes are kept, per group, for this read only: a
+    file closed under duality writes each partition twice."""
     stdin = path is None or path == "-"
-    records = []
+    records, memo = [], {}
     with nullcontext(sys.stdin.buffer) if stdin else open(path, "rb") as chunks:
         lines = chain.from_iterable(map(bytes.splitlines, chunks))
         for lineno, raw in enumerate(lines, start=1):
@@ -96,7 +98,7 @@ def _read_records(path: str | None) -> list[TheoryRecord]:
                 line = raw.decode("utf-8")
                 if not line.strip():
                     continue
-                rec = _theory_from_line(line)
+                rec = _theory_from_line(line, memo)
                 records.append(theory_from_json(json.loads(line)) if rec is None else rec)
             except (ValueError, RecursionError) as e:
                 raise ValueError(f"line {lineno}: {e}") from None

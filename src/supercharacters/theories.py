@@ -523,18 +523,33 @@ def _element_index(g: GroupSpec) -> dict[str, int]:
     return {text[1:-1]: i for i, text in enumerate(_element_texts(g))}
 
 
-def _partition_from_text(g: GroupSpec, text: str) -> Partition:
+def _partition_from_text(g: GroupSpec, text: str, known: tuple[dict, dict]) -> Partition:
     """The partition whose text _partition_text writes: "[[[" and "]]]"
     around the blocks, joined by "]],[[", each the element texts of its
     members without brackets, joined by "],[".  KeyError for a piece that
     is no element's text, ValueError for text not framed so or blocks that
-    Partition refuses."""
-    # no shorter text passes: "[[[" and "]]]" cannot overlap
-    if text[:3] != "[[[" or text[-3:] != "]]]":
-        raise ValueError("partition text not in the written layout")
-    lookup = _element_index(g).__getitem__
-    rows = text[3:-3].split("]],[[")
-    return Partition(g.order, [list(map(lookup, row.split("],["))) for row in rows])
+    Partition refuses.
+
+    known, a pair of dicts kept for one group, maps each partition text
+    already read to its Partition and each block text to its index tuple,
+    so a text seen again is decoded and checked once.  A block text is
+    stored once each of its pieces is found, a partition text only once
+    Partition accepts it."""
+    parts, rows = known
+    part = parts.get(text)
+    if part is None:
+        # no shorter text passes: "[[[" and "]]]" cannot overlap
+        if text[:3] != "[[[" or text[-3:] != "]]]":
+            raise ValueError("partition text not in the written layout")
+        lookup = _element_index(g).__getitem__
+        blocks = []
+        for row in text[3:-3].split("]],[["):
+            block = rows.get(row)
+            if block is None:
+                block = rows[row] = tuple(map(lookup, row.split("],[")))
+            blocks.append(block)
+        part = parts[text] = Partition(g.order, blocks)
+    return part
 
 
 # what precedes each value in the line _theory_line writes
@@ -542,12 +557,14 @@ _LINE_HEAD = '{"group":'
 _LINE_KEYS = (',"superclasses":', ',"character_classes":', ',"tags":', ',"provenance":')
 
 
-def _theory_from_line(line: str) -> TheoryRecord | None:
+def _theory_from_line(line: str, memo: dict | None = None) -> TheoryRecord | None:
     """The record of a JSONL line in the exact layout that _theory_line
     writes, read from its text; None for a line in any other layout and for
     one that any check refuses, which the caller then reads with json.loads
     and theory_from_json, for the same record or the message naming the
-    fault.
+    fault.  memo, a dict that a reader keeps over the lines it reads, holds
+    for each group the texts _partition_from_text has decoded, so a
+    partition written again is one object and is checked once.
 
     The line is cut at the first occurrence of each key, in the order
     written.  The group, the tags and the provenance each go through
@@ -567,7 +584,9 @@ def _theory_from_line(line: str) -> TheoryRecord | None:
     group, classes, charparts, tags = values
     try:
         g = group_from_json(json.loads(group))
-        return _record(g, _partition_from_text(g, classes), _partition_from_text(g, charparts),
+        known = ({} if memo is None else memo).setdefault(g, ({}, {}))
+        return _record(g, _partition_from_text(g, classes, known),
+                       _partition_from_text(g, charparts, known),
                        json.loads(tags), json.loads(line[start:-1]))
     except (ValueError, KeyError, RecursionError):
         return None

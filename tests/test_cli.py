@@ -607,6 +607,17 @@ _P13_LINE = theories._theory_line(TheoryRecord(maximal_theory(GroupSpec.cp_c2_c2
      "Expecting ',' delimiter: line 1 column 484 (char 483)"),
     (_P13_LINE.replace('"tags":[]', '"tags":[1]', 1), "tags must be a list of strings"),
     (_P13_LINE.replace('"provenance":[]', '"provenance":{}', 1), "provenance must be a list"),
+    # a good line, then a refused one whose partition texts the reader has
+    # already decoded: the second still gets the JSON path's message
+    (_P13_LINE + "\n" + _P13_LINE.replace('"tags":[]', '"tags":[1]', 1),
+     "tags must be a list of strings"),
+    (_P13_LINE + "\n" + _P13_LINE.replace('"provenance":[]', '"provenance":{}', 1),
+     "provenance must be a list"),
+    # every element text of p = 13 is one of p = 17, too few to cover it
+    (_P13_LINE + "\n" + _P13_LINE.replace('"p":13', '"p":17', 1),
+     "blocks do not partition range(68)"),
+    (_P13_LINE + "\n" + _P13_LINE.replace('"p":13', '"p":11', 1),
+     "exponents out of range in superclasses: [11, 0, 0]"),
 ], ids=["string-p", "bool-p", "bool-exponent", "huge-p", "nonprime-p", "two-p", "klein-p",
         "float-exponent", "deep-nesting", "array-line", "string-line", "null-line",
         "number-line", "truncated", "group-list", "group-empty", "family-int", "family-s3",
@@ -617,16 +628,18 @@ _P13_LINE = theories._theory_line(TheoryRecord(maximal_theory(GroupSpec.cp_c2_c2
         "written-out-of-range", "written-repeated", "written-missing",
         "written-empty-block", "written-trailing-data", "written-bracket-close",
         "written-brace-frame", "written-brace-close", "written-int-tags",
-        "written-dict-provenance"])
+        "written-dict-provenance", "repeated-int-tags", "repeated-dict-provenance",
+        "repeated-p17", "repeated-p11"])
 def test_hostile_records_exit_4(tmp_path, capsys, line, reason):
-    """Every command that reads records refuses a hostile line with exit 4,
-    one stderr line and nothing on stdout."""
+    """Every command that reads records refuses a hostile line, the last of
+    the file, with exit 4, one stderr line naming it and nothing on stdout."""
     path = tmp_path / "hostile.jsonl"
     path.write_text(line + "\n")
+    lineno = line.count("\n") + 1
     for argv in (["verify"], ["dual"], ["classify"], ["lattice", "--dot", "-"]):
         code, out, err = run(capsys, [argv[0], str(path), *argv[1:]])
         assert code == 4 and out == "", argv
-        assert err.startswith("error: line 1: ") and err.count("\n") == 1
+        assert err.startswith(f"error: line {lineno}: ") and err.count("\n") == 1
         assert reason in err
 
 
@@ -807,6 +820,56 @@ def test_written_lines_are_read_by_their_text(tmp_path, monkeypatch, enumerated,
 
     monkeypatch.setattr(cli, "theory_from_json", refuse)
     assert cli._read_records(str(path)) == expected
+
+
+def test_reading_decodes_each_partition_text_once(tmp_path, enumerated):
+    # the theories of a group are closed under duality, so each partition
+    # text is written twice; one read hands out one Partition per text and
+    # records equal to the JSON path's, and the next read starts afresh
+    lines = [theories._theory_line(rec) for rec in enumerated.theories(GroupSpec.cp_c2_c2(13))]
+    path = tmp_path / "p13.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    read = cli._read_records(str(path))
+    assert len(read) == len(lines)
+    for line, rec in zip(lines, read):
+        assert rec == theory_from_json(json.loads(line))
+    parts = [part for rec in read for part in (rec.theory.classes, rec.theory.charparts)]
+    assert len(parts) == 422
+    assert len({id(part) for part in parts}) == len(set(parts)) == 211
+    again = cli._read_records(str(path))
+    assert again == read and again[0].theory.classes is not read[0].theory.classes
+
+
+def test_reading_keeps_each_groups_texts_apart(tmp_path, monkeypatch, enumerated):
+    # C_3 x C_2 x C_2 and (C_2)^3 write some vectors, such as [0,0,1], with
+    # one text and one index; a file that alternates their lines with
+    # Klein's reads every line on the text path as the JSON path does, each
+    # partition of its own group's order, and the reader keeps each group's
+    # texts apart
+    gs = [GroupSpec.cp_c2_c2(3), GroupSpec.c2_cubed(), GroupSpec.klein()]
+    assert theories._element_index(gs[0])["0,0,1"] == theories._element_index(gs[1])["0,0,1"]
+    written = [[theories._theory_line(rec) for rec in enumerated.theories(g)] for g in gs]
+    lines = [texts[i % len(texts)] for i in range(max(map(len, written))) for texts in written]
+    expected = [theory_from_json(json.loads(line)) for line in lines]
+    memo = {}
+    assert [theories._theory_from_line(line, memo) for line in lines] == expected
+    assert list(memo) == gs
+    for g, (parts, rows) in memo.items():
+        assert {part.size for part in parts.values()} == {g.order}
+        assert max(map(max, rows.values())) < g.order
+    path = tmp_path / "mixed.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+
+    def refuse(d):
+        raise AssertionError("a written line took the JSON path")
+
+    monkeypatch.setattr(cli, "theory_from_json", refuse)
+    read = cli._read_records(str(path))
+    assert read == expected
+    for i, rec in enumerate(read):
+        t = rec.theory
+        assert t.group == gs[i % 3]
+        assert t.classes.size == t.charparts.size == t.group.order
 
 
 def _repeat_superclasses(line: str, g: GroupSpec) -> str:
