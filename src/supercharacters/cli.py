@@ -1,21 +1,23 @@
 """Command-line interface.
 
-Subcommands: count, enumerate, verify, dual, classify, oracle, lattice.
+Commands: count, enumerate, verify, dual, classify, oracle, lattice.
 Theories travel as JSON Lines, one record per line, ordered by (number of
-classes, canonical key).  Exit codes: 0 success, 2 verification failure,
-3 count mismatch, 4 bad input, 5 search budget exhausted, 141 stdout closed
+classes, canonical key).  Options are given by their full names, as
+`--name value` or `--name=value`; `-` names stdin or stdout.  Exit codes:
+0 success and help (-h, --help), 2 verification failure, 3 count mismatch,
+4 bad input and usage errors, 5 search budget exhausted, 141 stdout closed
 by its reader (as in `| head`; 128 + SIGPIPE, with no message).
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
 import sys
 from contextlib import nullcontext
 from itertools import chain
+from types import SimpleNamespace
 
 from .bruteforce import BudgetExhaustedError, brute_force_enumerate
 from .constructions import (
@@ -52,14 +54,6 @@ EXIT_PIPE = 141
 # the CLI name of a family is its name in lower case; the trivial group and
 # C_2 have none
 _FAMILIES = {f.lower(): f for f in _FAMILY_SHAPES if f not in ("Trivial", "C2")}
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; these are bad input here."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def _group_from_args(args) -> GroupSpec:
@@ -217,47 +211,154 @@ def _cmd_lattice(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="supercharacters", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# The seven commands: the handler, a one-line help, whether the command reads
+# one optional JSONL file (default stdin), and its options.  An option is
+# (name, kind, required, help); kind is int, str for a path, the tuple of
+# choices, or bool for a flag.  Parsing follows argparse's grammar without
+# prefix abbreviations, and builds no parser object: importing argparse and
+# building its parsers cost about 4 ms of every call's start-up.
+_GROUP = ("--group", tuple(sorted(_FAMILIES)), True, "group family")
+_P = ("--p", int, False, "odd prime p, at most 199 (cp* families)")
+_OUT = ("--out", str, False, "output file (default stdout)")
+_COMMANDS = {
+    "count": (_cmd_count, "enumerate C_p x C_2 x C_2 and check the formulas", False, (
+        ("--p", int, True, "odd prime p, at most 199"),
+        ("--json", bool, False, "print the report as one JSON object"))),
+    "enumerate": (_cmd_enumerate, "list every theory of a group as JSONL", False,
+                  (_GROUP, _P, _OUT)),
+    "verify": (_cmd_verify, "check each JSONL theory", True, ()),
+    "dual": (_cmd_dual, "swap class and character partitions", True, (_OUT,)),
+    "classify": (_cmd_classify, "recompute construction tags with witnesses", True, ()),
+    "oracle": (_cmd_oracle, "brute-force search for all theories", False, (
+        _GROUP, _P, ("--budget", int, False, "search node budget"), _OUT)),
+    "lattice": (_cmd_lattice, "DOT digraph of covering refinements", True, (
+        ("--dot", str, True, "output DOT file ('-' for stdout)"),)),
+}
+_HELP_LINE = ("-h, --help", "show this help message and exit")
 
-    p_count = sub.add_parser("count", help="enumerate C_p x C_2 x C_2 and check the formulas")
-    p_count.add_argument("--p", type=int, required=True)
-    p_count.add_argument("--json", action="store_true")
-    p_count.set_defaults(func=_cmd_count)
 
-    p_enum = sub.add_parser("enumerate", help="list every theory of a group as JSONL")
-    p_enum.add_argument("--group", choices=sorted(_FAMILIES), required=True)
-    p_enum.add_argument("--p", type=int)
-    p_enum.add_argument("--out", help="output file (default stdout)")
-    p_enum.set_defaults(func=_cmd_enumerate)
+def _option_word(name: str, kind) -> str:
+    """An option as usage shows it: `--json`, `--p P`, `--group {cp,...}`."""
+    if kind is bool:
+        return name
+    if type(kind) is tuple:
+        return f"{name} {{{','.join(kind)}}}"
+    return f"{name} {name[2:].upper()}"
 
-    p_verify = sub.add_parser("verify", help="check each JSONL theory")
-    p_verify.add_argument("file", nargs="?", help="JSONL input (default stdin)")
-    p_verify.set_defaults(func=_cmd_verify)
 
-    p_dual = sub.add_parser("dual", help="swap class and character partitions")
-    p_dual.add_argument("file", nargs="?", help="JSONL input (default stdin)")
-    p_dual.add_argument("--out", help="output file (default stdout)")
-    p_dual.set_defaults(func=_cmd_dual)
+def _invalid_choice(value: str, choices) -> str:
+    return f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
 
-    p_classify = sub.add_parser("classify", help="recompute construction tags with witnesses")
-    p_classify.add_argument("file", nargs="?", help="JSONL input (default stdin)")
-    p_classify.set_defaults(func=_cmd_classify)
 
-    p_oracle = sub.add_parser("oracle", help="brute-force search for all theories")
-    p_oracle.add_argument("--group", choices=sorted(_FAMILIES), required=True)
-    p_oracle.add_argument("--p", type=int)
-    p_oracle.add_argument("--budget", type=int, help="search node budget")
-    p_oracle.add_argument("--out", help="output file (default stdout)")
-    p_oracle.set_defaults(func=_cmd_oracle)
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: supercharacters [-h] {%s} ..." % ",".join(_COMMANDS)
+    _, _, takes_file, options = _COMMANDS[command]
+    words = ["usage: supercharacters", command, "[-h]"]
+    for name, kind, required, _ in options:
+        word = _option_word(name, kind)
+        words.append(word if required else f"[{word}]")
+    if takes_file:
+        words.append("[file]")
+    return " ".join(words)
 
-    p_lattice = sub.add_parser("lattice", help="DOT digraph of covering refinements")
-    p_lattice.add_argument("file", nargs="?", help="JSONL input (default stdin)")
-    p_lattice.add_argument("--dot", required=True, help="output DOT file ('-' for stdout)")
-    p_lattice.set_defaults(func=_cmd_lattice)
 
-    return parser
+def _usage_error(command: str | None, message: str):
+    """Usage, then one error line, on stderr; bad input, so exit 4."""
+    prog = "supercharacters" if command is None else f"supercharacters {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(EXIT_INPUT)
+
+
+def _help(command: str | None):
+    """Usage, description and one line per command or option, on stdout."""
+    if command is None:
+        text, sections = __doc__.strip(), [
+            ("commands:", [(name, row[1]) for name, row in _COMMANDS.items()]),
+            ("options:", [_HELP_LINE])]
+    else:
+        _, text, takes_file, options = _COMMANDS[command]
+        sections = [("options:", [_HELP_LINE] + [
+            (_option_word(name, kind), help_) for name, kind, _, help_ in options])]
+        if takes_file:
+            sections.insert(0, ("positional arguments:",
+                                [("file", "JSONL input (default stdin)")]))
+    lines = [_usage(command), "", text]
+    for title, rows in sections:
+        lines += ["", title]
+        for left, help_ in rows:
+            # a long left column puts its help on the next line, as argparse does
+            lines.append(f"  {left:<20}  {help_}" if len(left) <= 20
+                         else f"  {left}\n{'':24}{help_}")
+    sys.stdout.write("\n".join(lines) + "\n")
+    raise SystemExit(EXIT_OK)
+
+
+def _parse(argv: list[str]):
+    """The handler of argv's command and a namespace of its option values
+    (None if not given, False for an absent flag) and, for a command that
+    reads records, its file.  A usage error prints usage and one error line
+    on stderr and exits 4; -h or --help prints help on stdout and exits 0.
+
+    After the command, in any order: `--name value` or `--name=value`, whose
+    value is the next token even if it starts with "-"; a flag alone; `-`
+    or a token not starting with "-" is the file; after `--` every token
+    is.  A repeated option keeps its last value."""
+    if not argv:
+        _usage_error(None, "the following arguments are required: command")
+    command, *rest = argv
+    if command in ("-h", "--help"):
+        _help(None)
+    if command not in _COMMANDS:
+        if command.startswith("-") and command != "-":
+            _usage_error(None, f"unrecognized arguments: {command}")
+        _usage_error(None, f"argument command: {_invalid_choice(command, _COMMANDS)}")
+    handler, _, takes_file, options = _COMMANDS[command]
+    kinds = {name: kind for name, kind, _, _ in options}
+    values = {name[2:]: False if kind is bool else None for name, kind in kinds.items()}
+    if takes_file:
+        values["file"] = None
+    unrecognized, tokens, positional = [], iter(rest), False
+    for token in tokens:
+        if positional or token == "-" or not token.startswith("-"):
+            if takes_file and values["file"] is None:
+                values["file"] = token
+            else:
+                unrecognized.append(token)
+            continue
+        if token == "--":
+            positional = True
+            continue
+        if token in ("-h", "--help"):
+            _help(command)
+        name, eq, value = token.partition("=")
+        kind = kinds.get(name)
+        if kind is None:
+            unrecognized.append(token)
+        elif kind is bool:
+            if eq:
+                _usage_error(command, f"argument {name}: ignored explicit argument {value!r}")
+            values[name[2:]] = True
+        else:
+            if not eq:
+                value = next(tokens, None)
+                if value is None:
+                    _usage_error(command, f"argument {name}: expected one argument")
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    _usage_error(command, f"argument {name}: invalid int value: {value!r}")
+            elif kind is not str and value not in kind:
+                _usage_error(command, f"argument {name}: {_invalid_choice(value, kind)}")
+            values[name[2:]] = value
+    missing = [name for name, _, required, _ in options
+               if required and values[name[2:]] is None]
+    if missing:
+        _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
+    if unrecognized:
+        _usage_error(command, f"unrecognized arguments: {' '.join(unrecognized)}")
+    return handler, SimpleNamespace(**values)
 
 
 def _drop_stdout() -> None:
@@ -274,10 +375,9 @@ def _drop_stdout() -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    handler, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        code = args.func(args)
+        code = handler(args)
         # written here, so that a reader gone before the last block is seen
         # below and not at exit
         sys.stdout.flush()

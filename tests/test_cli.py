@@ -46,9 +46,10 @@ def _stdin(data: bytes):
 
 def test_cli_import_loads_no_class_generator():
     # every CLI call is a fresh process that pays this import; -S skips
-    # site, so no .pth file of the host can load either module first
+    # site, so no .pth file of the host can load one of these modules first
     code = ("import sys\nimport supercharacters.cli\n"
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext'}"
+            " & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
@@ -427,14 +428,107 @@ def test_bare_cr_ends_a_line(tmp_path, capsys, monkeypatch, source):
     assert code == 4 and out == "" and err.startswith("error: line 5: ")
 
 
-def test_usage_errors_exit_4(capsys):
+_FILE = "theories.jsonl"
+_ORACLE_DEFAULTS = {"p": None, "budget": None, "out": None}
+
+
+# argv -> (handler, fields), or the error line of a usage error; each
+# accepted row's namespace holds exactly its command's fields
+_PARSES = [
+    # the forms the README shows
+    (["count", "--p", "7"], (cli._cmd_count, {"p": 7, "json": False})),
+    (["count", "--p", "7", "--json"], (cli._cmd_count, {"p": 7, "json": True})),
+    (["enumerate", "--group", "cpc2c2", "--p", "5", "--out", _FILE],
+     (cli._cmd_enumerate, {"group": "cpc2c2", "p": 5, "out": _FILE})),
+    (["verify", _FILE], (cli._cmd_verify, {"file": _FILE})),
+    (["verify"], (cli._cmd_verify, {"file": None})),
+    (["dual", _FILE], (cli._cmd_dual, {"file": _FILE, "out": None})),
+    (["classify", _FILE], (cli._cmd_classify, {"file": _FILE})),
+    (["oracle", "--group", "klein"], (cli._cmd_oracle, dict(_ORACLE_DEFAULTS, group="klein"))),
+    (["oracle", "--group", "cpc2c2", "--p", "5", "--budget", "10000"],
+     (cli._cmd_oracle, dict(_ORACLE_DEFAULTS, group="cpc2c2", p=5, budget=10000))),
+    (["lattice", _FILE, "--dot", "lattice.dot"],
+     (cli._cmd_lattice, {"file": _FILE, "dot": "lattice.dot"})),
+    # --name=value, a value and a file of "-", options after the file
+    (["count", "--p=7"], (cli._cmd_count, {"p": 7, "json": False})),
+    (["oracle", "--budget=10", "--group=klein"],
+     (cli._cmd_oracle, dict(_ORACLE_DEFAULTS, group="klein", budget=10))),
+    (["lattice", _FILE, "--dot", "-"], (cli._cmd_lattice, {"file": _FILE, "dot": "-"})),
+    (["lattice", "--dot", "-", "-"], (cli._cmd_lattice, {"file": "-", "dot": "-"})),
+    (["dual", "--out", "-", "-"], (cli._cmd_dual, {"file": "-", "out": "-"})),
+    # a repeated option keeps its last value; a value may start with "-"
+    # (GroupSpec refuses p = -3, not the parser); after "--" a token is a file
+    (["count", "--p", "3", "--p", "5"], (cli._cmd_count, {"p": 5, "json": False})),
+    (["count", "--p", "-3"], (cli._cmd_count, {"p": -3, "json": False})),
+    (["verify", "--", "-x.jsonl"], (cli._cmd_verify, {"file": "-x.jsonl"})),
+    # refused: usage errors, with argparse's wording
+    ([], "supercharacters: error: the following arguments are required: command"),
+    (["no-such-command"], "supercharacters: error: argument command: invalid choice: "
+     "'no-such-command' (choose from 'count', 'enumerate', 'verify', 'dual', "
+     "'classify', 'oracle', 'lattice')"),
+    (["--json", "count", "--p", "3"], "supercharacters: error: unrecognized arguments: --json"),
+    (["count", "--p", "3", "--max-p", "211"],
+     "supercharacters count: error: unrecognized arguments: --max-p 211"),
+    (["count", "--js", "--p", "3"], "supercharacters count: error: unrecognized arguments: --js"),
+    (["count"], "supercharacters count: error: the following arguments are required: --p"),
+    (["enumerate"],
+     "supercharacters enumerate: error: the following arguments are required: --group"),
+    (["lattice", _FILE],
+     "supercharacters lattice: error: the following arguments are required: --dot"),
+    (["count", "--p"], "supercharacters count: error: argument --p: expected one argument"),
+    (["count", "--p", "x"], "supercharacters count: error: argument --p: invalid int value: 'x'"),
+    (["enumerate", "--group", "frobnicate"], "supercharacters enumerate: error: argument "
+     "--group: invalid choice: 'frobnicate' (choose from 'c2cubed', 'cp', 'cpc2', "
+     "'cpc2c2', 'klein')"),
+    (["verify", _FILE, "second.jsonl"],
+     "supercharacters verify: error: unrecognized arguments: second.jsonl"),
+    (["count", "--p", "3", _FILE],
+     f"supercharacters count: error: unrecognized arguments: {_FILE}"),
+    (["count", "--json=1", "--p", "3"],
+     "supercharacters count: error: argument --json: ignored explicit argument '1'"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", _PARSES,
+                         ids=[" ".join(argv) or "none" for argv, _ in _PARSES])
+def test_parse(capsys, argv, expected):
+    if isinstance(expected, tuple):
+        handler, fields = expected
+        parsed, args = cli._parse(argv)
+        assert parsed is handler and vars(args) == fields
+        return
     with pytest.raises(SystemExit) as info:
-        cli.main(["enumerate", "--group", "frobnicate"])
-    assert info.value.code == 4
-    with pytest.raises(SystemExit) as info:
-        cli.main(["no-such-command"])
-    assert info.value.code == 4
-    capsys.readouterr()
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert info.value.code == 4 and out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: supercharacters") and error == expected
+
+
+# what perfbench's preflight needs of --help: exit 0, usage on stdout; help
+# follows the command anywhere
+_HELPS = [
+    (["--help"], ["count", "enumerate", "verify", "dual", "classify", "oracle", "lattice"]),
+    (["count", "--help"], ["--p", "--json"]),
+    (["enumerate", "-h"], ["--group", "--p", "--out"]),
+    (["verify", "--help"], ["file"]),
+    (["dual", "--help"], ["file", "--out"]),
+    (["classify", "--help"], ["file"]),
+    (["oracle", "--group", "klein", "--help"], ["--group", "--p", "--budget", "--out"]),
+    (["lattice", _FILE, "--dot", "-", "-h"], ["file", "--dot"]),
+]
+
+
+@pytest.mark.parametrize("argv,names", _HELPS, ids=[" ".join(argv) for argv, _ in _HELPS])
+def test_help_exits_0_on_stdout(argv, names):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-m", "supercharacters.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("usage: supercharacters")
+    assert "-h, --help" in done.stdout
+    for name in names:
+        assert name in done.stdout
 
 
 def test_count_mismatch_exit_code_is_reserved():
