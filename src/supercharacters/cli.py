@@ -80,9 +80,9 @@ def _read_records(path: str | None) -> list[TheoryRecord]:
     stdin alike.  bytes.splitlines ends a line at "\n", "\r\n" or a bare
     "\r", as text mode does.  A line in the layout this program writes is
     read from its text by _theory_from_line; any other goes through
-    json.loads and theory_from_json.  The partition and block texts that
-    _theory_from_line decodes are kept, per group, for this read only: a
-    file closed under duality writes each partition twice."""
+    json.loads and theory_from_json.  The group, partition and block texts
+    that _theory_from_line decodes are kept, per group text, for this read
+    only: a file closed under duality writes each partition twice."""
     stdin = path is None or path == "-"
     records, memo = [], {}
     with nullcontext(sys.stdin.buffer) if stdin else open(path, "rb") as chunks:
@@ -100,9 +100,12 @@ def _read_records(path: str | None) -> list[TheoryRecord]:
 
 
 def _write_records(records, path: str | None) -> None:
+    """One line per record; the text of each block, per group, is joined
+    once for this write only."""
+    texts = {}
     with _open_out(path) as out:
         for rec in records:
-            out.write(_theory_line(rec))
+            out.write(_theory_line(rec, texts))
             out.write("\n")
 
 
@@ -161,11 +164,16 @@ def _classify_one(t) -> tuple[set[str], dict]:
     else:
         # the shape tests below assume that the class partition completes to
         # a theory, as an orbit theory's does; a record whose partition does
-        # not gets no direct or wedge tag
+        # not gets no direct or wedge tag.  Either side of a theory determines
+        # the other, so a record that verifies is that completion, and only
+        # one that does not is rebuilt from its classes
         try:
-            require_valid(theory_from_classes(t.group, t.classes), "class partition")
+            require_valid(t, "record")
         except RuntimeError:
-            return tags, witness
+            try:
+                require_valid(theory_from_classes(t.group, t.classes), "class partition")
+            except RuntimeError:
+                return tags, witness
     pairs = direct_decompositions(t)
     if pairs:
         h1, h2 = pairs[0]

@@ -14,7 +14,7 @@ Partition._canonical.
 from __future__ import annotations
 
 import json
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import chain, islice, repeat
 from operator import itemgetter
 
@@ -79,6 +79,31 @@ class Partition(_Frozen):
             for i in b:
                 out[i] = bi
         return tuple(out)
+
+    # The two facts below are kept in the instance dict, as cached_property
+    # keeps block_of, so they are not fields.  verify reads them for the
+    # class side of one theory and the character side of another, and a
+    # read file holds t and dual(t) on one object, so each is built once
+    # per partition.  They are plain methods: cached_property takes a lock
+    # on every first read (Python 3.11), which a fresh partition pays.
+
+    def _lead(self):
+        """A getter that reads a sequence indexed by points at the least
+        member of each point's block, as a tuple: a tuple of keys is
+        constant on every block exactly when it equals its _lead()."""
+        lead = self.__dict__.get("_lead_getter")
+        if lead is None:
+            lead = self.__dict__["_lead_getter"] = (
+                itemgetter(*_leaders(self)) if self.size > 1 else tuple)
+        return lead
+
+    def _fixed_by(self, perm) -> bool:
+        """_invariant(self, perm), kept with the permutation object it was
+        computed for; another permutation computes it again."""
+        known = self.__dict__.get("_fixed")
+        if known is None or known[0] is not perm:
+            known = self.__dict__["_fixed"] = (perm, _invariant(self, perm))
+        return known[1]
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -177,7 +202,11 @@ def verify(t: Theory) -> Violation | None:
     Violation returned is always the first in block order.  Condition 0, a
     side whose points are not range(size) each once, comes first: the
     Partition constructor refuses such blocks, so only a producer bug behind
-    Partition._canonical can reach it, and the gate still catches that."""
+    Partition._canonical can reach it, and the gate still catches that.
+
+    The class side's leader getter and both sides' fixed flags come from
+    the partitions, which keep them (Partition._lead, _fixed_by);
+    condition 0 is tested on every call."""
     classes, chars = t.classes, t.charparts
     for side, part in (("class", classes), ("character", chars)):
         if sorted(chain.from_iterable(part.blocks)) != list(range(part.size)):
@@ -193,13 +222,13 @@ def verify(t: Theory) -> Violation | None:
             f"{len(classes)} classes vs {len(chars)} character blocks",
         )
     g = t.group
-    leaders = _leaders(classes)
+    lead = classes._lead()
     fixed, sums = _block_sums(g, chars)
-    # _invariant(classes, perm), reusing the leader map
-    if fixed and _constant(list(map(classes.block_of.__getitem__, g.multiplier_perm)), leaders):
+    if fixed and classes._fixed_by(g.multiplier_perm):
         sums = islice(sums, max(chars.block_of[: 2 << g.dim2]) + 1)
     for xi, keys in enumerate(sums):
-        if not _constant(keys, leaders):
+        # the getter reads the list of keys as a tuple
+        if tuple(keys) != lead(keys):
             k, h = _first_break(keys, classes)
             return Violation(
                 3,
@@ -220,24 +249,20 @@ def _first_break(keys, classes: Partition) -> tuple[int, int] | None:
     return None
 
 
-def _leaders(part: Partition) -> list[int]:
+def _leaders(part: Partition) -> tuple[int, ...]:
     """The least member of each point's block, per point."""
     heads = [b[0] for b in part.blocks]
-    return list(map(heads.__getitem__, part.block_of))
-
-
-def _constant(values: list, leaders: list[int]) -> bool:
-    """True when values, indexed by points, is constant on every block of
-    the partition whose leader map is leaders: when each value equals the
-    one at its block's least member."""
-    return values == list(map(values.__getitem__, leaders))
+    # an itemgetter of one index returns the item, not a 1-tuple
+    return itemgetter(*part.block_of)(heads) if part.size > 1 else tuple(heads)
 
 
 def _invariant(part: Partition, perm) -> bool:
     """True when perm maps every block into one block, that is when the
     block of perm[i] is constant on every block; perm being a bijection,
-    it then maps the blocks onto the blocks."""
-    return _constant(list(map(part.block_of.__getitem__, perm)), _leaders(part))
+    it then maps the blocks onto the blocks.  Partition._fixed_by keeps
+    it per partition."""
+    moved = itemgetter(*perm)(part.block_of)
+    return moved == part._lead()(moved)
 
 
 def _block_sums(g: GroupSpec, part: Partition):
@@ -254,7 +279,7 @@ def _block_sums(g: GroupSpec, part: Partition):
     block of (a*b, w), which is X itself when b = 0.  Otherwise the sums
     are GroupSpec.sigma_keys of the blocks, read off the full key table."""
     perm = g.multiplier_perm
-    if perm is None or not _invariant(part, perm):
+    if perm is None or not part._fixed_by(perm):
         return False, map(g.sigma_keys, part.blocks)
     p, d, mask = g._split
     half = mask + 1
@@ -469,11 +494,26 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _partition_text(part: Partition, elems: tuple[str, ...]) -> str:
+class _BlockTexts(dict):
+    """Block -> the JSON of its members, joined by commas, rendered from
+    _element_texts(g) on the first lookup of the block.  A writer keeps one
+    per group for one write: a file closed under duality holds each
+    partition twice, and at p = 199 it holds 7,444 distinct blocks among
+    57,284."""
+
+    def __init__(self, g: GroupSpec):
+        super().__init__()
+        self.elems = _element_texts(g)
+
+    def __missing__(self, block: tuple[int, ...]) -> str:
+        text = self[block] = ",".join(map(self.elems.__getitem__, block))
+        return text
+
+
+def _partition_text(part: Partition, rows: _BlockTexts) -> str:
     """The blocks of part as JSON lists of exponent vectors, joined from
-    elems, the JSON of each element."""
-    rows = map(",".join, map(partial(map, elems.__getitem__), part.blocks))
-    return "[[" + "],[".join(rows) + "]]"
+    rows, the _BlockTexts of part's group."""
+    return "[[" + "],[".join(map(rows.__getitem__, part.blocks)) + "]]"
 
 
 @lru_cache(maxsize=None)
@@ -482,17 +522,23 @@ def _element_texts(g: GroupSpec) -> tuple[str, ...]:
     return tuple(map(_dumps, g.elements))
 
 
-def _theory_line(rec: TheoryRecord) -> str:
+def _theory_line(rec: TheoryRecord, texts: dict | None = None) -> str:
     """The JSON record of rec as one line of compact JSON: the one writer of
     the record layout, which the CLI writes and theory_to_json parses.  The
     exponent lists are joined from the element text of _element_texts,
-    rendered once per group."""
+    rendered once per group.  texts, a dict that a writer keeps over the
+    lines of one write, holds the _BlockTexts of each group written, so a
+    block written again is joined once."""
     t = rec.theory
     g = t.group
-    elems = _element_texts(g)
+    if texts is None:
+        texts = {}
+    rows = texts.get(g)
+    if rows is None:
+        rows = texts[g] = _BlockTexts(g)
     return (f'{{"group":{_dumps(group_to_json(g))},'
-            f'"superclasses":{_partition_text(t.classes, elems)},'
-            f'"character_classes":{_partition_text(t.charparts, elems)},'
+            f'"superclasses":{_partition_text(t.classes, rows)},'
+            f'"character_classes":{_partition_text(t.charparts, rows)},'
             f'"tags":{_dumps(sorted(rec.tags))},"provenance":{_dumps(rec.provenance)}}}')
 
 
@@ -562,9 +608,11 @@ def _theory_from_line(line: str, memo: dict | None = None) -> TheoryRecord | Non
     writes, read from its text; None for a line in any other layout and for
     one that any check refuses, which the caller then reads with json.loads
     and theory_from_json, for the same record or the message naming the
-    fault.  memo, a dict that a reader keeps over the lines it reads, holds
-    for each group the texts _partition_from_text has decoded, so a
-    partition written again is one object and is checked once.
+    fault.  memo, a dict that a reader keeps over the lines it reads, maps
+    each group text that group_from_json accepted to the group and the
+    texts _partition_from_text has decoded for it, so a line of a group
+    already read decodes no JSON for its group, and a partition written
+    again is one object and is checked once.
 
     The line is cut at the first occurrence of each key, in the order
     written.  The group, the tags and the provenance each go through
@@ -582,9 +630,13 @@ def _theory_from_line(line: str, memo: dict | None = None) -> TheoryRecord | Non
         values.append(line[start:end])
         start = end + len(key)
     group, classes, charparts, tags = values
+    if memo is None:
+        memo = {}
     try:
-        g = group_from_json(json.loads(group))
-        known = ({} if memo is None else memo).setdefault(g, ({}, {}))
+        found = memo.get(group)
+        if found is None:
+            found = memo[group] = (group_from_json(json.loads(group)), ({}, {}))
+        g, known = found
         return _record(g, _partition_from_text(g, classes, known),
                        _partition_from_text(g, charparts, known),
                        json.loads(tags), json.loads(line[start:-1]))

@@ -947,8 +947,8 @@ def test_reading_keeps_each_groups_texts_apart(tmp_path, monkeypatch, enumerated
     expected = [theory_from_json(json.loads(line)) for line in lines]
     memo = {}
     assert [theories._theory_from_line(line, memo) for line in lines] == expected
-    assert list(memo) == gs
-    for g, (parts, rows) in memo.items():
+    assert [g for g, _ in memo.values()] == gs
+    for g, (parts, rows) in memo.values():
         assert {part.size for part in parts.values()} == {g.order}
         assert max(map(max, rows.values())) < g.order
     path = tmp_path / "mixed.jsonl"
@@ -966,13 +966,27 @@ def test_reading_keeps_each_groups_texts_apart(tmp_path, monkeypatch, enumerated
         assert t.classes.size == t.charparts.size == t.group.order
 
 
+def test_writing_keeps_each_groups_block_texts_apart(enumerated):
+    # one write joins each block's text once per group: Klein's block
+    # (0, 1) is not the block (0, 1) of C_3 x C_2 x C_2, so lines that
+    # alternate the groups through one dict read as they do without it
+    gs = [GroupSpec.cp_c2_c2(3), GroupSpec.klein(), GroupSpec.c2_cubed()]
+    recs = [enumerated.theories(g) for g in gs]
+    recs = [rs[i % len(rs)] for i in range(max(map(len, recs))) for rs in recs]
+    texts = {}
+    assert ([theories._theory_line(rec, texts) for rec in recs]
+            == [theories._theory_line(rec) for rec in recs])
+    assert list(texts) == gs
+    assert texts[gs[0]][(0, 1)] == "[0,0,0],[0,0,1]" and texts[gs[1]][(0, 1)] == "[0,0],[0,1]"
+
+
 def _repeat_superclasses(line: str, g: GroupSpec) -> str:
     """line with the discrete partition as its superclasses, and its own
     superclasses again after the provenance, where json.loads keeps the
     last value of a repeated key."""
     head, _, rest = line.partition(',"superclasses":')
     classes, _, rest = rest.partition(',"character_classes":')
-    discrete = theories._partition_text(Partition.discrete(g.order), theories._element_texts(g))
+    discrete = theories._partition_text(Partition.discrete(g.order), theories._BlockTexts(g))
     return (f'{head},"superclasses":{discrete},"character_classes":{rest[:-1]},'
             f'"superclasses":{classes}}}')
 
@@ -1081,6 +1095,33 @@ def test_classify_output_is_pinned(tmp_path, capsys, group, p):
     code, out, _ = run(capsys, ["classify", str(path)])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_SHA256[(group, p)]
+
+
+def test_classify_rebuilds_only_records_that_fail_verify(tmp_path, capsys, monkeypatch,
+                                                         enumerated):
+    # classify reads a record's classes only.  With the character sides
+    # rotated among the records of equal block count, 74 of the 76 records
+    # of C_3 x C_2 x C_2 fail verify, and the 62 of them that are not
+    # automorphic are rebuilt from their classes; the lines are those of
+    # the file itself, whose records verify and are rebuilt by none
+    by_len = {}
+    for rec in enumerated.theories(GroupSpec.cp_c2_c2(3)):
+        by_len.setdefault(len(rec.theory.classes), []).append(rec.theory)
+    clean = [t for ts in by_len.values() for t in ts]
+    swapped = [Theory(t1.group, t1.classes, t2.charparts)
+               for ts in by_len.values() for t1, t2 in zip(ts, ts[1:] + ts[:1])]
+    assert sum(theories.verify(t) is not None for t in swapped) == 74
+    rebuilt = []
+    real = cli.theory_from_classes
+    monkeypatch.setattr(cli, "theory_from_classes",
+                        lambda g, classes: rebuilt.append(classes) or real(g, classes))
+    for ts, count in ((clean, 0), (swapped, 62)):
+        path = tmp_path / "theories.jsonl"
+        path.write_text("".join(json.dumps(theory_to_json(t)) + "\n" for t in ts))
+        rebuilt.clear()
+        code, out, _ = run(capsys, ["classify", str(path)])
+        assert code == 0 and len(rebuilt) == count
+        assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_SHA256[("cpc2c2", 3)]
 
 
 def _damaged(part: Partition) -> list[Partition]:

@@ -533,6 +533,11 @@ def test_multiplier_kernel_matches_full_loop(p, enumerated):
             class_sides.append(part)
         for group in invariant.values():
             pairs += list(zip(group, group[1:]))
+        # each pair in both orders, one after the other: a Partition is the
+        # character side of one theory and then the class side of another,
+        # as t and dual(t) share theirs in a file read back, so both roles
+        # read the facts that the Partition keeps from the other
+        pairs = [pair for a, b in pairs for pair in ((a, b), (b, a))]
 
         for classes, charparts in pairs:
             t = Theory(g, classes, charparts)
@@ -549,6 +554,42 @@ def test_multiplier_kernel_matches_full_loop(p, enumerated):
             assert got == _full_loop_induced(g, classes), classes
             tally["induced error"] += got[1] is not None
     assert all(count >= 20 for count in tally.values()), tally
+
+
+def test_fixed_flag_is_kept_per_permutation():
+    # the flag a Partition keeps belongs to the permutation it was computed
+    # for: asked again with another permutation of the same points, it is
+    # computed again, whichever was asked first
+    rng = random.Random(41)
+    g = GroupSpec.cp_c2(7)
+    n, perm = g.order, g.multiplier_perm
+    perms = [perm, tuple(range(n)), tuple(perm[i] for i in perm),
+             tuple(rng.sample(range(n), n))]
+    parts = [_random_invariant_partition(rng, g) for _ in range(6)]
+    parts += [_random_partition(rng, n, k) for k in (2, 3, 5, n)]
+    seen = set()
+    for part in parts:
+        for q in rng.sample(perms, len(perms)) * 2:
+            got = part._fixed_by(q)
+            assert got == _invariant(part, q), (part, q)
+            seen.add((q is perm, got))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_kept_partition_facts_are_not_fields(enumerated):
+    # the leader getter and the fixed flag live beside block_of in the
+    # instance dict: equality, hash and repr read the fields only
+    g = GroupSpec.cp_c2_c2(5)
+    t = next(rec.theory for rec in enumerated.theories(g) if len(rec.theory.classes) > 3)
+    sides = [Partition(part.size, part.blocks) for part in (t.classes, t.charparts)]
+    assert not any({"_lead_getter", "_fixed"} & set(vars(part)) for part in sides)
+    before = [(hash(part), repr(part)) for part in sides]
+    assert verify(Theory(g, *sides)) is None and verify(Theory(g, *sides[::-1])) is None
+    for part, seen, old in zip(sides, before, (t.classes, t.charparts)):
+        assert {"_lead_getter", "_fixed"} <= set(vars(part))
+        assert (hash(part), repr(part)) == seen == (hash(old), repr(old))
+        assert part == old and old == part and {old: 1}[part] == 1
+        assert part._astuple() == (old.size, old.blocks)
 
 
 @pytest.mark.fresh("enumerates in a child process")
