@@ -90,12 +90,21 @@ def _color(tags: set[str]) -> str:
 
 
 def lattice_dot(records: list[TheoryRecord]) -> str:
-    """DOT digraph of covering refinements, nodes colored by tags."""
+    """DOT digraph of covering refinements, nodes colored by tags.
+
+    Each record's tags are written inside one quoted DOT string, where the
+    only escape is a backslash before a double quote, so a tag that ends
+    in a backslash could not be quoted at all.  ValueError names a tag
+    that holds a double quote, a backslash or a character below U+0020."""
     recs = sorted(records, key=lambda r: sort_key(r.theory))
     edges = _covers([r.theory for r in recs])
     lines = ["digraph refinement {", "  rankdir=BT;"]
     for i, rec in enumerate(recs):
-        tags = ",".join(sorted(rec.tags))
+        names = sorted(rec.tags)
+        for tag in names:
+            if any(c in '"\\' or c < " " for c in tag):
+                raise ValueError(f"tag {tag!r} cannot be quoted in DOT")
+        tags = ",".join(names)
         k = len(rec.theory.classes)
         lines.append(
             f'  n{i} [label="{k} classes" tags="{tags}" style=filled '

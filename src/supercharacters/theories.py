@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property, lru_cache
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from operator import itemgetter
 
 from .groups import GroupSpec, Subgroup, _Frozen, _Value
@@ -80,30 +80,22 @@ class Partition(_Frozen):
                 out[i] = bi
         return tuple(out)
 
-    # The two facts below are kept in the instance dict, as cached_property
-    # keeps block_of, so they are not fields.  verify reads them for the
-    # class side of one theory and the character side of another, and a
-    # read file holds t and dual(t) on one object, so each is built once
-    # per partition.  They are plain methods: cached_property takes a lock
-    # on every first read (Python 3.11), which a fresh partition pays.
-
     def _lead(self):
         """A getter that reads a sequence indexed by points at the least
         member of each point's block, as a tuple: a tuple of keys is
-        constant on every block exactly when it equals its _lead()."""
+        constant on every block exactly when it equals its _lead().
+
+        It is kept in the instance dict, as cached_property keeps block_of,
+        so it is not a field.  verify reads it for the class side of one
+        theory and _invariant for the character side of another, and a
+        read file holds t and dual(t) on one object, so it is built once
+        per partition.  It is a plain method: cached_property takes a lock
+        on every first read (Python 3.11), which a fresh partition pays."""
         lead = self.__dict__.get("_lead_getter")
         if lead is None:
             lead = self.__dict__["_lead_getter"] = (
                 itemgetter(*_leaders(self)) if self.size > 1 else tuple)
         return lead
-
-    def _fixed_by(self, perm) -> bool:
-        """_invariant(self, perm), kept with the permutation object it was
-        computed for; another permutation computes it again."""
-        known = self.__dict__.get("_fixed")
-        if known is None or known[0] is not perm:
-            known = self.__dict__["_fixed"] = (perm, _invariant(self, perm))
-        return known[1]
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -193,20 +185,20 @@ def verify(t: Theory) -> Violation | None:
     Condition 3 walks the character blocks in order through _block_sums and
     reports the first block whose sums are not constant on the class
     blocks, at the first class block and member where they break.  When the
-    multipliers fix both partitions, as Schur's multiplier theorem says they
-    do for every theory of an abelian group, the walk stops after the blocks
-    holding a lead index (p exponent 0 or 1): those come first in block
-    order, and every other block is the image aX of one of them under a
-    unit a.  Its sums are sigma_{aX}(x) = sigma_X(a*x), constant on every
-    class block K when sigma_X is constant on aK, a class block too.  So the
-    Violation returned is always the first in block order.  Condition 0, a
-    side whose points are not range(size) each once, comes first: the
-    Partition constructor refuses such blocks, so only a producer bug behind
-    Partition._canonical can reach it, and the gate still catches that.
-
-    The class side's leader getter and both sides' fixed flags come from
-    the partitions, which keep them (Partition._lead, _fixed_by);
-    condition 0 is tested on every call."""
+    multipliers fix the character partition, as Schur's multiplier theorem
+    says they do for every theory of an abelian group, the walk stops after
+    the blocks holding a lead index (p exponent 0 or 1): those come first
+    in block order, and every other block is the image aX of one of them
+    under a unit a.  Its sums are Galois conjugates, sigma_{aX}(x) =
+    sigma_a(sigma_X(x)), and sigma_a is injective, so aX is constant on a
+    class block exactly when X is, whatever the class partition.  A block
+    aX fails exactly when its lead block X fails, at the same class block
+    and member, and X comes first, so the Violation returned is always the
+    first in block order.  Condition 0, a side whose points are not
+    range(size) each once, comes first: the Partition constructor refuses
+    such blocks, so only a producer bug behind Partition._canonical can
+    reach it, and the gate still catches that.  The class side's leader
+    getter comes from the partition, which keeps it (Partition._lead)."""
     classes, chars = t.classes, t.charparts
     for side, part in (("class", classes), ("character", chars)):
         if sorted(chain.from_iterable(part.blocks)) != list(range(part.size)):
@@ -224,7 +216,7 @@ def verify(t: Theory) -> Violation | None:
     g = t.group
     lead = classes._lead()
     fixed, sums = _block_sums(g, chars)
-    if fixed and classes._fixed_by(g.multiplier_perm):
+    if fixed:
         sums = islice(sums, max(chars.block_of[: 2 << g.dim2]) + 1)
     for xi, keys in enumerate(sums):
         # the getter reads the list of keys as a tuple
@@ -259,17 +251,17 @@ def _leaders(part: Partition) -> tuple[int, ...]:
 def _invariant(part: Partition, perm) -> bool:
     """True when perm maps every block into one block, that is when the
     block of perm[i] is constant on every block; perm being a bijection,
-    it then maps the blocks onto the blocks.  Partition._fixed_by keeps
-    it per partition."""
+    it then maps the blocks onto the blocks."""
     moved = itemgetter(*perm)(part.block_of)
     return moved == part._lead()(moved)
 
 
 def _block_sums(g: GroupSpec, part: Partition):
-    """(fixed, sums): whether the multipliers fix part, and, lazily in block
-    order, sigma over each block at every index, as keys or as ids that are
-    equal exactly when the keys are.  The pairing is symmetric, so this
-    sums characters over a character block and elements over a class block.
+    """(fixed, sums): whether the multipliers fix part, tested by
+    _invariant on each call, and, lazily in block order, sigma over each
+    block at every index, as keys or as ids that are equal exactly when the
+    keys are.  The pairing is symmetric, so this sums characters over a
+    character block and elements over a class block.
 
     A unit a acts on index (e, v) as (a*e % p, v), on elements and on
     characters alike, and chi_(b,w)(a*e, v) = chi_(a*b,w)(e, v), so
@@ -279,7 +271,7 @@ def _block_sums(g: GroupSpec, part: Partition):
     block of (a*b, w), which is X itself when b = 0.  Otherwise the sums
     are GroupSpec.sigma_keys of the blocks, read off the full key table."""
     perm = g.multiplier_perm
-    if perm is None or not part._fixed_by(perm):
+    if perm is None or not _invariant(part, perm):
         return False, map(g.sigma_keys, part.blocks)
     p, d, mask = g._split
     half = mask + 1
@@ -438,31 +430,17 @@ def generators_to_json(gens) -> list:
 
 
 def _partition_from_lists(g: GroupSpec, data, what: str) -> Partition:
-    """Read a partition stored as lists of exponent vectors.
-
-    The whole partition is checked at once: every block a nonempty list,
-    every vector a list, every entry a plain int, and every vector, as a
-    tuple, a key of g's exponent-to-index map; a vector of the wrong length
-    is never a key, so the lookup refuses it.  The type test comes before
-    the lookup because True and 1.0 hash like 1 and would be found, and an
-    unhashable entry would raise TypeError.  Only
-    when that check fails does the loop below run, vector by vector, to name
-    the first bad one: a block that is not a nonempty list, a vector that is
-    not a list of the right length ("bad exponent vector"), or one whose
-    type test fails or whose key is missed ("exponents out of range")."""
+    """Read a partition stored as lists of exponent vectors, vector by
+    vector, naming the first bad one: a block that is not a nonempty list,
+    a vector that is not a list of the right length ("bad exponent
+    vector"), or one whose entries are not all plain ints or that is no
+    key of g's exponent-to-index map ("exponents out of range").  The type
+    test comes before the lookup because True and 1.0 hash like 1 and
+    would be found, and an unhashable entry would raise TypeError.  A read
+    comes here only for a line that _theory_from_line does not accept."""
     if not isinstance(data, list):
         raise ValueError(f"{what} must be a list of blocks")
     index, width = g._index, len(g.factors)
-    if set(map(type, data)) == {list} and all(data):
-        vecs = list(chain.from_iterable(data))
-        if (set(map(type, vecs)) == {list}
-                and set(map(type, chain.from_iterable(vecs))) == {int}):
-            found = list(map(index.get, map(tuple, vecs)))
-            if None not in found:
-                # Partition sorts the blocks one after another, so each
-                # islice takes the next len(block) indices off one iterator
-                return Partition(
-                    g.order, map(islice, repeat(iter(found)), map(len, data)))
     ints = (int,) * width
     blocks = []
     for b in data:

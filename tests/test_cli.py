@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -339,6 +340,29 @@ def test_lattice_rejects_a_repeated_theory(tmp_path, capsys):
     path.write_text("".join(lines[:3]))
     code, out, _ = run(capsys, ["lattice", str(path), "--dot", "-"])
     assert code == 0 and out.endswith("  n1 -> n0;\n  n2 -> n0;\n}\n")
+
+
+@pytest.mark.parametrize("tag", [
+    'x"];\n  evil -> n0; "',
+    "ends in a backslash\\",
+    'a "quoted" word',
+    "tab\there",
+    "\x1f",
+], ids=["dot-injection", "trailing-backslash", "quote", "tab", "unit-separator"])
+def test_lattice_refuses_a_tag_it_cannot_quote(tmp_path, capsys, tag):
+    # the tags are written inside one quoted DOT string: a quote would end
+    # it early and let the rest of the tag add statements, such as edges
+    path = tmp_path / "klein.jsonl"
+    cli.main(["enumerate", "--group", "klein", "--out", str(path)])
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["tags"].append(tag)
+    lines[1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code, out, err = run(capsys, ["lattice", str(path), "--dot", "-"])
+    assert code == 4 and out == ""
+    assert err == f"error: tag {tag!r} cannot be quoted in DOT\n"
 
 
 def test_bad_inputs_exit_4(tmp_path, capsys):
@@ -1012,6 +1036,59 @@ def test_other_layouts_read_as_before(tmp_path, enumerated, relayout, by_text):
     path = tmp_path / "relaid.jsonl"
     path.write_bytes(text.encode())
     assert cli._read_records(str(path)) == [rec]
+
+
+# what the mutants of _mutant insert and substitute: the characters of the
+# written layout, and a few it never holds
+_MUTANT_CHARS = '[]{},:"\\0123456789-.eE ntrufalsCpK\u00e9'
+
+
+def _mutant(rng, line: str, lines: list[str]) -> str:
+    """line with 1 to 3 random edits: a character inserted, deleted or
+    substituted, or a span replaced by a span of one of lines.  One edit
+    in two is about where the text path cuts the line: at most two
+    characters from an end or from a colon of the line before the edits."""
+    cuts = [0, len(line)] + [k for k, c in enumerate(line) if c == ":"]
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(line) + 1)
+        if rng.randrange(2) == 0:
+            i = min(len(line), max(0, rng.choice(cuts) + rng.randint(-2, 2)))
+        edit = rng.randrange(4)
+        if edit == 0:
+            line = line[:i] + rng.choice(_MUTANT_CHARS) + line[i:]
+        elif edit == 1:
+            line = line[:i] + line[i + 1:]
+        elif edit == 2:
+            line = line[:i] + rng.choice(_MUTANT_CHARS) + line[i + 1:]
+        else:
+            other = rng.choice(lines)
+            j = rng.randrange(len(other) + 1)
+            span = other[j:j + rng.randint(1, 12)]
+            line = line[:i] + span + line[i + rng.randint(0, 12):]
+    return line
+
+
+def test_text_path_agrees_with_the_json_path_on_mutants(enumerated):
+    # seeded mutants of written lines: a line the text path accepts reads
+    # as the JSON path's record.  The text path returns None for a line it
+    # refuses (it catches ValueError, KeyError and RecursionError), and the
+    # JSON path raises only what the CLI reader reports as a bad line
+    written = [theories._theory_line(rec) for g in (GroupSpec.cp_c2_c2(3), GroupSpec.klein())
+               for rec in enumerated.theories(g)]
+    rng = random.Random(42)
+    memo, accepted, refused = {}, 0, 0
+    for _ in range(3000):
+        line = _mutant(rng, rng.choice(written), written)
+        rec = theories._theory_from_line(line, memo)
+        try:
+            want = theory_from_json(json.loads(line))
+        except (ValueError, RecursionError):
+            want = None
+            refused += 1
+        if rec is not None:
+            accepted += 1
+            assert rec == want, line
+    assert accepted >= 100 and refused >= 1000, (accepted, refused)
 
 
 def _mutate_all(obj) -> None:

@@ -7,7 +7,7 @@ import pytest
 
 from supercharacters import GroupSpec, lattice, refines
 from supercharacters.lattice import _color, lattice_dot, refinement_edges
-from supercharacters.theories import canonical_key, sort_key
+from supercharacters.theories import TheoryRecord, canonical_key, sort_key
 
 from closure_helpers import missing_images, missing_joins
 
@@ -116,6 +116,14 @@ def test_dot_output_shape(enumerated):
     assert dot.endswith("}\n")
     assert dot.count("fillcolor") == 5
     assert dot == lattice_dot(list(reversed(records)))
+
+
+def test_dot_quotes_tags_of_plain_text(enumerated):
+    # spaces, an apostrophe and non-ASCII letters need no escape in a
+    # quoted DOT string, so they are written as they are
+    records = [TheoryRecord(r.theory, {"two words", "it's", "\u00e9t\u00e9"})
+               for r in enumerated.theories(GroupSpec.klein())]
+    assert lattice_dot(records).count('tags="it\'s,two words,\u00e9t\u00e9"') == 5
 
 
 def test_tag_colors():

@@ -501,7 +501,7 @@ def _random_invariant_partition(rng, g):
 def test_multiplier_kernel_matches_full_loop(p, enumerated):
     rng = random.Random(1000 + p)
     tally = {"invariant valid": 0, "invariant invalid": 0, "not invariant": 0,
-             "induced error": 0}
+             "characters invariant only": 0, "induced error": 0}
     for g in (GroupSpec.cp(p), GroupSpec.cp_c2(p), GroupSpec.cp_c2_c2(p)):
         n, perm = g.order, g.multiplier_perm
         theories = [rec.theory for rec in enumerated.theories(g)]
@@ -533,6 +533,12 @@ def test_multiplier_kernel_matches_full_loop(p, enumerated):
             class_sides.append(part)
         for group in invariant.values():
             pairs += list(zip(group, group[1:]))
+        for _ in range(10):
+            # an invariant character side and a random class side of as
+            # many blocks, which the multipliers almost never fix: verify
+            # stops at the lead blocks all the same
+            charparts = _random_invariant_partition(rng, g)
+            pairs.append((_random_partition(rng, n, len(charparts)), charparts))
         # each pair in both orders, one after the other: a Partition is the
         # character side of one theory and then the class side of another,
         # as t and dual(t) share theirs in a file read back, so both roles
@@ -543,7 +549,10 @@ def test_multiplier_kernel_matches_full_loop(p, enumerated):
             t = Theory(g, classes, charparts)
             got = verify(t)
             assert got == _full_loop_verify(t), (classes, charparts)
-            if not (_invariant(classes, perm) and _invariant(charparts, perm)):
+            fixed = _invariant(classes, perm), _invariant(charparts, perm)
+            if fixed == (False, True):
+                tally["characters invariant only"] += 1
+            elif fixed != (True, True):
                 tally["not invariant"] += 1
             elif got is None:
                 tally["invariant valid"] += 1
@@ -556,37 +565,17 @@ def test_multiplier_kernel_matches_full_loop(p, enumerated):
     assert all(count >= 20 for count in tally.values()), tally
 
 
-def test_fixed_flag_is_kept_per_permutation():
-    # the flag a Partition keeps belongs to the permutation it was computed
-    # for: asked again with another permutation of the same points, it is
-    # computed again, whichever was asked first
-    rng = random.Random(41)
-    g = GroupSpec.cp_c2(7)
-    n, perm = g.order, g.multiplier_perm
-    perms = [perm, tuple(range(n)), tuple(perm[i] for i in perm),
-             tuple(rng.sample(range(n), n))]
-    parts = [_random_invariant_partition(rng, g) for _ in range(6)]
-    parts += [_random_partition(rng, n, k) for k in (2, 3, 5, n)]
-    seen = set()
-    for part in parts:
-        for q in rng.sample(perms, len(perms)) * 2:
-            got = part._fixed_by(q)
-            assert got == _invariant(part, q), (part, q)
-            seen.add((q is perm, got))
-    assert seen == {(True, True), (True, False), (False, True), (False, False)}
-
-
 def test_kept_partition_facts_are_not_fields(enumerated):
-    # the leader getter and the fixed flag live beside block_of in the
-    # instance dict: equality, hash and repr read the fields only
+    # the leader getter lives beside block_of in the instance dict:
+    # equality, hash and repr read the fields only
     g = GroupSpec.cp_c2_c2(5)
     t = next(rec.theory for rec in enumerated.theories(g) if len(rec.theory.classes) > 3)
     sides = [Partition(part.size, part.blocks) for part in (t.classes, t.charparts)]
-    assert not any({"_lead_getter", "_fixed"} & set(vars(part)) for part in sides)
+    assert not any("_lead_getter" in vars(part) for part in sides)
     before = [(hash(part), repr(part)) for part in sides]
     assert verify(Theory(g, *sides)) is None and verify(Theory(g, *sides[::-1])) is None
     for part, seen, old in zip(sides, before, (t.classes, t.charparts)):
-        assert {"_lead_getter", "_fixed"} <= set(vars(part))
+        assert "_lead_getter" in vars(part)
         assert (hash(part), repr(part)) == seen == (hash(old), repr(old))
         assert part == old and old == part and {old: 1}[part] == 1
         assert part._astuple() == (old.size, old.blocks)
