@@ -143,8 +143,12 @@ def _cmd_verify(args) -> int:
 def _cmd_dual(args) -> int:
     records = _read_records(args.file)
     out = []
-    for rec in records:
-        d = dual(rec.theory)
+    for i, rec in enumerate(records):
+        try:
+            d = dual(rec.theory)
+        except RuntimeError as e:
+            # the 0-based index that verify prints
+            raise RuntimeError(f"theory {i}: {e}") from None
         out.append(TheoryRecord(
             d, set(), [{"construction": "dual", "source": canonical_key(rec.theory)}],
         ))

@@ -80,23 +80,6 @@ class Partition(_Frozen):
                 out[i] = bi
         return tuple(out)
 
-    def _lead(self):
-        """A getter that reads a sequence indexed by points at the least
-        member of each point's block, as a tuple: a tuple of keys is
-        constant on every block exactly when it equals its _lead().
-
-        It is kept in the instance dict, as cached_property keeps block_of,
-        so it is not a field.  verify reads it for the class side of one
-        theory and _invariant for the character side of another, and a
-        read file holds t and dual(t) on one object, so it is built once
-        per partition.  It is a plain method: cached_property takes a lock
-        on every first read (Python 3.11), which a fresh partition pays."""
-        lead = self.__dict__.get("_lead_getter")
-        if lead is None:
-            lead = self.__dict__["_lead_getter"] = (
-                itemgetter(*_leaders(self)) if self.size > 1 else tuple)
-        return lead
-
     def __len__(self) -> int:
         return len(self.blocks)
 
@@ -198,7 +181,8 @@ def verify(t: Theory) -> Violation | None:
     range(size) each once, comes first: the Partition constructor refuses
     such blocks, so only a producer bug behind Partition._canonical can
     reach it, and the gate still catches that.  The class side's leader
-    getter comes from the partition, which keeps it (Partition._lead)."""
+    getter (_lead) is built once per call and not kept: a Partition keeps
+    only block_of."""
     classes, chars = t.classes, t.charparts
     for side, part in (("class", classes), ("character", chars)):
         if sorted(chain.from_iterable(part.blocks)) != list(range(part.size)):
@@ -214,7 +198,7 @@ def verify(t: Theory) -> Violation | None:
             f"{len(classes)} classes vs {len(chars)} character blocks",
         )
     g = t.group
-    lead = classes._lead()
+    lead = _lead(classes)
     fixed, sums = _block_sums(g, chars)
     if fixed:
         sums = islice(sums, max(chars.block_of[: 2 << g.dim2]) + 1)
@@ -248,12 +232,20 @@ def _leaders(part: Partition) -> tuple[int, ...]:
     return itemgetter(*part.block_of)(heads) if part.size > 1 else tuple(heads)
 
 
+def _lead(part: Partition):
+    """A getter that reads a sequence indexed by points at the least member
+    of each point's block, as a tuple: a tuple of keys is constant on every
+    block exactly when it equals _lead(part)(keys)."""
+    return itemgetter(*_leaders(part)) if part.size > 1 else tuple
+
+
 def _invariant(part: Partition, perm) -> bool:
     """True when perm maps every block into one block, that is when the
     block of perm[i] is constant on every block; perm being a bijection,
-    it then maps the blocks onto the blocks."""
+    it then maps the blocks onto the blocks.  The leader getter of part
+    (_lead) is built on each call and not kept."""
     moved = itemgetter(*perm)(part.block_of)
-    return moved == part._lead()(moved)
+    return moved == _lead(part)(moved)
 
 
 def _block_sums(g: GroupSpec, part: Partition):

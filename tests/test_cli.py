@@ -157,6 +157,25 @@ def test_dual_round_trip(tmp_path, capsys):
     assert payload(src) == sorted((b, a) for a, b in payload(once))
 
 
+def test_dual_names_the_record_it_refuses(tmp_path, capsys):
+    # record 10 of C_3 x C_2 x C_2 takes the character side of record 11,
+    # which has as many blocks: dual refuses it by the index verify prints
+    path = tmp_path / "swapped.jsonl"
+    cli.main(["enumerate", "--group", "cpc2c2", "--p", "3", "--out", str(path)])
+    capsys.readouterr()
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records[10]["character_classes"] = records[11]["character_classes"]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out, _ = run(capsys, ["verify", str(path)])
+    assert code == 2
+    assert [line for line in out.splitlines() if not line.endswith(": ok")] == [
+        "theory 10: violation condition=3: sigma of character block 1 differs at elements 4 and 5"]
+    code, out, err = run(capsys, ["dual", str(path)])
+    assert (code, out) == (2, "")
+    assert err == ("error: theory 10: transported partition fails verification: "
+                   "sigma of character block 2 differs at elements 4 and 8\n")
+
+
 def test_classify_matches_enumeration_tags(tmp_path, capsys):
     path = tmp_path / "klein.jsonl"
     cli.main(["enumerate", "--group", "klein", "--out", str(path)])

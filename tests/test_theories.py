@@ -29,8 +29,8 @@ from supercharacters import (
     verify,
     verify_algebra,
 )
-from supercharacters.theories import _invariant, sort_key
-from supercharacters import CycInt
+from supercharacters.theories import _invariant, _theory_line, sort_key
+from supercharacters import CycInt, cli
 
 
 def test_partition_canonicalization():
@@ -565,20 +565,36 @@ def test_multiplier_kernel_matches_full_loop(p, enumerated):
     assert all(count >= 20 for count in tally.values()), tally
 
 
-def test_kept_partition_facts_are_not_fields(enumerated):
-    # the leader getter lives beside block_of in the instance dict:
-    # equality, hash and repr read the fields only
+def test_kept_partition_facts_are_not_fields(enumerated, tmp_path):
+    # block_of is the one fact a Partition keeps, in the instance dict
+    # beside its fields, after serving as either side of a theory: the
+    # leader getters of verify and _invariant are built per call.
+    # Equality, hash and repr read the fields only
+    kept = {*Partition._fields, "block_of"}
     g = GroupSpec.cp_c2_c2(5)
     t = next(rec.theory for rec in enumerated.theories(g) if len(rec.theory.classes) > 3)
     sides = [Partition(part.size, part.blocks) for part in (t.classes, t.charparts)]
-    assert not any("_lead_getter" in vars(part) for part in sides)
     before = [(hash(part), repr(part)) for part in sides]
     assert verify(Theory(g, *sides)) is None and verify(Theory(g, *sides[::-1])) is None
     for part, seen, old in zip(sides, before, (t.classes, t.charparts)):
-        assert "_lead_getter" in vars(part)
+        assert set(vars(part)) == kept
         assert (hash(part), repr(part)) == seen == (hash(old), repr(old))
         assert part == old and old == part and {old: 1}[part] == 1
         assert part._astuple() == (old.size, old.blocks)
+    # a file read back holds t and dual(t) on the same two partitions
+    path = tmp_path / "p13.jsonl"
+    written = list(enumerated.theories(GroupSpec.cp_c2_c2(13)))
+    path.write_text("".join(_theory_line(rec) + "\n" for rec in written))
+    read = cli._read_records(str(path))
+    for rec in read:
+        assert verify(rec.theory) is None
+        dual(rec.theory)  # raises unless the dual verifies
+    assert [rec.theory for rec in read] == [rec.theory for rec in written]
+    for rec, old in zip(read, written):
+        for part, was in zip((rec.theory.classes, rec.theory.charparts),
+                             (old.theory.classes, old.theory.charparts)):
+            assert set(vars(part)) == kept
+            assert (hash(part), repr(part)) == (hash(was), repr(was))
 
 
 @pytest.mark.fresh("enumerates in a child process")
