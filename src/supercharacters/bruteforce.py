@@ -34,7 +34,7 @@ cells and the pieces blocks are made of are int bitmasks.
 
 One search node is one placement of a U-orbit of blocks that passed all
 checks.  With a budget, the search raises once it would exceed that many
-nodes; a budget below 1 is refused as bad input.
+nodes; a budget that is not an int of at least 1 is refused as bad input.
 """
 
 from __future__ import annotations
@@ -131,8 +131,9 @@ def _search(g: GroupSpec, budget: int | None, emit) -> int:
     how many there were; raises BudgetExhaustedError with the nodes and
     the theories found so far once the budget runs out."""
     n = g.order
-    if budget is not None and budget < 1:
-        raise ValueError(f"search budget must be at least 1, got {budget}")
+    # bool is an int subclass, but true and false are not node counts
+    if budget is not None and (type(budget) is not int or budget < 1):
+        raise ValueError(f"search budget must be an int of at least 1, got {budget!r}")
     if n > EXHAUSTIVE_LIMIT and budget is None:
         raise ValueError(
             f"|G| = {n} exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}; pass a budget"

@@ -173,25 +173,20 @@ def automorphism_witness(t: Theory) -> tuple[AutMap, ...] | None:
 def direct_decompositions(t: Theory) -> list[tuple[Subgroup, Subgroup]]:
     """Complementary pairs (H1, H2) of invariant subgroups over which t is the
     direct product of its restrictions: there are as many classes as pairs
-    of a class inside H1 and a class inside H2, and every product K1*K2
-    lies in one class (Hendrickson's characterisation by Schur rings).
+    of a class inside H1 and a class inside H2.
 
-    Assumes that t's class partition completes to a theory; the restrictions
-    are then theories too, so nothing needs rebuilding.  The products K1*K2
-    cover G once each, so a pair costs O(|G|)."""
-    g = t.group
-    blocks, block_of = t.classes.blocks, t.classes.block_of
-    inside = {h.members: [blocks[b] for b in {block_of[i] for i in h.members}]
-              for h in invariant_subgroups(t)}
-    out = []
-    for h1, h2 in g.complementary_pairs():
-        k1, k2 = inside.get(h1.members), inside.get(h2.members)
-        if k1 is None or k2 is None or len(k1) * len(k2) != len(blocks):
-            continue
-        if all(len({block_of[g.mul_idx(x, y)] for x in a for y in b}) == 1
-               for a in k1 for b in k2):
-            out.append((h1, h2))
-    return out
+    Assumes that t's class partition completes to a theory, so that its
+    classes span a Schur ring; the restrictions are then theories too, so
+    nothing needs rebuilding.  Hendrickson's characterisation also asks
+    that every product K1*K2 lie in one class, and the count implies it:
+    G = H1 x H2 writes each element once as xy, so K1*K2 has coefficients
+    0 and 1, and lying in the Schur ring, it is a union of classes.  These
+    products partition G, so there are never fewer classes than pairs, and
+    exactly as many when each product is a single class."""
+    inside = {h.members: k for h, k in t._invariant_subgroups}
+    n = len(t.classes)
+    return [(h1, h2) for h1, h2 in t.group.complementary_pairs()
+            if inside.get(h1.members, 0) * inside.get(h2.members, 0) == n]
 
 
 def wedge_decompositions(t: Theory) -> list[Subgroup]:

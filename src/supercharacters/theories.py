@@ -94,12 +94,14 @@ class Theory(_Frozen):
         super().__init__(group, classes, charparts)
 
     @cached_property
-    def _invariant_subgroups(self) -> tuple[Subgroup, ...]:
-        """invariant_subgroups(self), computed once per theory: classify
-        reads it for both the direct and the wedge decompositions."""
+    def _invariant_subgroups(self) -> tuple[tuple[Subgroup, int], ...]:
+        """invariant_subgroups(self), each with the number of classes inside
+        it, computed once per theory: classify reads it for both the direct
+        and the wedge decompositions."""
         blocks, block_of = self.classes.blocks, self.classes.block_of
-        return tuple(h for h in self.group.all_subgroups
-                     if sum(len(blocks[b]) for b in {block_of[i] for i in h.members}) == h.order)
+        met = ((h, {block_of[i] for i in h.members}) for h in self.group.all_subgroups)
+        return tuple((h, len(bs)) for h, bs in met
+                     if sum(len(blocks[b]) for b in bs) == h.order)
 
 
 def _require_size(g: GroupSpec, *parts: Partition) -> None:
@@ -367,7 +369,7 @@ def supercharacter_table(t: Theory):
 
 def invariant_subgroups(t: Theory) -> list[Subgroup]:
     """Subgroups that are unions of class blocks, smallest first."""
-    return list(t._invariant_subgroups)
+    return [h for h, _ in t._invariant_subgroups]
 
 
 def restriction(t: Theory, n: Subgroup) -> Theory:

@@ -123,7 +123,7 @@ def test_budget_exhaustion_reports_what_the_search_emitted():
     assert raised == [(51, len(emitted))] * 3
 
 
-@pytest.mark.parametrize("budget", [0, -1])
+@pytest.mark.parametrize("budget", [0, -1, True, 2.5, "5"])
 def test_budget_below_one_is_refused(budget):
     for search in (brute_force_count, brute_force_enumerate):
         with pytest.raises(ValueError, match="budget"):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -215,6 +216,51 @@ def test_decomposition_helpers_on_extremes():
     # on the Klein group, where every nonidentity element has order 2, the
     # maximal theory is an orbit theory
     assert automorphism_witness(maximal_theory(GroupSpec.klein())) is not None
+
+
+def _hendrickson_pairs(t):
+    """Hendrickson's direct-product test in full, from the multiplication
+    table: the complementary pairs (H1, H2) of unions of classes with as
+    many classes as pairs of a class inside H1 and a class inside H2, and
+    every product K1*K2 inside one class."""
+    g = t.group
+    blocks, block_of, mt = t.classes.blocks, t.classes.block_of, g.mult_table
+    out = []
+    for h1, h2 in g.complementary_pairs():
+        inside = [[blocks[b] for b in {block_of[i] for i in h.members}] for h in (h1, h2)]
+        if any(sorted(chain.from_iterable(k)) != sorted(h.members)
+               for h, k in zip((h1, h2), inside)):
+            continue
+        k1, k2 = inside
+        if len(k1) * len(k2) == len(blocks) and all(
+                len({block_of[mt[x][y]] for x in a for y in b}) == 1 for a in k1 for b in k2):
+            out.append((h1, h2))
+    return out
+
+
+def _count_matches_product_test(ts):
+    """Asserts that direct_decompositions keeps on each theory exactly the
+    pairs of the full test, and that some theories but not all have one."""
+    kept = 0
+    for t in ts:
+        pairs = _hendrickson_pairs(t)
+        assert direct_decompositions(t) == pairs
+        kept += bool(pairs)
+    assert 0 < kept < len(ts)
+
+
+@pytest.mark.parametrize("g", [
+    *map(GroupSpec.cp_c2_c2, (3, 5, 13, 19)), GroupSpec.cp_c2(3), GroupSpec.cp_c2(5),
+    GroupSpec.klein(), GroupSpec.c2_cubed(),
+], ids=str)
+def test_direct_decompositions_match_the_product_test(g, enumerated):
+    # on a theory the class count implies the product condition, so the
+    # count alone keeps exactly the pairs the full test keeps
+    _count_matches_product_test([rec.theory for rec in enumerated.theories(g)])
+
+
+def test_direct_decompositions_match_the_product_test_on_blind_output(enumerated):
+    _count_matches_product_test(enumerated.search(GroupSpec.cp_c2_c2(19), budget=10**6))
 
 
 def test_golden_theory_decomposes_as_predicted():
