@@ -2,22 +2,19 @@
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from itertools import compress
 
-from .theories import TheoryRecord, canonical_key, sort_key
+from .theories import TheoryRecord, _invariant, canonical_key, sort_key
 
 
 def refinement_edges(theories) -> list[tuple[int, int]]:
     """Covering pairs (i, j): theory i refines theory j with nothing strictly
     between; indices follow the canonical (block count, key) order.  Raises
-    ValueError when the theories live on different groups, or when two of
-    them have the same classes."""
+    ValueError when the theories live on different groups, when two of them
+    have the same classes, or when the multipliers do not fix the classes
+    of one of them."""
     return _covers(sorted(theories, key=sort_key))
-
-
-# Elements per round of the pair test in _covers.
-_CHUNK = 64
 
 
 def _covers(ts) -> list[tuple[int, int]]:
@@ -25,30 +22,37 @@ def _covers(ts) -> list[tuple[int, int]]:
 
     Theory i refines j (the relation of theories.refines, taken over
     i != j) exactly when the block of i holding x lies inside the block of
-    j holding x, for every element x.  With those blocks as bitmasks, one
-    field per element, packed into one int c per theory, that is
-    c_i & c_j == c_i.  The elements go in rounds of _CHUNK, one packed int
-    per theory and round, and each round keeps only the pairs that passed
-    the ones before, so a pair that fails early costs little, and only one
-    round's packed ints are held at a time.  A j with more blocks than i cannot be
-    refined by i, so only the prefix of theories with at most as many
-    blocks is a candidate.  The pairs form int bitsets up[i], and the
-    covers of i are up[i] minus every up[k] with k in up[i]."""
+    j holding x, for every element x.  By Schur's multiplier theorem the
+    multipliers fix the classes of every theory: the block of a*x is then
+    a times the block of x, so the inclusion holds at a*x exactly when it
+    holds at x.  Each element (e, v) is (0, v) or e times (1, v), so the
+    min(n, 2 << d) lead points x < 2 << d decide refinement (all n points
+    of a 2-group, which has no multipliers).  ValueError names the first
+    theory, in canonical order, whose classes the multipliers do not fix.
+
+    With the blocks at the lead points as bitmasks, one field per point,
+    packed into one int c per theory (_cells), i refines j exactly when
+    c_i & c_j == c_i.  A j with more blocks than i cannot be refined by i,
+    and one with as many only if it has the same classes, so only the
+    prefix of theories with fewer blocks is a candidate.  The pairs form
+    int bitsets up[i], and the covers of i are up[i] minus every up[k]
+    with k in up[i]."""
     if any(t.group != ts[0].group for t in ts):
         raise ValueError("theories live on different groups")
     # equal classes sort next to each other, and would refine each other
     for t, u in zip(ts, ts[1:]):
         if t.classes == u.classes:
             raise ValueError(f"theory {canonical_key(t)} is repeated")
+    for t in ts:
+        if t.group.multiplier_perm and not _invariant(t.classes, t.group.multiplier_perm):
+            raise ValueError(f"theory {canonical_key(t)} is not fixed by the multipliers")
     sizes = [len(t.classes) for t in ts]
     cells = list(map(_cells, ts))
-    cands = [range(bisect_right(sizes, k)) for k in sizes]
-    for lo in range(0, len(cells[0]) if ts else 0, _CHUNK):
-        packed = [int.from_bytes(b"".join(c[lo:lo + _CHUNK]), "little") for c in cells]
-        for i, c in enumerate(packed):
-            pairs = map(c.__and__, map(packed.__getitem__, cands[i]))
-            cands[i] = list(compress(cands[i], map(c.__eq__, pairs)))
-    up = [sum(map((1).__lshift__, js)) & ~(1 << i) for i, js in enumerate(cands)]
+    up = []
+    for i, c in enumerate(cells):
+        below = cells[:bisect_left(sizes, sizes[i])]
+        js = compress(range(len(below)), map(c.__eq__, map(c.__and__, below)))
+        up.append(sum(map((1).__lshift__, js)))
     edges = []
     for i, bits in enumerate(up):
         above = 0
@@ -58,13 +62,14 @@ def _covers(ts) -> list[tuple[int, int]]:
     return edges
 
 
-def _cells(t) -> list[bytes]:
-    """For each element, the bitmask of the class block holding it, as
-    little-endian bytes of one width for the whole group."""
-    width = (t.group.order + 7) // 8
-    masks = [sum(map((1).__lshift__, b)).to_bytes(width, "little")
-             for b in t.classes.blocks]
-    return list(map(masks.__getitem__, t.classes.block_of))
+def _cells(t) -> int:
+    """The bitmask of the class block holding each lead point x <
+    min(n, 2 << d), as n-bit fields packed into one int, point x in field
+    x; the mask of each block is formed once."""
+    n, blocks = t.group.order, t.classes.blocks
+    lead = t.classes.block_of[:min(n, 2 << t.group.dim2)]
+    masks = {b: sum(map((1).__lshift__, blocks[b])) for b in set(lead)}
+    return sum(masks[b] << x * n for x, b in enumerate(lead))
 
 
 def _bits(mask: int):

@@ -30,6 +30,8 @@ from supercharacters import (
 )
 from supercharacters import constructions, enumeration, groups, theories
 
+from damage_helpers import damaged_theories
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -359,6 +361,25 @@ def test_lattice_rejects_a_repeated_theory(tmp_path, capsys):
     path.write_text("".join(lines[:3]))
     code, out, _ = run(capsys, ["lattice", str(path), "--dot", "-"])
     assert code == 0 and out.endswith("  n1 -> n0;\n  n2 -> n0;\n}\n")
+
+
+def test_lattice_refuses_classes_the_multipliers_move(tmp_path, capsys, enumerated):
+    # lattice verifies nothing, and its refinement test reads only the points
+    # (0, v) and (1, v), exact for classes that the multipliers fix
+    path = tmp_path / "damaged.jsonl"
+    for g in (GroupSpec.cp_c2_c2(3), GroupSpec.klein(), GroupSpec.c2_cubed()):
+        records = enumerated.theories(g)
+        damaged = {t.classes: t for t in damaged_theories(records)}
+        path.write_text("".join(json.dumps(theory_to_json(t)) + "\n"
+                                for t in [r.theory for r in records] + list(damaged.values())))
+        code, out, err = run(capsys, ["lattice", str(path), "--dot", "-"])
+        if g.multiplier_perm is None:
+            # 2-groups have no multipliers: every element is a lead point
+            assert code == 0 and out.startswith("digraph") and err == ""
+        else:
+            assert code == 4 and out == ""
+            assert err.splitlines() == [
+                "error: theory 3.2.2:0|1,11|2,3,4,5,6,7,8,9,10 is not fixed by the multipliers"]
 
 
 @pytest.mark.parametrize("tag", [
@@ -1220,36 +1241,13 @@ def test_classify_rebuilds_only_records_that_fail_verify(tmp_path, capsys, monke
         assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_SHA256[("cpc2c2", 3)]
 
 
-def _damaged(part: Partition) -> list[Partition]:
-    """Fixed damage to a class partition: the last element of the last class
-    moved into the class before it, the last two classes merged, and the
-    identity merged into the next class."""
-    blocks = [list(b) for b in part.blocks]
-    out = []
-    if len(blocks) >= 3:
-        if len(blocks[-1]) > 1:
-            out.append(blocks[:-2] + [blocks[-2] + blocks[-1][-1:], blocks[-1][:-1]])
-        out.append(blocks[:-2] + [blocks[-2] + blocks[-1]])
-    if len(blocks) >= 2:
-        out.append([blocks[0] + blocks[1]] + blocks[2:])
-    return [Partition(part.size, b) for b in out]
-
-
 # sha256 of `classify` stdout on the damaged records below, recorded from the
 # code that rebuilt every direct product and wedge before tagging it.
 DAMAGED_CLASSIFY_SHA256 = "395bad9c0d5965d95362af9eafaf3cc9cb0b9a1cb0523cea873e2233cc105715"
 
 
 def test_classify_tags_no_construction_on_damaged_classes(tmp_path, capsys, enumerated):
-    records = enumerated.theories(GroupSpec.cp_c2_c2(3))
-    keys = {canonical_key(rec.theory) for rec in records}
-    damaged = []
-    for rec in records:
-        for classes in _damaged(rec.theory.classes):
-            t = Theory(rec.theory.group, classes, rec.theory.charparts)
-            # the enumeration is complete, so a key outside it is not a theory
-            if canonical_key(t) not in keys:
-                damaged.append(t)
+    damaged = damaged_theories(enumerated.theories(GroupSpec.cp_c2_c2(3)))
     assert len(damaged) == 166
     # the partition shape alone would tag some of them: they lie outside
     # the decompositions' precondition, so the class count alone is no

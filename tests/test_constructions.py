@@ -263,6 +263,21 @@ def test_direct_decompositions_match_the_product_test_on_blind_output(enumerated
     _count_matches_product_test(enumerated.search(GroupSpec.cp_c2_c2(19), budget=10**6))
 
 
+@pytest.mark.parametrize("g", [GroupSpec.cp_c2_c2(13), GroupSpec.c2_cubed()], ids=str)
+def test_direct_decompositions_form_no_product(g, enumerated, monkeypatch):
+    # once the invariant subgroups and the complementary pairs are known,
+    # the count needs no product of two elements
+    ts = [rec.theory for rec in enumerated.theories(g)]
+    pairs = list(map(direct_decompositions, ts))
+    assert any(pairs)
+
+    def no_product(self, i, j):
+        raise AssertionError("direct_decompositions formed a product")
+
+    monkeypatch.setattr(GroupSpec, "mul_idx", no_product)
+    assert list(map(direct_decompositions, ts)) == pairs
+
+
 def test_golden_theory_decomposes_as_predicted():
     case = GOLDEN_ORBIT_THEORIES[0]
     g = GroupSpec.cp_c2_c2(case["p"])

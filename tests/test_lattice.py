@@ -7,9 +7,10 @@ import pytest
 
 from supercharacters import GroupSpec, lattice, refines
 from supercharacters.lattice import _color, lattice_dot, refinement_edges
-from supercharacters.theories import TheoryRecord, canonical_key, sort_key
+from supercharacters.theories import TheoryRecord, _invariant, canonical_key, sort_key
 
 from closure_helpers import missing_images, missing_joins
+from damage_helpers import damaged_theories
 
 
 def test_chain_for_cp5(enumerated):
@@ -53,23 +54,68 @@ def _cp_c2_c2_13_theories(enumerated):
 
 
 def test_edges_match_pairwise_refines(enumerated):
-    ts = sorted(_cp_c2_c2_13_theories(enumerated), key=sort_key)
-    assert len(ts) == 211
-    assert refinement_edges(ts) == _covers_by_refines(ts)
-
-
-def test_edges_in_rounds_of_elements(enumerated, monkeypatch):
-    # 52 elements in rounds of 5: each round drops the pairs that fail on
-    # its elements, and the last round is short
-    monkeypatch.setattr(lattice, "_CHUNK", 5)
-    ts = sorted(_cp_c2_c2_13_theories(enumerated), key=sort_key)
-    assert refinement_edges(ts) == _covers_by_refines(ts)
+    # every group whose theories the session cache holds, and the blind
+    # output at p = 19; the 2-groups have no multipliers, so their edges
+    # test every element
+    groups = [GroupSpec.of(()), GroupSpec.of((2,)), GroupSpec.klein(), GroupSpec.c2_cubed(),
+              *map(GroupSpec.cp, (3, 5, 7, 11, 13)), *map(GroupSpec.cp_c2, (3, 5, 7, 11, 13)),
+              *map(GroupSpec.cp_c2_c2, (3, 5, 7, 11, 13, 19))]
+    families = [[r.theory for r in enumerated.theories(g)] for g in groups]
+    families.append(enumerated.search(GroupSpec.cp_c2_c2(19), budget=10**6))
+    # the lead points decide refinement between any two partitions that the
+    # multipliers fix, theories or not: add the damaged partitions they fix,
+    # each of (C_2)^3's among them; two damages can give the same classes
+    for g, count in ((GroupSpec.cp_c2_c2(3), 166), (GroupSpec.c2_cubed(), 265)):
+        records = enumerated.theories(g)
+        fixed = {t.classes: t for t in damaged_theories(records)
+                 if g.multiplier_perm is None or _invariant(t.classes, g.multiplier_perm)}
+        families.append([r.theory for r in records] + list(fixed.values()))
+        assert len(families[-1]) == count
+    for ts in families:
+        ts = sorted(ts, key=sort_key)
+        assert refinement_edges(ts) == _covers_by_refines(ts), ts[0].group
 
 
 def test_edges_past_one_round(enumerated):
+    # 68 elements, of which the 8 lead points are tested
     ts = sorted((r.theory for r in enumerated.theories(GroupSpec.cp_c2_c2(17))), key=sort_key)
-    assert ts[0].group.order > lattice._CHUNK
     assert refinement_edges(ts) == _covers_by_refines(ts)
+
+
+def test_edges_refuse_classes_the_multipliers_move(enumerated):
+    # the lead points decide refinement only between partitions that the
+    # multipliers fix: here 4 = (1, 0) is a class alone, but 8 = 2 * 4 is not
+    g = GroupSpec.cp_c2_c2(3)
+    records = enumerated.theories(g)
+    damaged = damaged_theories(records)
+    moved = damaged[1]
+    assert canonical_key(moved) == "3.2.2:0|1,2,3,5,6,7,8,9,10,11|4"
+    assert not _invariant(moved.classes, g.multiplier_perm)
+    ts = [r.theory for r in records]
+    with pytest.raises(ValueError, match=f"^theory {re.escape(canonical_key(moved))} "
+                                         "is not fixed by the multipliers$"):
+        refinement_edges(ts + [moved])
+    # among all such partitions, the first in canonical order is named
+    every = [t for t in damaged if not _invariant(t.classes, g.multiplier_perm)]
+    assert len(every) == 76
+    ts += damaged
+    random.Random(3).shuffle(ts)
+    first = canonical_key(min(every, key=sort_key))
+    with pytest.raises(ValueError, match=f"^theory {re.escape(first)} is not fixed"):
+        refinement_edges(ts)
+
+
+@pytest.mark.parametrize("g", [
+    GroupSpec.klein(), GroupSpec.c2_cubed(), GroupSpec.cp(13), GroupSpec.cp_c2(13),
+    GroupSpec.cp_c2_c2(13),
+], ids=str)
+def test_cells_hold_one_field_per_lead_point(g, enumerated):
+    # one n-bit field per lead point, min(n, 2 << d) of them: field x holds
+    # the block of x, which holds x, so the last field is not zero
+    n = g.order
+    fields = min(n, 2 << g.dim2)
+    for r in enumerated.theories(g):
+        assert (fields - 1) * n < lattice._cells(r.theory).bit_length() <= fields * n
 
 
 def test_dot_sorts_once(monkeypatch, enumerated):
