@@ -454,15 +454,19 @@ class GroupSpec(_Frozen):
         indices in aut_group(), sorted by order, then by members.  Computed
         once per group, without building an AutMap.
 
-        Without p, Aut(G) is GL(d, 2), and _subgroup_lattice runs on its
-        product table.  With p, Aut(G) is U x GL(d, 2), U the units mod p,
-        with d <= 2.  A subgroup S projects onto <r^f> in U for a primitive
-        root r and some f dividing p - 1; let K be its part inside GL(d, 2).
-        For any (r^f, b) in S, S = <(r^f, b), K>, and only the coset bK of b
-        matters.  So each S is the closure, under the index arithmetic of
-        _aut_arithmetic, of (r^f, b) and K for some f, K in the lattice of
-        GL(d, 2) and one b per coset of K; every such closure is a subgroup,
-        and the set drops the repeats."""
+        Without p, Aut(G) is GL(d, 2).  For d = 3 its 179 subgroups are the
+        generated constant of _gl32_generators, so no command builds
+        _gl2_table(3) or its lattice; for d <= 2 _subgroup_lattice runs on
+        the product table, of 1 or 6 rows.  With p, Aut(G) is U x GL(d, 2),
+        U the units mod p, with d <= 2.  A subgroup S projects onto <r^f> in
+        U for a primitive root r and some f dividing p - 1; let K be its
+        part inside GL(d, 2).  For any (r^f, b) in S, S = <(r^f, b), K>, and
+        only the coset bK of b matters.  So each S is the closure, under the
+        index arithmetic of _aut_arithmetic, of (r^f, b) and K for some f, K
+        in the lattice of GL(d, 2) and one b per coset of K; every such
+        closure is a subgroup, and the set drops the repeats."""
+        if self.factors == (2, 2, 2):
+            return tuple(_gl32_generators())
         mul, e = _aut_arithmetic(self)
         gl = _gl2_table(self.dim2)
         kernels = _subgroup_lattice(gl).values()
@@ -737,15 +741,7 @@ def _subgroup_lattice(table) -> dict[int, tuple[int, ...]]:
     per queued H, so a join tracks the numbers of the cosets it reaches and
     ORs their masks at the end: n row lookups per queued H and one per
     coset representative.  Once K holds more than half the group it is the
-    group.
-
-    Unless the cyclic generators all commute, only one subgroup per
-    conjugacy class is extended: each new join is queued, and its orbit
-    under conjugation by a subset of the cyclic generators that generates
-    the group is recorded without being queued.  Since
-    g<H, c>g^-1 = <gHg^-1, gcg^-1> and gcg^-1 again generates a cyclic
-    subgroup of prime-power order, the joins of a conjugate are conjugates
-    of joins, and every subgroup is still reached."""
+    group."""
     n = len(table)
     e = next(i for i in range(n) if table[i][i] == i)
     cyclic: dict[int, int] = {}  # member mask -> least generator
@@ -756,7 +752,6 @@ def _subgroup_lattice(table) -> dict[int, tuple[int, ...]]:
             y = table[y][x]
         if x != e and _is_prime_power(mask.bit_count()):
             cyclic.setdefault(mask, x)
-    conjugations = _conjugations(table, e, list(cyclic.values()))
     bits = [1 << y for y in range(n)]
     found = {1 << e: (e,)}
     queue = [(1 << e, ())]
@@ -790,31 +785,10 @@ def _subgroup_lattice(table) -> dict[int, tuple[int, ...]]:
                     break
             else:
                 k = sum(map(coset_mask.__getitem__, reached))
-            if k in found:
-                continue
-            found[k] = tuple(i for i in range(n) if k >> i & 1)
-            queue.append((k, k_gens))
-            orbit = [k]
-            for m in orbit:
-                for conj in conjugations:
-                    image = sorted(map(conj.__getitem__, found[m]))
-                    image_mask = sum(map(bits.__getitem__, image))
-                    if image_mask not in found:
-                        found[image_mask] = tuple(image)
-                        orbit.append(image_mask)
+            if k not in found:
+                found[k] = tuple(i for i in range(n) if k >> i & 1)
+                queue.append((k, k_gens))
     return found
-
-
-def _conjugations(table, e: int, gens: list[int]) -> list[list[int]]:
-    """The maps y -> x y x^-1 for the x of a greedy subset of gens that
-    generates what gens generate; none when gens commute pairwise."""
-    if all(table[x][y] == table[y][x] for x in gens for y in gens):
-        return []
-    out = []
-    for x in _generate(lambda y, s: table[y][s], {e}, gens)[0]:
-        inv = table[x].index(e)
-        out.append([table[table[x][y]][inv] for y in range(len(table))])
-    return out
 
 
 def _is_prime_power(n: int) -> bool:
@@ -904,6 +878,21 @@ def aut_generating_subset(g: GroupSpec, subgroup: tuple[int, ...]) -> tuple[int,
     them: in ascending order of index, so of generator images, each member
     not in the closure of those before it.  _generate runs on the indices,
     multiplied by the index arithmetic of _aut_arithmetic; no AutMap is
-    built."""
+    built.  A subgroup of GL(3, 2) = Aut((C_2)^3) is looked up in the
+    generated constant of _gl32_generators, which holds what that walk
+    picks."""
+    members = tuple(sorted(subgroup))
+    if g.factors == (2, 2, 2):
+        gens = _gl32_generators().get(members)
+        if gens is not None:
+            return gens
     mul, e = _aut_arithmetic(g)
-    return tuple(_generate(mul, {e}, sorted(subgroup))[0])
+    return tuple(_generate(mul, {e}, members)[0])
+
+
+def _gl32_generators() -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The subgroups of GL(3, 2) as subgroups_of_aut() of (C_2)^3 lists
+    them, each mapped to its greedy generators: a generated constant,
+    imported on first use, so that no other group loads it."""
+    from ._gl32 import GENERATORS
+    return GENERATORS

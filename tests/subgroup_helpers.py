@@ -2,6 +2,7 @@
 built on the package's one subgroup form (GroupSpec.subgroup), its one
 closure routine (_close), its character key table and AutMap."""
 
+from supercharacters import wedge_decompositions
 from supercharacters.groups import AutMap, Subgroup, _close
 
 
@@ -17,6 +18,13 @@ def annihilator(g, members) -> tuple[int, ...]:
     if isinstance(members, Subgroup):
         members = members.members
     return tuple(c for c, row in enumerate(g._key_table) if all(row[i] == 1 for i in members))
+
+
+def wedge_annihilators(t) -> set[tuple[int, ...]]:
+    """The annihilators of the subgroups N that t is a wedge over.  dual
+    swaps the two sides of t, so these are exactly the member tuples of the
+    subgroups that dual(t) is a wedge over."""
+    return {annihilator(t.group, n) for n in wedge_decompositions(t)}
 
 
 def identity_aut(g) -> AutMap:

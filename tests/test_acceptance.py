@@ -21,7 +21,7 @@ from supercharacters.enumeration import all_scts_cp_c2_c2, divisor_count
 from supercharacters.theories import theory_from_json, theory_to_json
 
 from golden import GOLDEN_ORBIT_THEORIES
-from subgroup_helpers import annihilator, generated_subgroup
+from subgroup_helpers import annihilator, generated_subgroup, wedge_annihilators
 
 # Frozen counts for C_p x C_2 x C_2, computed by hand from the closed form
 # total = 3k*d(3^l*n) + 2l*d(2^k*n) + 30*d(p-1) + 13 with p-1 = 2^k*3^l*n
@@ -172,9 +172,9 @@ def test_criterion_5_axiom_suite(enumerated, capsys):
 
                 d = dual(t)
                 assert canonical_key(dual(d)) == canonical_key(t)
-                is_wedge = bool(wedge_decompositions(t))
-                assert is_wedge == bool(wedge_decompositions(d))
-                assert is_wedge == ("wedge" in rec.tags)
+                wedges = wedge_annihilators(t)
+                assert {n.members for n in wedge_decompositions(d)} == wedges
+                assert bool(wedges) == ("wedge" in rec.tags)
 
                 char_blocks = t.charparts.blocks
                 anns = []

@@ -14,12 +14,14 @@ from supercharacters import (
     Partition,
     canonical_key,
     dual,
+    wedge_decompositions,
 )
 from supercharacters.bruteforce import _multipliers, _search
 from supercharacters.cli import _classify_one
 from supercharacters.enumeration import _formula, factor_pm1
 
 from closure_helpers import missing_images, missing_joins
+from subgroup_helpers import wedge_annihilators
 
 # Nodes of the full search.  For C_p x C_2 x C_2, 16 of them are placements
 # inside the involutions' part that no theory completes, at every p.
@@ -119,3 +121,13 @@ def test_blind_classification_matches_the_closed_form(enumerated, p):
     assert untagged == [{"maximal"}]
     keys = {canonical_key(t) for t in blind}
     assert {canonical_key(dual(t)) for t in blind} == keys
+
+
+def test_dual_sends_each_wedge_subgroup_to_its_annihilator_at_p19(enumerated):
+    # the duality of the wedge classes, on output that no construction
+    # built; 120 of the 210 theories are wedges (19 d(18) + 6)
+    blind = _blind(enumerated, 19)
+    wedges = [wedge_annihilators(t) for t in blind]
+    assert sum(map(bool, wedges)) == 120
+    for t, anns in zip(blind, wedges):
+        assert {n.members for n in wedge_decompositions(dual(t))} == anns

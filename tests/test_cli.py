@@ -59,6 +59,35 @@ def test_cli_import_loads_no_class_generator():
     assert done.stdout.strip() == "[]"
 
 
+def test_gl32_constant_loads_only_for_c2_cubed(tmp_path):
+    # one fresh process: no command off (C_2)^3 imports the generated
+    # subgroups of GL(3, 2), and the (C_2)^3 commands that read them never
+    # ask for the product table of GL(3, 2)
+    code = f"""
+import contextlib, io, sys
+from supercharacters import cli, groups
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0, argv
+    return "supercharacters._gl32" in sys.modules
+
+assert "supercharacters._gl32" not in sys.modules
+assert not run("count", "--p", "5", "--json")
+assert not run("enumerate", "--group", "cpc2c2", "--p", "3", "--out", r"{tmp_path / 'p3'}")
+assert not run("verify", r"{tmp_path / 'p3'}")
+assert not run("classify", r"{tmp_path / 'p3'}")
+assert not run("oracle", "--group", "klein")
+table, asked = groups._gl2_table, set()
+groups._gl2_table = lambda d: asked.add(d) or table(d)
+assert run("enumerate", "--group", "c2cubed", "--out", r"{tmp_path / 'c2cubed'}")
+assert run("classify", r"{tmp_path / 'c2cubed'}")
+assert 3 not in asked, asked
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run([sys.executable, "-c", code], env=env, timeout=120, check=True)
+
+
 def test_enumerate_klein_stdout(capsys):
     code, out, _ = run(capsys, ["enumerate", "--group", "klein"])
     assert code == 0

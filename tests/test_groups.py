@@ -781,11 +781,11 @@ def test_subgroup_lattice_of_cyclic_groups():
             d for d in range(1, n + 1) if n % d == 0], n
 
 
-def _lattice_without_conjugation(table):
-    """_subgroup_lattice as it read before the conjugacy-class step: every
-    join found is queued and extended by every cyclic subgroup of
-    prime-power order.  Returns the lattice and the number of table row
-    lookups it made, counted as it goes."""
+def _lattice_member_by_member(table):
+    """_subgroup_lattice as it read before it numbered the right cosets of
+    each queued subgroup once: a join builds every coset it reaches member
+    by member.  Returns the lattice and the number of table row lookups it
+    made, counted as it goes."""
     n = len(table)
     e = next(i for i in range(n) if table[i][i] == i)
     lookups = e + 1
@@ -867,16 +867,43 @@ _LATTICE_TABLES = {
 
 @lru_cache(maxsize=None)
 def _reference_lattice(name):
-    """_lattice_without_conjugation of one table of _LATTICE_TABLES, with
-    its lookup count, built once per run for every test that reads it."""
-    return _lattice_without_conjugation(_LATTICE_TABLES[name])
+    """_lattice_member_by_member of one table of _LATTICE_TABLES, with its
+    lookup count, built once per run for every test that reads it."""
+    return _lattice_member_by_member(_LATTICE_TABLES[name])
+
+
+@lru_cache(maxsize=None)
+def _lattice(name):
+    """_subgroup_lattice of one table of _LATTICE_TABLES, built once per run:
+    GL(3, 2)'s takes about 54 ms."""
+    return _subgroup_lattice(_LATTICE_TABLES[name])
 
 
 @pytest.mark.parametrize("name", list(_LATTICE_TABLES))
 def test_subgroup_lattice_matches_plain_cyclic_extension(name):
-    # extending one subgroup per conjugacy class must find exactly the
-    # subgroups that extending every subgroup finds
-    assert _subgroup_lattice(_LATTICE_TABLES[name]) == _reference_lattice(name)[0]
+    # joining by numbered cosets must find exactly the subgroups that
+    # building each coset member by member finds
+    assert _lattice(name) == _reference_lattice(name)[0]
+
+
+def test_gl32_constant_matches_the_computed_path():
+    # the generated constant that (C_2)^3 reads, recomputed: the lattice of
+    # GL(3, 2) sorted by order and then members, each subgroup with the
+    # greedy generators of _generate under the index arithmetic
+    g = GroupSpec.c2_cubed()
+    mul, e = groups._aut_arithmetic(g)
+    want = [(m, tuple(groups._generate(mul, {e}, m)[0]))
+            for m in sorted(_lattice("GL(3,2)").values(), key=lambda m: (len(m), m))]
+    got = list(groups._gl32_generators().items())
+    assert len(got) == len(want) == 179
+    for entry, expected in zip(got, want):
+        assert entry == expected
+    assert g.subgroups_of_aut() == tuple(m for m, _ in want)
+    # any other member set, and the whole group as a range, as the closure
+    # helpers pass it, read the same answers as the computed path
+    for members in (range(168), [77, 76], (0, 1), (0, 1, 2, 3), range(0, 168, 5)):
+        gens = tuple(groups._generate(mul, {e}, sorted(members))[0])
+        assert aut_generating_subset(g, members) == gens
 
 
 def test_quaternion_and_dihedral_tables_are_groups():
@@ -905,19 +932,18 @@ def test_reference_lattice_counts_its_lookups():
     for name, table in _LATTICE_TABLES.items():
         if name != "GL(3,2)":
             counted = _CountingTable(table)
-            assert _lattice_without_conjugation(counted)[1] == counted.lookups, name
+            assert _lattice_member_by_member(counted)[1] == counted.lookups, name
 
 
-def test_gl32_lattice_extends_one_subgroup_per_class():
-    # GL(3, 2) has 179 subgroups in 15 conjugacy classes; joining only one
-    # per class must take far fewer table lookups than joining them all
-    reduced = _CountingTable(_gl2_table(3))
-    plain, plain_lookups = _reference_lattice("GL(3,2)")
-    assert _subgroup_lattice(reduced) == plain
-    assert 3 * reduced.lookups < plain_lookups
+def test_lattice_numbers_the_cosets_once_per_queued_subgroup():
     # each join ORs in whole cosets from masks computed once per queued
-    # subgroup: 81,645 lookups when each coset was built member by member
-    assert reduced.lookups <= 30_000
+    # subgroup: on the 72 maps of Aut(C_13 x C_2 x C_2), 6,850 lookups
+    # against 17,687 when each coset is built member by member
+    name = "Aut(C_13xC_2xC_2)"
+    counted = _CountingTable(_LATTICE_TABLES[name])
+    plain, plain_lookups = _reference_lattice(name)
+    assert _subgroup_lattice(counted) == plain
+    assert 2 * counted.lookups < plain_lookups
 
 
 def test_gl32_lattice_order_histogram():
