@@ -735,13 +735,10 @@ def _subgroup_lattice(table) -> dict[int, tuple[int, ...]]:
     found with each cyclic subgroup of prime-power order it does not
     contain.  Every element is a product of its own powers of prime-power
     order, so every subgroup is generated by such cyclic subgroups and every
-    one is reached.  A join K = <H, x> adds right cosets H y until each
-    coset representative times each generator stays inside (Dimino's
-    method).  The right cosets of H are numbered, with their bitmasks, once
-    per queued H, so a join tracks the numbers of the cosets it reaches and
-    ORs their masks at the end: n row lookups per queued H and one per
-    coset representative.  Once K holds more than half the group it is the
-    group."""
+    one is reached.  A join K = <H, x> adds each right coset H y it reaches,
+    member by member, until each coset representative times each generator
+    stays inside (Dimino's method).  Once K holds more than half the group
+    it is the group."""
     n = len(table)
     e = next(i for i in range(n) if table[i][i] == i)
     cyclic: dict[int, int] = {}  # member mask -> least generator
@@ -752,39 +749,26 @@ def _subgroup_lattice(table) -> dict[int, tuple[int, ...]]:
             y = table[y][x]
         if x != e and _is_prime_power(mask.bit_count()):
             cyclic.setdefault(mask, x)
-    bits = [1 << y for y in range(n)]
     found = {1 << e: (e,)}
     queue = [(1 << e, ())]
     for h, gens in queue:
-        joins = [x for c, x in cyclic.items() if c & ~h]
-        if not joins:
-            continue
         members = found[h]
-        # right coset H y is number cid[y], with bitmask coset_mask[cid[y]]:
-        # its members are distinct, so the sum of their bits is their OR
-        cid: list = [None] * n
-        coset_mask = []
-        for y in range(n):
-            if cid[y] is None:
-                coset = [table[z][y] for z in members]
-                for w in coset:
-                    cid[w] = len(coset_mask)
-                coset_mask.append(sum(map(bits.__getitem__, coset)))
-        for x in joins:
+        for c, x in cyclic.items():
+            if not c & ~h:
+                continue
             k_gens = gens + (x,)
-            reached, reps = {cid[e]}, [e]
+            k, reps = h, [e]
             for r in reps:
                 row = table[r]
                 for s in k_gens:
                     y = row[s]
-                    if cid[y] not in reached:
-                        reached.add(cid[y])
+                    if not k >> y & 1:
                         reps.append(y)
+                        for z in members:
+                            k |= 1 << table[z][y]
                 if 2 * len(members) * len(reps) > n:
                     k = (1 << n) - 1
                     break
-            else:
-                k = sum(map(coset_mask.__getitem__, reached))
             if k not in found:
                 found[k] = tuple(i for i in range(n) if k >> i & 1)
                 queue.append((k, k_gens))
@@ -801,31 +785,15 @@ def _is_prime_power(n: int) -> bool:
 @lru_cache(maxsize=None)
 def _gl2_table(d: int) -> list[list[int]]:
     """The int product table of GL(d, 2), indexed as in _gl2_matrices:
-    entry [a][b] is the index of a b.  A matrix is held as its d columns,
-    each a vector index with the first coordinate at the top bit.  With E_ij
-    the matrix unit (i != j), a (1 + E_ij) is a with column i added to
-    column j, and these transvections generate GL(d, 2).  So the table is
-    built by columns from the identity's: for c = b t with t a
-    transvection, column c is column b mapped through right multiplication
-    by t, one C-level map each; zip turns the columns into rows."""
-    if d < 2:
-        return [[0]]  # GL(0, 2) and GL(1, 2) are trivial
-    cols = [tuple(sum(row[k] << (d - 1 - r) for r, row in enumerate(m)) for k in range(d))
-            for m in _gl2_matrices(d)]
-    index = {c: i for i, c in enumerate(cols)}
-    right = [[index[c[:j] + (c[j] ^ c[i],) + c[j + 1:]] for c in cols]
-             for i in range(d) for j in range(d) if i != j]
-    e = index[tuple(1 << (d - 1 - k) for k in range(d))]
-    column: list = [None] * len(cols)
-    column[e] = list(range(len(cols)))
-    queue = [e]
-    for b in queue:
-        for t in right:
-            c = t[b]
-            if column[c] is None:
-                column[c] = list(map(t.__getitem__, column[b]))
-                queue.append(c)
-    return list(map(list, zip(*column)))
+    entry [a][b] is the index of a b.  Each matrix m is the permutation
+    v -> m v of F_2^d, a vector held as an int with the first coordinate at
+    the top bit, and _perm_table composes the permutations."""
+    perms = []
+    for m in _gl2_matrices(d):
+        rows = [sum(bit << (d - 1 - k) for k, bit in enumerate(row)) for row in m]
+        perms.append(tuple(sum((r & v).bit_count() % 2 << (d - 1 - i) for i, r in enumerate(rows))
+                           for v in range(1 << d)))
+    return _perm_table(perms)
 
 
 @lru_cache(maxsize=None)

@@ -88,6 +88,55 @@ assert 3 not in asked, asked
     subprocess.run([sys.executable, "-c", code], env=env, timeout=120, check=True)
 
 
+def test_commands_run_the_lattice_only_on_abelian_or_small_tables(tmp_path):
+    # one fresh process, so no table is cached from elsewhere: every product
+    # table that a command hands the subgroup lattice is abelian or has at
+    # most 6 rows (GL(2, 2)).  bruteforce imports the name, so the oracle's
+    # calls are wrapped there
+    code = f"""
+import contextlib, io
+from supercharacters import bruteforce, cli, groups
+
+seen = {{}}
+
+def wrap(module):
+    lattice = module._subgroup_lattice
+
+    def counting(table):
+        n = len(table)
+        abelian = all(table[a][b] == table[b][a] for a in range(n) for b in range(a))
+        seen.setdefault(module.__name__, []).append((n, abelian))
+        return lattice(table)
+    module._subgroup_lattice = counting
+
+wrap(groups)
+wrap(bruteforce)
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0, argv
+
+for name, spec in (("klein", ["--group", "klein"]), ("c2cubed", ["--group", "c2cubed"]),
+                   ("p3", ["--group", "cpc2c2", "--p", "3"])):
+    path = r"{tmp_path}/" + name
+    run("enumerate", *spec, "--out", path)
+    run("verify", path)
+    run("classify", path)
+    run("dual", path, "--out", path + ".dual")
+    run("lattice", path, "--dot", path + ".dot")
+run("count", "--p", "13", "--json")
+for spec in (["--group", "klein"], ["--group", "c2cubed"], ["--group", "cp", "--p", "23"]):
+    run("oracle", *spec)
+tables = [t for calls in seen.values() for t in calls]
+assert all(abelian or n <= 6 for n, abelian in tables), tables
+# both modules were reached, and GL(2, 2) is the one table that is not abelian
+assert set(seen) == {{"supercharacters.groups", "supercharacters.bruteforce"}}, seen
+assert {{n for n, abelian in tables if not abelian}} == {{6}}, tables
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run([sys.executable, "-c", code], env=env, timeout=120, check=True)
+
+
 def test_enumerate_klein_stdout(capsys):
     code, out, _ = run(capsys, ["enumerate", "--group", "klein"])
     assert code == 0
