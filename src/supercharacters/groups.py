@@ -304,20 +304,20 @@ class GroupSpec(_Frozen):
 
     @cached_property
     def _lead_rows(self) -> tuple[tuple[int, ...], ...]:
-        """The key rows at the 2^(d+1) lead indices x < 2 << d, whose p
-        exponent is 0 or 1."""
-        return self._key_rows(range(2 << self.dim2))
+        """The key rows at the min(n, 2 << d) lead indices x < 2 << d, whose
+        p exponent is 0 or 1: every index of a 2-group."""
+        return self._key_rows(range(min(self.order, 2 << self.dim2)))
 
     @cached_property
     def _key_table(self) -> tuple[tuple[int, ...], ...]:
-        """The character table as keys, n rows of n: built only when a sum
-        is taken at every element, never by the enumerator, which reads the
-        lead rows (at p = 199 this table holds 633,616 entries)."""
+        """The character table as keys, n rows of n (633,616 entries at
+        p = 199): built only to sum over a partition that the multipliers
+        move, which no theory of any group has, or by supercharacter_table."""
         return self._key_rows(range(self.order))
 
     def lead_keys(self, chars) -> list[int]:
-        """The keys of sigma_X at the 2^(d+1) lead indices, the first
-        2 << d entries of sigma_keys(chars): column sums of the lead rows."""
+        """The keys of sigma_X at the min(n, 2 << d) lead indices, the first
+        entries of sigma_keys(chars): column sums of the lead rows."""
         return _column_sums(self._lead_rows, chars)
 
     @cached_property
@@ -364,15 +364,15 @@ class GroupSpec(_Frozen):
         return CycInt(p, tuple(coeffs))
 
     @cached_property
-    def multiplier_perm(self) -> tuple[int, ...] | None:
+    def multiplier_perm(self) -> tuple[int, ...]:
         """Index permutation of the multiplier x -> x^m for an odd m that is a
         primitive root r mod p: (a, v) -> (r*a % p, v).  Its powers are all
         the multipliers of G.  chi_c(x^m) = chi_{c^m}(x), so it moves the
-        characters by the same index permutation.  None for 2-groups, where
-        every multiplier is the identity."""
+        characters by the same index permutation.  The identity on a
+        2-group, where every multiplier is the identity."""
         p, d, mask = self._split
         if p is None:
-            return None
+            return tuple(range(self.order))
         r = _primitive_root(p)
         return tuple(r * a % p << d | v for a in range(p) for v in range(mask + 1))
 

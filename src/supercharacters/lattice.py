@@ -27,8 +27,8 @@ def _covers(ts) -> list[tuple[int, int]]:
     a times the block of x, so the inclusion holds at a*x exactly when it
     holds at x.  Each element (e, v) is (0, v) or e times (1, v), so the
     min(n, 2 << d) lead points x < 2 << d decide refinement (all n points
-    of a 2-group, which has no multipliers).  ValueError names the first
-    theory, in canonical order, whose classes the multipliers do not fix.
+    of a 2-group, whose one multiplier is the identity).  ValueError names
+    the first theory, in canonical order, whose classes it does not fix.
 
     With the blocks at the lead points as bitmasks, one field per point,
     packed into one int c per theory (_cells), i refines j exactly when
@@ -44,7 +44,7 @@ def _covers(ts) -> list[tuple[int, int]]:
         if t.classes == u.classes:
             raise ValueError(f"theory {canonical_key(t)} is repeated")
     for t in ts:
-        if t.group.multiplier_perm and not _invariant(t.classes, t.group.multiplier_perm):
+        if not _invariant(t.classes, t.group.multiplier_perm):
             raise ValueError(f"theory {canonical_key(t)} is not fixed by the multipliers")
     sizes = [len(t.classes) for t in ts]
     cells = list(map(_cells, ts))

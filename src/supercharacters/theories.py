@@ -245,8 +245,8 @@ def _invariant(part: Partition, perm) -> bool:
     """True when perm maps every block into one block, that is when the
     block of perm[i] is constant on every block; perm being a bijection,
     it then maps the blocks onto the blocks.  The leader getter of part
-    (_lead) is built on each call and not kept."""
-    moved = itemgetter(*perm)(part.block_of)
+    (_lead) is built on each call; on one point, perm is the identity."""
+    moved = (itemgetter(*perm) if part.size > 1 else tuple)(part.block_of)
     return moved == _lead(part)(moved)
 
 
@@ -262,13 +262,13 @@ def _block_sums(g: GroupSpec, part: Partition):
     sigma_X(a, v) = sigma_{aX}(1, v) for a != 0.  When the multipliers fix
     part, aX is a block, so the lead ids of the blocks (GroupSpec.lead_ids,
     read once per partition) give every entry: if X holds (b, w), aX is the
-    block of (a*b, w), which is X itself when b = 0.  Otherwise the sums
-    are GroupSpec.sigma_keys of the blocks, read off the full key table."""
-    perm = g.multiplier_perm
-    if perm is None or not _invariant(part, perm):
+    block of (a*b, w), which is X itself when b = 0, as at every index of
+    a 2-group, where p = n >> d is 1.  A partition the multipliers move,
+    by Schur no theory's side, is summed off the full key table."""
+    if not _invariant(part, g.multiplier_perm):
         return False, map(g.sigma_keys, part.blocks)
-    p, d, mask = g._split
-    half = mask + 1
+    _, d, mask = g._split
+    p, half = g.order >> d, mask + 1
     cols = list(map(g.lead_ids, part.blocks))
     tails = list(map(itemgetter(slice(half, None)), cols))
     block_of = part.block_of

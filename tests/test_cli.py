@@ -451,8 +451,9 @@ def test_lattice_refuses_classes_the_multipliers_move(tmp_path, capsys, enumerat
         path.write_text("".join(json.dumps(theory_to_json(t)) + "\n"
                                 for t in [r.theory for r in records] + list(damaged.values())))
         code, out, err = run(capsys, ["lattice", str(path), "--dot", "-"])
-        if g.multiplier_perm is None:
-            # 2-groups have no multipliers: every element is a lead point
+        if g.p is None:
+            # a 2-group's one multiplier is the identity, which fixes every
+            # partition: every element is a lead point
             assert code == 0 and out.startswith("digraph") and err == ""
         else:
             assert code == 4 and out == ""

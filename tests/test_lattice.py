@@ -55,8 +55,8 @@ def _cp_c2_c2_13_theories(enumerated):
 
 def test_edges_match_pairwise_refines(enumerated):
     # every group whose theories the session cache holds, and the blind
-    # output at p = 19; the 2-groups have no multipliers, so their edges
-    # test every element
+    # output at p = 19; a 2-group's one multiplier is the identity, and its
+    # edges test every element
     groups = [GroupSpec.of(()), GroupSpec.of((2,)), GroupSpec.klein(), GroupSpec.c2_cubed(),
               *map(GroupSpec.cp, (3, 5, 7, 11, 13)), *map(GroupSpec.cp_c2, (3, 5, 7, 11, 13)),
               *map(GroupSpec.cp_c2_c2, (3, 5, 7, 11, 13, 19))]
@@ -68,7 +68,7 @@ def test_edges_match_pairwise_refines(enumerated):
     for g, count in ((GroupSpec.cp_c2_c2(3), 166), (GroupSpec.c2_cubed(), 265)):
         records = enumerated.theories(g)
         fixed = {t.classes: t for t in damaged_theories(records)
-                 if g.multiplier_perm is None or _invariant(t.classes, g.multiplier_perm)}
+                 if _invariant(t.classes, g.multiplier_perm)}
         families.append([r.theory for r in records] + list(fixed.values()))
         assert len(families[-1]) == count
     for ts in families:
