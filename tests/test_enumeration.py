@@ -2,6 +2,9 @@
 
 import ast
 import cProfile
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -490,6 +493,34 @@ def test_enumerator_derives_no_character_side(monkeypatch):
     enumeration._sub_theories.cache_clear()
     records, report = all_scts_cp_c2_c2(5)
     assert report.matches() and len(records) == 109
+
+
+@pytest.mark.fresh("enumerates in a child process")
+def test_enumerator_builds_no_full_key_table():
+    # the enumerator and the blind search read only the lead rows for a
+    # partition that the multipliers fix, as every theory's sides are; a
+    # 2-group's one multiplier is the identity, so its theories (Klein's
+    # among them, through the enumerator's sub-enumeration) are no
+    # exception.  The n x n key table (633,616 entries at p = 199) is left
+    # unbuilt for every group.  A fresh process, since other tests build
+    # these tables.
+    code = (
+        "from supercharacters import GroupSpec, all_theories\n"
+        "from supercharacters.bruteforce import brute_force_enumerate\n"
+        "from supercharacters.enumeration import all_scts_cp_c2_c2\n"
+        "records, report = all_scts_cp_c2_c2(13)\n"
+        "assert report.matches()\n"
+        "two = [GroupSpec.of(f) for f in ((2, 2), (2, 2, 2), (2,), ())]\n"
+        "for g in two:\n"
+        "    found = brute_force_enumerate(g)\n"
+        "    assert found == [rec.theory for rec in all_theories(g)], g\n"
+        "assert '_lead_rows' in vars(GroupSpec.of((13, 2, 2)))\n"
+        "for f in ((13, 2, 2), (13, 2), (13,), (2, 2), (2, 2, 2), (2,), ()):\n"
+        "    assert '_key_table' not in vars(GroupSpec.of(f)), f\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 def test_collector_rejects_a_wrong_character_partition():
