@@ -20,7 +20,6 @@ from .groups import (
     Subgroup,
     _aut_map,
     _pull_back,
-    aut_generating_subset,
 )
 from .theories import Partition, Theory, invariant_subgroups
 
@@ -146,10 +145,10 @@ def wedge(n: Subgroup, inner: Theory, outer: Theory) -> Theory:
 
 def _aut_subgroup_gens(g: GroupSpec):
     """Yields the generators of each subgroup of Aut(G), in subgroups_of_aut()
-    order; only a generator the walk reports becomes an AutMap, once per
-    index."""
-    for subgroup in g.subgroups_of_aut():
-        yield tuple(_aut_map(g, i) for i in aut_generating_subset(g, subgroup))
+    order, read from that table's values; only a generator becomes an
+    AutMap, once per index."""
+    for gens in g.subgroups_of_aut().values():
+        yield tuple(_aut_map(g, i) for i in gens)
 
 
 @lru_cache(maxsize=None)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache
 from math import lcm, prod
+from types import MappingProxyType
 
 from .cyclotomic import CycInt, is_odd_prime
 
@@ -437,7 +438,13 @@ class GroupSpec(_Frozen):
 
     def aut_from_parts(self, u: int | None, mat: tuple[tuple[int, ...], ...]) -> "AutMap":
         """Automorphism from a unit u on the p part and an invertible F_2 matrix
-        on the involution part."""
+        on the involution part.  A 2-group has no p part for u to act on, so
+        u must be None or 1 there: any other unit is refused, not dropped."""
+        if self.p is None and u is not None:
+            if type(u) is not int:
+                raise ValueError(f"exponents must be plain ints, got {(u,)!r}")
+            if u != 1:
+                raise ValueError(f"u must be None or 1 on a 2-group, got {u}")
         return AutMap(self, _aut_images(self, u, mat))
 
     @lru_cache(maxsize=None)
@@ -449,24 +456,29 @@ class GroupSpec(_Frozen):
         return tuple(_aut_map(self, i) for i in range(units * len(_gl2_matrices(self.dim2))))
 
     @lru_cache(maxsize=None)
-    def subgroups_of_aut(self) -> tuple[tuple[int, ...], ...]:
-        """All subgroups of Aut(G), each the ascending tuple of its members'
-        indices in aut_group(), sorted by order, then by members.  Computed
-        once per group, without building an AutMap.
+    def subgroups_of_aut(self) -> MappingProxyType:
+        """Every subgroup of Aut(G), read-only: the ascending tuple of its
+        members' indices in aut_group() maps to its greedy generators, each
+        member not in the closure of those before it.  Keys are sorted by
+        order, then by members.  Computed once per group, without building
+        an AutMap.
 
         Without p, Aut(G) is GL(d, 2).  For d = 3 its 179 subgroups are the
-        generated constant of _gl32_generators, so no command builds
-        _gl2_table(3) or its lattice; for d <= 2 _subgroup_lattice runs on
-        the product table, of 1 or 6 rows.  With p, Aut(G) is U x GL(d, 2),
-        U the units mod p, with d <= 2.  A subgroup S projects onto <r^f> in
-        U for a primitive root r and some f dividing p - 1; let K be its
-        part inside GL(d, 2).  For any (r^f, b) in S, S = <(r^f, b), K>, and
-        only the coset bK of b matters.  So each S is the closure, under the
-        index arithmetic of _aut_arithmetic, of (r^f, b) and K for some f, K
-        in the lattice of GL(d, 2) and one b per coset of K; every such
-        closure is a subgroup, and the set drops the repeats."""
+        generated constant _gl32.GENERATORS, imported here on first use, so
+        no command builds _gl2_table(3) or its lattice; for d <= 2
+        _subgroup_lattice runs on the product table, of 1 or 6 rows.  With
+        p, Aut(G) is U x GL(d, 2), U the units mod p, with d <= 2.  A
+        subgroup S projects onto <r^f> in U for a primitive root r and some
+        f dividing p - 1; let K be its part inside GL(d, 2).  For any
+        (r^f, b) in S, S = <(r^f, b), K>, and only the coset bK of b
+        matters.  So each S is the closure, under the index arithmetic of
+        _aut_arithmetic, of (r^f, b) and K for some f, K in the lattice of
+        GL(d, 2) and one b per coset of K; every such closure is a subgroup,
+        and the set drops the repeats.  _generate then picks each one's
+        generators under the same arithmetic."""
         if self.factors == (2, 2, 2):
-            return tuple(_gl32_generators())
+            from ._gl32 import GENERATORS
+            return MappingProxyType(GENERATORS)
         mul, e = _aut_arithmetic(self)
         gl = _gl2_table(self.dim2)
         kernels = _subgroup_lattice(gl).values()
@@ -481,7 +493,8 @@ class GroupSpec(_Frozen):
                     found.add(tuple(sorted(_close(mul, {e}, [(u - 1) * k + b, *kernel]))))
         # aut_group() ascends by generator images, so sorting member indices
         # sorts the subgroups by order, then by generator images
-        return tuple(sorted(found, key=lambda m: (len(m), m)))
+        return MappingProxyType({m: tuple(_generate(mul, {e}, m)[0])
+                                 for m in sorted(found, key=lambda m: (len(m), m))})
 
 
 def _column_sums(rows, chars) -> list[int]:
@@ -840,27 +853,11 @@ def _aut_map(g: GroupSpec, i: int) -> AutMap:
     return m
 
 
-def aut_generating_subset(g: GroupSpec, subgroup: tuple[int, ...]) -> tuple[int, ...]:
-    """A small generating subset of a subgroup of Aut(G), both given by the
-    indices of their members in aut_group(), as subgroups_of_aut() lists
-    them: in ascending order of index, so of generator images, each member
-    not in the closure of those before it.  _generate runs on the indices,
-    multiplied by the index arithmetic of _aut_arithmetic; no AutMap is
-    built.  A subgroup of GL(3, 2) = Aut((C_2)^3) is looked up in the
-    generated constant of _gl32_generators, which holds what that walk
-    picks."""
-    members = tuple(sorted(subgroup))
-    if g.factors == (2, 2, 2):
-        gens = _gl32_generators().get(members)
-        if gens is not None:
-            return gens
-    mul, e = _aut_arithmetic(g)
-    return tuple(_generate(mul, {e}, members)[0])
-
-
-def _gl32_generators() -> dict[tuple[int, ...], tuple[int, ...]]:
-    """The subgroups of GL(3, 2) as subgroups_of_aut() of (C_2)^3 lists
-    them, each mapped to its greedy generators: a generated constant,
-    imported on first use, so that no other group loads it."""
-    from ._gl32 import GENERATORS
-    return GENERATORS
+def aut_generating_subset(g: GroupSpec, subgroup) -> tuple[int, ...]:
+    """The greedy generators of a subgroup of Aut(G), both given by the
+    indices of their members in aut_group(), read from subgroups_of_aut().
+    ValueError when the indices are not the members of a subgroup."""
+    gens = g.subgroups_of_aut().get(tuple(sorted(subgroup)))
+    if gens is None:
+        raise ValueError("indices are not the members of a subgroup of Aut(G)")
+    return gens

@@ -537,6 +537,12 @@ def test_aut_from_parts_validation():
         g.aut_from_parts(1, ((1, 0), (1, 0)))
     # images are reduced before they are checked
     assert AutMap(g, ((6, 0, 0), (0, 3, 0), (5, 0, 1))) == identity_aut(g)
+    # a unit on a 2-group, which has no p part, is refused, not dropped
+    klein = GroupSpec.klein()
+    for u in (3, 0, -1):
+        with pytest.raises(ValueError, match=f"^u must be None or 1 on a 2-group, got {u}$"):
+            klein.aut_from_parts(u, ((1, 0), (0, 1)))
+    assert klein.aut_from_parts(1, ((1, 0), (0, 1))) == identity_aut(klein)
 
 
 # exponents that only equal ints: GroupSpec.reduce refuses them for every
@@ -552,6 +558,10 @@ _NOT_INT_EXPONENTS = {
     "aut_from_parts-float": lambda: GroupSpec.cp_c2_c2(5).aut_from_parts(2.5, ((1, 0), (0, 1))),
     "aut_from_parts-bool": lambda: GroupSpec.cp_c2_c2(5).aut_from_parts(True, ((1, 0), (0, 1))),
     "aut_from_parts-matrix": lambda: GroupSpec.klein().aut_from_parts(None, ((1.0, 0), (0, 1))),
+    # a 2-group has no p part, so only None and the int 1 pass as its unit
+    "aut_from_parts-2-group-bool": lambda: GroupSpec.klein().aut_from_parts(True, ((1, 0), (0, 1))),
+    "aut_from_parts-2-group-float": lambda: GroupSpec.c2_cubed().aut_from_parts(
+        1.0, ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
 }
 
 
@@ -622,6 +632,15 @@ def test_aut_generating_subset():
                 assert a.perm not in _perm_closure(perms[:i], g.order)
             if len(sub) == 1:
                 assert gens == ()
+            # the members are read as a set, in any order
+            assert aut_generating_subset(g, sub[::-1]) == gens
+    # a member set that is not a subgroup is refused, not generated
+    for g, members in ((GroupSpec.klein(), (0, 1)), (GroupSpec.cp_c2_c2(7), (0, 6, 7))):
+        with pytest.raises(ValueError, match="not the members of a subgroup"):
+            aut_generating_subset(g, members)
+    # the table is read-only
+    with pytest.raises(TypeError):
+        GroupSpec.klein().subgroups_of_aut()[(0,)] = (0,)
 
 
 @pytest.mark.parametrize("g,count", [
@@ -841,16 +860,19 @@ def test_gl32_constant_matches_the_computed_path():
     mul, e = groups._aut_arithmetic(g)
     want = [(m, tuple(groups._generate(mul, {e}, m)[0]))
             for m in sorted(_lattice("GL(3,2)").values(), key=lambda m: (len(m), m))]
-    got = list(groups._gl32_generators().items())
+    got = list(g.subgroups_of_aut().items())
     assert len(got) == len(want) == 179
     for entry, expected in zip(got, want):
         assert entry == expected
-    assert g.subgroups_of_aut() == tuple(m for m, _ in want)
-    # any other member set, and the whole group as a range, as the closure
-    # helpers pass it, read the same answers as the computed path
-    for members in (range(168), [77, 76], (0, 1), (0, 1, 2, 3), range(0, 168, 5)):
-        gens = tuple(groups._generate(mul, {e}, sorted(members))[0])
-        assert aut_generating_subset(g, members) == gens
+    assert tuple(g.subgroups_of_aut()) == tuple(m for m, _ in want)
+    # the whole group as a range, as the closure helpers pass it, and the
+    # order-2 subgroup {76, 77} out of order read their generators; member
+    # sets without the identity (index 76) are refused
+    assert aut_generating_subset(g, range(168)) == want[-1][1]
+    assert aut_generating_subset(g, [77, 76]) == (77,)
+    for members in ((0, 1), (0, 1, 2, 3), range(0, 168, 5)):
+        with pytest.raises(ValueError, match="not the members of a subgroup"):
+            aut_generating_subset(g, members)
 
 
 def test_quaternion_and_dihedral_tables_are_groups():
@@ -1061,12 +1083,16 @@ def test_sigma_key_equality_is_value_equality(p):
 
 def test_only_generate_and_the_aut_lattice_call_close():
     # _generate holds the one greedy generating loop; subgroups_of_aut closes
-    # each (r^f, b) with its K in one call
+    # each (r^f, b) with its K in one call, and is the one place that walks
+    # the subgroups of Aut(G) for their generators
     tree = ast.parse(Path(groups.__file__).read_text(encoding="utf-8"))
-    callers = {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
-               for c in ast.walk(f)
-               if isinstance(c, ast.Call) and getattr(c.func, "id", None) == "_close"}
-    assert callers == {"_generate", "subgroups_of_aut"}
+
+    def callers(name):
+        return {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                for c in ast.walk(f)
+                if isinstance(c, ast.Call) and getattr(c.func, "id", None) == name}
+    assert callers("_close") == {"_generate", "subgroups_of_aut"}
+    assert callers("_generate") == {"subgroup", "_quotient", "subgroups_of_aut"}
 
 
 def test_only_the_gate_tests_primality():
